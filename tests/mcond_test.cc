@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "condense/gcond.h"
+#include "core/parallel.h"
+#include "core/simd.h"
 #include "core/tensor_ops.h"
 #include "data/datasets.h"
 #include "eval/inference.h"
@@ -140,6 +144,54 @@ TEST_F(MCondPipelineTest, DeterministicGivenSeed) {
   EXPECT_TRUE(
       AllClose(again.synthetic_features, result_->synthetic_features));
   EXPECT_TRUE(AllClose(again.dense_mapping, result_->dense_mapping));
+}
+
+// FNV-1a over raw float bit patterns: a single-ULP change flips the digest.
+uint64_t BitDigest(const float* data, size_t count) {
+  uint64_t h = 1469598103934665603ull;
+  for (size_t i = 0; i < count; ++i) {
+    uint32_t bits;
+    std::memcpy(&bits, &data[i], sizeof(bits));
+    for (int b = 0; b < 4; ++b) {
+      h ^= (bits >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+uint64_t BitDigest(const Tensor& t) {
+  return BitDigest(t.data(), static_cast<size_t>(t.size()));
+}
+
+// Paper-level behaviour pinned bit for bit: the tiny-sim MCond artifact
+// (X', dense A', dense M and the ℒ_S history) on the scalar SIMD tier with
+// every ParallelFor inline at width 1 — the one oracle configuration. A
+// refactor that changes any of these bits must re-pin them on purpose.
+//
+// The values hold for x86-64 builds without FP contraction (the release,
+// asan and tsan presets); -march=native enables FMA, which lets the compiler
+// fuse multiply-adds outside the kernels and changes the bits.
+TEST(MCondGoldenTest, TinySimArtifactDigestOnScalarTier) {
+#if defined(__FMA__)
+  GTEST_SKIP() << "golden digests are pinned for builds without FMA";
+#endif
+  const simd::Tier saved_tier = simd::ActiveTier();
+  simd::SetTier(simd::Tier::kScalar);
+  MCondResult r;
+  {
+    ScopedInlineParallelRegion width_one;
+    const InductiveDataset data = MakeDatasetByName("tiny-sim", 17);
+    r = RunMCond(data.train_graph, data.val, /*num_synthetic=*/12,
+                 FastConfig(), /*seed=*/17);
+  }
+  simd::SetTier(saved_tier);
+
+  EXPECT_EQ(BitDigest(r.synthetic_features), 0x2326f1348026f9c1ull);
+  EXPECT_EQ(BitDigest(r.dense_adjacency), 0x54c570298261d3e9ull);
+  EXPECT_EQ(BitDigest(r.dense_mapping), 0x5fe327b6548db523ull);
+  EXPECT_EQ(BitDigest(r.s_loss_history.data(), r.s_loss_history.size()),
+            0x23a1be12a0fa362aull);
 }
 
 TEST(MCondAblationTest, SwitchesDisableComponents) {
