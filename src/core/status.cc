@@ -18,6 +18,10 @@ const char* CodeName(StatusCode code) {
       return "NotFound";
     case StatusCode::kInternal:
       return "Internal";
+    case StatusCode::kResourceExhausted:
+      return "ResourceExhausted";
+    case StatusCode::kUnavailable:
+      return "Unavailable";
   }
   return "Unknown";
 }

@@ -19,6 +19,11 @@ enum class StatusCode {
   kFailedPrecondition = 3,
   kNotFound = 4,
   kInternal = 5,
+  /// A bounded resource ran out (e.g. a full request queue); retrying
+  /// later may succeed.
+  kResourceExhausted = 6,
+  /// The service is not taking work (e.g. shut down or draining).
+  kUnavailable = 7,
 };
 
 /// A lightweight success-or-error result. Cheap to copy on the success path
@@ -46,6 +51,12 @@ class Status {
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
+  }
+  static Status ResourceExhausted(std::string msg) {
+    return Status(StatusCode::kResourceExhausted, std::move(msg));
+  }
+  static Status Unavailable(std::string msg) {
+    return Status(StatusCode::kUnavailable, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

@@ -2,7 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <new>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "core/logging.h"
 #include "core/tensor.h"
@@ -26,6 +31,19 @@ constexpr size_t kMinPageBytes = size_t{1} << 20;  // 1 MiB
 
 std::atomic<int64_t> g_tensor_heap_allocs{0};
 thread_local TensorArena* tl_arena = nullptr;
+
+std::mutex g_retention_mu;
+int g_retention_holders = 0;  // guarded by g_retention_mu
+
+#if defined(__GLIBC__)
+// glibc raises both thresholds on its own: freeing an mmap'd block of up
+// to 32 MiB lifts M_MMAP_THRESHOLD to that size and M_TRIM_THRESHOLD to
+// twice it. mallopt switches that rule off for good, so the last exit
+// leaves the values it tops out at (a serving process took ~140x the
+// faults with the 128 KiB start values restored).
+constexpr int kMaxMmapThreshold = 32 * 1024 * 1024;  // mallopt rejects more
+constexpr int kSettledTrimThreshold = 2 * kMaxMmapThreshold;
+#endif
 
 }  // namespace
 
@@ -66,6 +84,30 @@ ScopedTensorArena::ScopedTensorArena(TensorArena* arena) : prev_(tl_arena) {
 ScopedTensorArena::~ScopedTensorArena() { tl_arena = prev_; }
 
 TensorArena* CurrentTensorArena() { return tl_arena; }
+
+ScopedHeapRetention::ScopedHeapRetention() {
+  std::lock_guard<std::mutex> lock(g_retention_mu);
+  if (g_retention_holders++ > 0) return;
+#if defined(__GLIBC__)
+  mallopt(M_MMAP_THRESHOLD, kMaxMmapThreshold);
+  mallopt(M_TRIM_THRESHOLD, -1);  // -1: never trim the top of the heap
+#endif
+}
+
+ScopedHeapRetention::~ScopedHeapRetention() {
+  std::lock_guard<std::mutex> lock(g_retention_mu);
+  if (--g_retention_holders > 0) return;
+#if defined(__GLIBC__)
+  // M_MMAP_THRESHOLD stays at kMaxMmapThreshold.
+  mallopt(M_TRIM_THRESHOLD, kSettledTrimThreshold);
+  malloc_trim(0);
+#endif
+}
+
+int HeapRetentionHolders() {
+  std::lock_guard<std::mutex> lock(g_retention_mu);
+  return g_retention_holders;
+}
 
 void* TensorAlloc(size_t bytes) {
   if (TensorArena* arena = tl_arena) {

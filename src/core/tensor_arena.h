@@ -79,6 +79,35 @@ class ScopedTensorArena {
 /// The arena currently installed on this thread, or nullptr.
 TensorArena* CurrentTensorArena();
 
+/// RAII: while at least one scope is alive anywhere in the process, freed
+/// heap memory stays in the process instead of going back to the OS.
+///
+/// glibc hands blocks of >= 128 KiB to mmap and trims the top of the heap
+/// once it holds 128 KiB free, so a loop that allocates and frees the same
+/// multi-MiB temporaries every step (Algorithm 1's S- and M-steps) faults
+/// their pages back in on every step. The first holder raises
+/// M_MMAP_THRESHOLD to its 32 MiB maximum and turns trimming off, so freed
+/// temporaries are recycled by glibc's own coalescing heap. The last holder
+/// sets M_TRIM_THRESHOLD to 64 MiB and returns the retained memory with
+/// malloc_trim(0), so code that runs after the scope (serving threads) does
+/// not inherit it. 32/64 MiB are where glibc's dynamic thresholds settle;
+/// mallopt switches that adjustment off for good, and its 128 KiB start
+/// values would turn every later block of >= 128 KiB into an mmap.
+///
+/// Holders are counted under a mutex, so concurrent and nested scopes
+/// compose. The thresholds are process-wide malloc state: other threads
+/// retain too while any scope is held. A no-op without glibc.
+class ScopedHeapRetention {
+ public:
+  ScopedHeapRetention();
+  ~ScopedHeapRetention();
+  ScopedHeapRetention(const ScopedHeapRetention&) = delete;
+  ScopedHeapRetention& operator=(const ScopedHeapRetention&) = delete;
+};
+
+/// Number of ScopedHeapRetention scopes alive in the process.
+int HeapRetentionHolders();
+
 }  // namespace internal
 }  // namespace mcond
 

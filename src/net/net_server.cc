@@ -382,17 +382,17 @@ void NetServer::HandleRequestFrame(Connection* conn,
       });
   if (!ticket.ok()) {
     const Status& st = ticket.status();
-    if (st.code() == StatusCode::kFailedPrecondition) {
-      // The tenant's bounded queue said no — the protocol-level REJECTED
-      // path of the paper-scale serving story. "Queue full" is transient;
-      // anything else on this code path is the server draining away.
-      const bool queue_full =
-          st.message().find("queue full") != std::string::npos;
+    if (st.code() == StatusCode::kResourceExhausted ||
+        st.code() == StatusCode::kUnavailable) {
+      // The tenant's server said no — the protocol-level REJECTED path of
+      // the paper-scale serving story. A full queue is transient; an
+      // unavailable server is draining away.
       rejected_.Increment();
       tenant->rejected->Increment();
       ReplyError(conn, view.request_id, WireStatus::kRejected,
-                 queue_full ? RejectReason::kQueueFull
-                            : RejectReason::kShuttingDown,
+                 st.code() == StatusCode::kResourceExhausted
+                     ? RejectReason::kQueueFull
+                     : RejectReason::kShuttingDown,
                  st.message());
     } else {
       invalid_.Increment();

@@ -1,5 +1,7 @@
 #include "obs/resource.h"
 
+#include <sys/resource.h>
+
 #include <cstdio>
 #include <cstring>
 
@@ -35,6 +37,16 @@ int64_t StatusFieldBytes(const char* field) {
 int64_t CurrentRssBytes() { return StatusFieldBytes("VmRSS"); }
 
 int64_t PeakRssBytes() { return StatusFieldBytes("VmHWM"); }
+
+ProcessUsage CurrentProcessUsage() {
+  ProcessUsage usage;
+  struct rusage ru;
+  if (getrusage(RUSAGE_SELF, &ru) != 0) return usage;
+  usage.minor_faults = static_cast<int64_t>(ru.ru_minflt);
+  usage.sys_us = static_cast<int64_t>(ru.ru_stime.tv_sec) * 1000000 +
+                 static_cast<int64_t>(ru.ru_stime.tv_usec);
+  return usage;
+}
 
 int64_t RecordRssMetrics() {
   const int64_t rss = CurrentRssBytes();

@@ -17,6 +17,16 @@ int64_t CurrentRssBytes();
 /// high-water mark cannot miss a transient spike between samples.
 int64_t PeakRssBytes();
 
+/// Cumulative getrusage(RUSAGE_SELF) counters of this process.
+struct ProcessUsage {
+  int64_t minor_faults = 0;  // page faults served without I/O
+  int64_t sys_us = 0;        // CPU time spent in the kernel
+};
+
+/// Reads getrusage(RUSAGE_SELF); all zero if the call fails. Subtract two
+/// readings to attribute a call's faults and kernel time.
+ProcessUsage CurrentProcessUsage();
+
 /// Publishes both values to the metrics registry as
 /// mcond.process.rss_bytes / mcond.process.peak_rss_bytes and returns the
 /// peak.

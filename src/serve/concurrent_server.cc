@@ -139,12 +139,12 @@ StatusOr<ServeTicket> ConcurrentServer::Submit(const HeldOutBatch& batch,
     std::unique_lock<std::mutex> lock(mu_);
     if (!accepting_) {
       rejected_.Increment();
-      return Status::FailedPrecondition("Submit: server is shut down");
+      return Status::Unavailable("Submit: server is shut down");
     }
     if (static_cast<int>(queue_.size()) >= config_.queue_capacity) {
       if (!config_.block_when_full) {
         rejected_.Increment();
-        return Status::FailedPrecondition("Submit: request queue full");
+        return Status::ResourceExhausted("Submit: request queue full");
       }
       space_cv_.wait(lock, [&] {
         return static_cast<int>(queue_.size()) < config_.queue_capacity ||
@@ -152,7 +152,7 @@ StatusOr<ServeTicket> ConcurrentServer::Submit(const HeldOutBatch& batch,
       });
       if (!accepting_) {
         rejected_.Increment();
-        return Status::FailedPrecondition("Submit: server is shut down");
+        return Status::Unavailable("Submit: server is shut down");
       }
     }
     req->timing.enqueue_us = obs::MonotonicMicros();

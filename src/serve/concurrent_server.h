@@ -95,7 +95,7 @@ class ServeTicket {
 ///  - A bounded FIFO queue of `queue_capacity` pending requests with
 ///    explicit backpressure: when full, Submit either blocks until space
 ///    frees up (`block_when_full`, the default) or returns
-///    FailedPrecondition immediately so callers can shed load.
+///    ResourceExhausted immediately so callers can shed load.
 ///  - One worker thread per replica. Each worker pins its replica (warm
 ///    buffers, no cross-thread handoff of scratch state) and runs its
 ///    kernels inline at width 1 via ScopedInlineParallelRegion — K workers
@@ -145,7 +145,7 @@ class ConcurrentServer {
     int queue_capacity = 64;
     /// Max requests one worker drains per queue pass (1 = no coalescing).
     int micro_batch = 1;
-    /// Full queue: true → Submit blocks; false → FailedPrecondition.
+    /// Full queue: true → Submit blocks; false → ResourceExhausted.
     bool block_when_full = true;
     /// Test hook: workers start idle until Resume(), so tests can fill the
     /// queue deterministically and observe backpressure.
@@ -169,7 +169,8 @@ class ConcurrentServer {
 
   /// Enqueues one request. Validates shapes up front (InvalidArgument —
   /// workers never abort on caller mistakes); applies the backpressure
-  /// policy when the queue is full; FailedPrecondition after Shutdown.
+  /// policy when the queue is full (ResourceExhausted when not blocking);
+  /// Unavailable after Shutdown.
   /// On success the returned ticket completes once `*out` holds the n×C
   /// batch logits.
   StatusOr<ServeTicket> Submit(const HeldOutBatch& batch, bool graph_batch,

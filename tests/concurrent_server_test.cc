@@ -139,7 +139,7 @@ TEST_F(ConcurrentServerTest, RejectsWhenQueueFullAndNotBlocking) {
   StatusOr<ServeTicket> c =
       server.Submit((*batches_)[0], /*graph_batch=*/false, &out_c);
   ASSERT_FALSE(c.ok());
-  EXPECT_EQ(c.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(c.status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(obs::GetCounter("mcond.server.rejected").Value(),
             rejected_before + 1);
 
@@ -206,7 +206,7 @@ TEST_F(ConcurrentServerTest, SubmitValidatesBeforeEnqueueAndAfterShutdown) {
   EXPECT_EQ(server.Submit((*batches_)[0], /*graph_batch=*/false, &out)
                 .status()
                 .code(),
-            StatusCode::kFailedPrecondition);
+            StatusCode::kUnavailable);
 }
 
 TEST_F(ConcurrentServerTest, Degree0FallbackServedConcurrently) {

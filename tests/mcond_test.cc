@@ -13,6 +13,8 @@
 #include "data/datasets.h"
 #include "eval/inference.h"
 #include "nn/trainer.h"
+#include "obs/metrics.h"
+#include "obs/resource.h"
 
 namespace mcond {
 namespace {
@@ -192,6 +194,28 @@ TEST(MCondGoldenTest, TinySimArtifactDigestOnScalarTier) {
   EXPECT_EQ(BitDigest(r.dense_mapping), 0x5fe327b6548db523ull);
   EXPECT_EQ(BitDigest(r.s_loss_history.data(), r.s_loss_history.size()),
             0x23a1be12a0fa362aull);
+}
+
+TEST(MCondObservabilityTest, CondensePublishesItsFaultsAndSystemTime) {
+  const InductiveDataset data = MakeDatasetByName("tiny-sim", 41);
+  MCondConfig config = FastConfig();
+  config.outer_rounds = 1;
+  obs::Counter& faults = obs::GetCounter("mcond.condense.minor_faults");
+  obs::Counter& sys_us = obs::GetCounter("mcond.condense.sys_us");
+  const int64_t faults_before = faults.Value();
+  const int64_t sys_before = sys_us.Value();
+  const obs::ProcessUsage around_before = obs::CurrentProcessUsage();
+  RunMCond(data.train_graph, data.val, 12, config, 41);
+  const obs::ProcessUsage around_after = obs::CurrentProcessUsage();
+  // The counters carry the call's own getrusage delta, which lies inside
+  // the process-wide delta taken around it.
+  const int64_t call_faults = faults.Value() - faults_before;
+  const int64_t call_sys_us = sys_us.Value() - sys_before;
+  EXPECT_GT(call_faults, 0);
+  EXPECT_LE(call_faults,
+            around_after.minor_faults - around_before.minor_faults);
+  EXPECT_GE(call_sys_us, 0);
+  EXPECT_LE(call_sys_us, around_after.sys_us - around_before.sys_us);
 }
 
 TEST(MCondAblationTest, SwitchesDisableComponents) {

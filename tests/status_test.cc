@@ -23,6 +23,16 @@ TEST(StatusTest, FactoriesSetCodeAndMessage) {
   EXPECT_EQ(Status::OutOfRange("x").code(), StatusCode::kOutOfRange);
   EXPECT_EQ(Status::FailedPrecondition("x").code(),
             StatusCode::kFailedPrecondition);
+  EXPECT_EQ(Status::ResourceExhausted("x").code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(Status::Unavailable("x").code(), StatusCode::kUnavailable);
+}
+
+TEST(StatusTest, OverloadCodesRenderTheirNames) {
+  EXPECT_EQ(Status::ResourceExhausted("request queue full").ToString(),
+            "ResourceExhausted: request queue full");
+  EXPECT_EQ(Status::Unavailable("server is shut down").ToString(),
+            "Unavailable: server is shut down");
 }
 
 TEST(StatusOrTest, HoldsValue) {
