@@ -293,6 +293,50 @@ void BM_GemmTransBSimd(benchmark::State& state) {
 BENCHMARK(BM_GemmTransBSimd)->Arg(0)->Arg(1)->ArgNames({"avx2"})
     ->Unit(benchmark::kMillisecond);
 
+// The adjacency generator's (MLP_Φ, Eq. 6) backward GEMMs on reddit-sim:
+// N'² = 9216 pair rows, 2d = 192 pair features, 64 hidden units, 1 score.
+// Args: tier, then the m, k, n of the product.
+
+void BM_GeneratorTransASimd(benchmark::State& state) {
+  // Weight gradients (N'²×k)ᵀ·(N'²×n): the pair layer at k=192, n=64 and
+  // the score layer at k=64, n=1.
+  const simd::Tier saved = simd::ActiveTier();
+  if (!EnterTier(state)) return;
+  const int64_t m = state.range(1), k = state.range(2), n = state.range(3);
+  Rng rng(27);
+  const Tensor a = rng.NormalTensor(m, k);
+  const Tensor b = rng.NormalTensor(m, n);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(MatMulTransA(a, b));
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
+  simd::SetTier(saved);
+}
+BENCHMARK(BM_GeneratorTransASimd)
+    ->ArgsProduct({{0, 1}, {9216}, {192}, {64}})
+    ->ArgsProduct({{0, 1}, {9216}, {64}, {1}})
+    ->ArgNames({"avx2", "m", "k", "n"})
+    ->Unit(benchmark::kMillisecond);
+
+void BM_GeneratorTransBSimd(benchmark::State& state) {
+  // Score gradient back to the hidden layer: (N'²×1)·(64×1)ᵀ, k = 1.
+  const simd::Tier saved = simd::ActiveTier();
+  if (!EnterTier(state)) return;
+  const int64_t m = state.range(1), k = state.range(2), n = state.range(3);
+  Rng rng(28);
+  const Tensor a = rng.NormalTensor(m, k);
+  const Tensor bt = rng.NormalTensor(n, k);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(MatMulTransB(a, bt));
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
+  simd::SetTier(saved);
+}
+BENCHMARK(BM_GeneratorTransBSimd)
+    ->ArgsProduct({{0, 1}, {9216}, {1}, {64}})
+    ->ArgNames({"avx2", "m", "k", "n"})
+    ->Unit(benchmark::kMillisecond);
+
 void BM_SpMMSimd(benchmark::State& state) {
   const simd::Tier saved = simd::ActiveTier();
   if (!EnterTier(state)) return;

@@ -12,6 +12,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 
 namespace mcond {
@@ -160,6 +161,117 @@ inline void GemmRow4(const float* a0, const float* a1, const float* a2,
   }
 }
 
+/// Reduction rows per block of Avx2GemmTransACols. A block's B rows
+/// (256 × n floats, 64 KiB at n = 64) and the A columns of a task's output
+/// rows stay in L2 while every output tile sweeps them; the vector tier's
+/// counterpart of tensor_ops.cc's kIc.
+constexpr int64_t kTransARows = 256;
+
+/// Running sums of one 8-wide C segment at the start of a reduction block:
+/// +0 for the first block, the parked partial sums after it. Parking a
+/// float in C and loading it back is exact, so a blocked sweep keeps the
+/// bits of one unbroken fmadd chain.
+inline __m256 StartSums(const float* c, bool first) {
+  return first ? _mm256_setzero_ps() : _mm256_loadu_ps(c);
+}
+
+/// C rows [p, p+R) × columns [j, j+8V) of Aᵀ·B, advanced over the
+/// reduction rows [i0, i1): R×V accumulators, V B loads and R broadcasts
+/// of A per reduction row.
+template <int R, int V>
+inline void TransATile(const float* a, const float* b, float* c, int64_t k,
+                       int64_t n, int64_t p, int64_t j, int64_t i0,
+                       int64_t i1) {
+  const bool first = i0 == 0;
+  __m256 acc[R][V];
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) {
+      acc[r][v] = StartSums(c + (p + r) * n + j + 8 * v, first);
+    }
+  }
+  for (int64_t i = i0; i < i1; ++i) {
+    const float* ai = a + i * k + p;
+    const float* bi = b + i * n + j;
+    __m256 bv[V];
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) bv[v] = _mm256_loadu_ps(bi + 8 * v);
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const __m256 av = _mm256_broadcast_ss(ai + r);
+#pragma GCC unroll 2
+      for (int v = 0; v < V; ++v) {
+        acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) {
+      _mm256_storeu_ps(c + (p + r) * n + j + 8 * v, acc[r][v]);
+    }
+  }
+}
+
+/// Columns [0, j1), j1 a multiple of 8, of the R output rows from p.
+template <int R>
+inline void TransARows(const float* a, const float* b, float* c, int64_t k,
+                       int64_t n, int64_t p, int64_t j1, int64_t i0,
+                       int64_t i1) {
+  int64_t j = 0;
+  for (; j + 16 <= j1; j += 16) TransATile<R, 2>(a, b, c, k, n, p, j, i0, i1);
+  if (j < j1) TransATile<R, 1>(a, b, c, k, n, p, j, i0, i1);
+}
+
+/// Lanes [0, live) of a vector, for the partial last group of output rows.
+inline __m256i LiveLanes(int64_t live) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(live)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/// C column j, rows [p, p+rows) with rows ≤ 8V: lanes run over output
+/// rows, so a column narrower than a vector still computes 8 elements per
+/// fmadd. The A loads are contiguous row slices; lanes past `rows` are
+/// masked off (never read, never written).
+template <int V>
+inline void TransAColumn(const float* a, const float* b, float* c, int64_t k,
+                         int64_t n, int64_t p, int64_t rows, int64_t j,
+                         int64_t i0, int64_t i1) {
+  const bool first = i0 == 0;
+  __m256i live[V];
+  __m256 acc[V];
+#pragma GCC unroll 4
+  for (int v = 0; v < V; ++v) {
+    live[v] = LiveLanes(rows - 8 * v);
+    alignas(32) float sums[8] = {};
+    if (!first) {
+      for (int64_t l = 0; l < std::min<int64_t>(8, rows - 8 * v); ++l) {
+        sums[l] = c[(p + 8 * v + l) * n + j];
+      }
+    }
+    acc[v] = _mm256_load_ps(sums);
+  }
+  for (int64_t i = i0; i < i1; ++i) {
+    const __m256 bij = _mm256_broadcast_ss(b + i * n + j);
+    const float* ai = a + i * k + p;
+#pragma GCC unroll 4
+    for (int v = 0; v < V; ++v) {
+      acc[v] = _mm256_fmadd_ps(_mm256_maskload_ps(ai + 8 * v, live[v]), bij,
+                               acc[v]);
+    }
+  }
+#pragma GCC unroll 4
+  for (int v = 0; v < V; ++v) {
+    alignas(32) float sums[8];
+    _mm256_store_ps(sums, acc[v]);
+    for (int64_t l = 0; l < std::min<int64_t>(8, rows - 8 * v); ++l) {
+      c[(p + 8 * v + l) * n + j] = sums[l];
+    }
+  }
+}
+
 }  // namespace
 
 void Avx2GemmRows(const float* a, const float* b, float* c, int64_t k,
@@ -175,70 +287,70 @@ void Avx2GemmRows(const float* a, const float* b, float* c, int64_t k,
 
 void Avx2GemmTransACols(const float* a, const float* b, float* c, int64_t m,
                         int64_t k, int64_t n, int64_t p0, int64_t p1) {
-  // c[p][j] = sum_i a[i][p] * b[i][j]; the column reads of A are strided
-  // scalar broadcasts, the B rows stream 8-wide.
-  int64_t p = p0;
-  for (; p + 4 <= p1; p += 4) {
-    float* cr0 = c + p * n;
-    float* cr1 = cr0 + n;
-    float* cr2 = cr1 + n;
-    float* cr3 = cr2 + n;
-    int64_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-      __m256 v0 = _mm256_setzero_ps(), v1 = _mm256_setzero_ps();
-      __m256 v2 = _mm256_setzero_ps(), v3 = _mm256_setzero_ps();
-      for (int64_t i = 0; i < m; ++i) {
-        const float* ai = a + i * k + p;
-        const __m256 bv = _mm256_loadu_ps(b + i * n + j);
-        v0 = _mm256_fmadd_ps(_mm256_broadcast_ss(ai), bv, v0);
-        v1 = _mm256_fmadd_ps(_mm256_broadcast_ss(ai + 1), bv, v1);
-        v2 = _mm256_fmadd_ps(_mm256_broadcast_ss(ai + 2), bv, v2);
-        v3 = _mm256_fmadd_ps(_mm256_broadcast_ss(ai + 3), bv, v3);
-      }
-      _mm256_storeu_ps(cr0 + j, v0);
-      _mm256_storeu_ps(cr1 + j, v1);
-      _mm256_storeu_ps(cr2 + j, v2);
-      _mm256_storeu_ps(cr3 + j, v3);
+  // c[p][j] = sum_i a[i][p] * b[i][j], one fmadd chain per element in
+  // ascending i from +0, whatever tile computes it: the tile shapes, the
+  // row blocks and the chunk boundaries change the order of independent
+  // chains only, so the bits equal an unblocked element-by-element sweep.
+  // Columns in multiples of 8 run 4×16 register tiles (B rows stream
+  // 8-wide, A columns broadcast); the last n mod 8 columns run lanes over
+  // output rows instead.
+  const int64_t n8 = n & ~int64_t{7};
+  int64_t i0 = 0;
+  do {  // The first block runs even when m = 0: it writes the +0 sums.
+    const int64_t i1 = std::min(m, i0 + kTransARows);
+    int64_t p = p0;
+    for (; p + 4 <= p1; p += 4) TransARows<4>(a, b, c, k, n, p, n8, i0, i1);
+    switch (p1 - p) {
+      case 3: TransARows<3>(a, b, c, k, n, p, n8, i0, i1); break;
+      case 2: TransARows<2>(a, b, c, k, n, p, n8, i0, i1); break;
+      case 1: TransARows<1>(a, b, c, k, n, p, n8, i0, i1); break;
+      default: break;
     }
-    for (; j < n; ++j) {
-      float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
-      for (int64_t i = 0; i < m; ++i) {
-        const float* ai = a + i * k + p;
-        const float bv = b[i * n + j];
-        s0 = std::fmaf(ai[0], bv, s0);
-        s1 = std::fmaf(ai[1], bv, s1);
-        s2 = std::fmaf(ai[2], bv, s2);
-        s3 = std::fmaf(ai[3], bv, s3);
+    for (int64_t j = n8; j < n; ++j) {
+      for (int64_t q = p0; q < p1; q += 32) {
+        const int64_t rows = std::min<int64_t>(32, p1 - q);
+        switch ((rows + 7) / 8) {
+          case 4: TransAColumn<4>(a, b, c, k, n, q, rows, j, i0, i1); break;
+          case 3: TransAColumn<3>(a, b, c, k, n, q, rows, j, i0, i1); break;
+          case 2: TransAColumn<2>(a, b, c, k, n, q, rows, j, i0, i1); break;
+          default: TransAColumn<1>(a, b, c, k, n, q, rows, j, i0, i1); break;
+        }
       }
-      cr0[j] = s0;
-      cr1[j] = s1;
-      cr2[j] = s2;
-      cr3[j] = s3;
     }
-  }
-  for (; p < p1; ++p) {
-    float* crow = c + p * n;
-    int64_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-      __m256 v = _mm256_setzero_ps();
-      for (int64_t i = 0; i < m; ++i) {
-        v = _mm256_fmadd_ps(_mm256_broadcast_ss(a + i * k + p),
-                            _mm256_loadu_ps(b + i * n + j), v);
-      }
-      _mm256_storeu_ps(crow + j, v);
-    }
-    for (; j < n; ++j) {
-      float s = 0.0f;
-      for (int64_t i = 0; i < m; ++i) {
-        s = std::fmaf(a[i * k + p], b[i * n + j], s);
-      }
-      crow[j] = s;
-    }
-  }
+    i0 = i1;
+  } while (i0 < m);
 }
 
 void Avx2GemmTransBRows(const float* a, const float* b, float* c, int64_t k,
                         int64_t n, int64_t i0, int64_t i1) {
+  if (k < 8) {
+    // B rows shorter than a vector: lanes run over 8 output columns
+    // instead, each an fmadd chain over ascending p from +0 — the bits of
+    // the dot-product form below, whose lane sums are all +0 at k < 8.
+    const __m256i stride = _mm256_mullo_epi32(
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        _mm256_set1_epi32(static_cast<int>(k)));
+    for (int64_t i = i0; i < i1; ++i) {
+      const float* arow = a + i * k;
+      float* crow = c + i * n;
+      int64_t j = 0;
+      for (; j + 8 <= n; j += 8) {
+        __m256 v = _mm256_setzero_ps();
+        for (int64_t p = 0; p < k; ++p) {
+          v = _mm256_fmadd_ps(_mm256_broadcast_ss(arow + p),
+                              _mm256_i32gather_ps(b + j * k + p, stride, 4),
+                              v);
+        }
+        _mm256_storeu_ps(crow + j, v);
+      }
+      for (; j < n; ++j) {
+        float s = 0.0f;
+        for (int64_t p = 0; p < k; ++p) s = std::fmaf(arow[p], b[j * k + p], s);
+        crow[j] = s;
+      }
+    }
+    return;
+  }
   const int64_t k8 = k & ~int64_t{7};
   for (int64_t i = i0; i < i1; ++i) {
     const float* arow = a + i * k;

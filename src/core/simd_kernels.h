@@ -24,7 +24,8 @@
 /// (simd::Avx2Compiled()); callers must gate on simd::UseAvx2(), which
 /// implies both compile-time and runtime support. All loads/stores are
 /// unaligned-tolerant (vmovups); tails shorter than a vector fall back to
-/// scalar loops.
+/// scalar loops, except in MatMulTransA, whose narrow columns run lanes
+/// over output rows.
 
 namespace mcond {
 namespace simd {
@@ -35,7 +36,9 @@ void Avx2GemmRows(const float* a, const float* b, float* c, int64_t k,
                   int64_t n, int64_t i0, int64_t i1);
 
 /// C rows [p0, p1) of C(k×n) = A(m×k)ᵀ · B(m×n), i.e. the gather form of
-/// MatMulTransA. Writes every element of those rows.
+/// MatMulTransA. Writes every element of those rows, +0 when m = 0. Each
+/// element is one fmadd chain over ascending i from +0: the reduction-row
+/// blocking and the tile shapes change no bits.
 void Avx2GemmTransACols(const float* a, const float* b, float* c, int64_t m,
                         int64_t k, int64_t n, int64_t p0, int64_t p1);
 

@@ -7,7 +7,10 @@
 //    tiers;
 //  - tolerance kernels (GEMM, softmax): vector-tier divergence bounded by
 //    O(k·eps) relative error, across odd shapes (K not a multiple of the
-//    vector width, single-row, empty).
+//    vector width, single-row, empty);
+//  - within the vector tier, MatMulTransA (and MatMulTransB at k < 8) is
+//    exactly one fmaf chain per element, and the GEMM family is
+//    bit-identical across pool widths.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -364,6 +367,110 @@ TEST_F(SimdTest, SoftmaxToleranceBoundedAcrossOddShapes) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// The AVX2 MatMulTransA tiles, row blocks and column tails reorder only
+// independent fmadd chains: each output element is exactly one fmaf chain
+// over ascending i from +0. Likewise each MatMulTransB element at k < 8.
+
+/// c[p][j] = fmaf chain over i of at[i][p] * b[i][j], from +0.
+Tensor TransAFmaChain(const Tensor& at, const Tensor& b) {
+  Tensor c(at.cols(), b.cols());
+  for (int64_t p = 0; p < c.rows(); ++p) {
+    for (int64_t j = 0; j < c.cols(); ++j) {
+      float s = 0.0f;
+      for (int64_t i = 0; i < at.rows(); ++i) {
+        s = std::fmaf(at.RowData(i)[p], b.RowData(i)[j], s);
+      }
+      c.RowData(p)[j] = s;
+    }
+  }
+  return c;
+}
+
+/// c[i][j] = fmaf chain over p of a[i][p] * bt[j][p], from +0.
+Tensor TransBFmaChain(const Tensor& a, const Tensor& bt) {
+  Tensor c(a.rows(), bt.rows());
+  for (int64_t i = 0; i < c.rows(); ++i) {
+    for (int64_t j = 0; j < c.cols(); ++j) {
+      float s = 0.0f;
+      for (int64_t p = 0; p < a.cols(); ++p) {
+        s = std::fmaf(a.RowData(i)[p], bt.RowData(j)[p], s);
+      }
+      c.RowData(i)[j] = s;
+    }
+  }
+  return c;
+}
+
+TEST_F(SimdTest, TransAEqualsAscendingFmaChainOnVectorTier) {
+  if (!Avx2TierAvailable()) GTEST_SKIP() << "AVX2 tier unavailable";
+  simd::SetTier(simd::Tier::kAvx2);
+  Rng rng(707);
+  // m crosses the 256-row reduction block; k covers the 4-row tiles and
+  // their 1–3-row tails; n covers the 16- and 8-wide column tiles and the
+  // lanes-over-rows tail columns.
+  for (int64_t m : {0, 1, 255, 256, 257, 1000}) {
+    for (int64_t k : {1, 3, 4, 5, 192}) {
+      for (int64_t n : {1, 7, 8, 15, 16, 17, 64}) {
+        const Tensor at = rng.NormalTensor(m, k);
+        const Tensor b = rng.NormalTensor(m, n);
+        EXPECT_TRUE(BitEqual(MatMulTransA(at, b), TransAFmaChain(at, b)))
+            << m << "x" << k << "x" << n;
+      }
+    }
+  }
+}
+
+TEST_F(SimdTest, NarrowTransBEqualsAscendingFmaChainOnVectorTier) {
+  if (!Avx2TierAvailable()) GTEST_SKIP() << "AVX2 tier unavailable";
+  simd::SetTier(simd::Tier::kAvx2);
+  Rng rng(808);
+  for (int64_t k : {0, 1, 2, 7}) {
+    for (int64_t n : {1, 7, 8, 17, 64}) {
+      const Tensor a = rng.NormalTensor(33, k);
+      const Tensor bt = rng.NormalTensor(n, k);
+      EXPECT_TRUE(BitEqual(MatMulTransB(a, bt), TransBFmaChain(a, bt)))
+          << "k " << k << " n " << n;
+    }
+  }
+}
+
+TEST_F(SimdTest, GemmFamilyBitIdenticalAcrossPoolWidthsOnVectorTier) {
+  if (!Avx2TierAvailable()) GTEST_SKIP() << "AVX2 tier unavailable";
+  simd::SetTier(simd::Tier::kAvx2);
+  Rng rng(909);
+  const Tensor a = rng.NormalTensor(301, 257);
+  const Tensor b = rng.NormalTensor(257, 129);
+  const Tensor bt = rng.NormalTensor(129, 257);
+  const Tensor at = rng.NormalTensor(257, 301);
+  // The generator's backward shapes, scaled down: tall-skinny TransA into
+  // 64 and 1 columns, and TransB at k = 1.
+  const Tensor pairs = rng.NormalTensor(2304, 192);
+  const Tensor hidden = rng.NormalTensor(2304, 64);
+  const Tensor score = rng.NormalTensor(2304, 1);
+  const Tensor w2 = rng.NormalTensor(64, 1);
+  std::vector<Tensor> ref;
+  for (int width : {1, 2, 8}) {
+    ThreadPool::Global().SetNumThreads(width);
+    const std::vector<Tensor> out = {
+        MatMul(a, b),
+        MatMulTransA(at, b),
+        MatMulTransB(a, bt),
+        MatMulTransA(pairs, hidden),
+        MatMulTransA(hidden, score),
+        MatMulTransB(score, w2),
+    };
+    if (ref.empty()) {
+      ref = out;
+      continue;
+    }
+    for (size_t t = 0; t < out.size(); ++t) {
+      EXPECT_TRUE(BitEqual(out[t], ref[t])) << "product " << t << " width "
+                                            << width;
+    }
+  }
+}
+
 TEST_F(SimdTest, EmptyAndDegenerateShapesSafeOnVectorTier) {
   if (!Avx2TierAvailable()) GTEST_SKIP() << "AVX2 tier unavailable";
   simd::SetTier(simd::Tier::kAvx2);
@@ -373,6 +480,29 @@ TEST_F(SimdTest, EmptyAndDegenerateShapesSafeOnVectorTier) {
   const Tensor b0 = rng.NormalTensor(0, 4);
   const Tensor c0 = MatMul(a0, b0);
   for (int64_t i = 0; i < c0.size(); ++i) EXPECT_EQ(c0.data()[i], 0.0f);
+  // The transposed forms write uninitialized outputs; freeing a NaN-filled
+  // tensor of the same size first makes stale memory likely to show.
+  const auto expect_positive_zeros = [](const Tensor& c, int64_t rows,
+                                        int64_t cols, const char* what) {
+    ASSERT_EQ(c.rows(), rows) << what;
+    ASSERT_EQ(c.cols(), cols) << what;
+    for (int64_t i = 0; i < c.size(); ++i) {
+      EXPECT_EQ(c.data()[i], 0.0f) << what << " at " << i;
+      EXPECT_FALSE(std::signbit(c.data()[i])) << what << " at " << i;
+    }
+  };
+  for (int64_t k : {5, 64}) {
+    for (int64_t n : {1, 7, 16, 17}) {
+      { Tensor stale = Tensor::Full(k, n, std::nanf("")); }
+      // MatMulTransA with m = 0: k×n zeros.
+      expect_positive_zeros(MatMulTransA(Tensor(0, k), Tensor(0, n)), k, n,
+                            "transA m=0");
+      { Tensor stale = Tensor::Full(k, n, std::nanf("")); }
+      // MatMulTransB with an empty reduction (k = 0): k×n zeros too.
+      expect_positive_zeros(MatMulTransB(Tensor(k, 0), Tensor(n, 0)), k, n,
+                            "transB k=0");
+    }
+  }
   // Zero-row and zero-col tensors pass through elementwise unharmed.
   const Tensor e = Tensor(0, 5);
   EXPECT_EQ(Add(e, e).size(), 0);
