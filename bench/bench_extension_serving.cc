@@ -1,33 +1,22 @@
-// Extension bench (beyond the paper's tables): two serving-side additions
-// this library ships on top of MCond —
-//   1. multilevel heavy-edge coarsening as an extra task-agnostic reduction
-//      baseline (the paper's §V-B surveys coarsening but does not evaluate
-//      it), served through the same aM path as every other method;
-//   2. the incremental SGC serving cache, which reuses the base graph's
-//      propagated features per batch instead of recomputing Â² over the
-//      composed graph.
-#include <chrono>
+// Extension bench (beyond the paper's tables): multilevel heavy-edge
+// coarsening as an extra task-agnostic reduction baseline (the paper's §V-B
+// surveys coarsening but does not evaluate it), served through the same aM
+// path as every other method.
 #include <iostream>
 
 #include "coarsen/coarsening.h"
 #include "common.h"
-#include "eval/batching.h"
-#include "eval/serving_cache.h"
-#include "nn/metrics.h"
-#include "nn/sgc.h"
 
 namespace {
 
 using namespace mcond;
 using namespace mcond::bench;
-using Clock = std::chrono::steady_clock;
 
 }  // namespace
 
 int main() {
   const BenchContext ctx = GetBenchContext();
-  std::cout << "=== Extension: coarsening baseline + incremental serving "
-               "===\n";
+  std::cout << "=== Extension: coarsening baseline ===\n";
   for (const std::string& name : ctx.datasets) {
     const DatasetSpec spec = SpecForBench(name, ctx);
     const double ratio = spec.reduction_ratios.back();
@@ -60,49 +49,6 @@ int main() {
                     FormatMillis(gb.seconds)});
     }
     table.Print();
-
-    // Incremental serving: same artifact, per-batch stream, exact vs
-    // cached propagation.
-    GnnConfig gc;
-    Rng srng(1204);
-    Sgc sgc(data.train_graph.FeatureDim(), data.train_graph.num_classes(),
-            gc, srng);
-    {
-      GraphOperators ops_ctx =
-          GraphOperators::FromGraph(mcond.condensed.graph);
-      std::vector<int64_t> all(mcond.condensed.graph.NumNodes());
-      for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int64_t>(i);
-      TrainConfig tc;
-      tc.epochs = ctx.fast ? 100 : 300;
-      TrainNodeClassifier(sgc, ops_ctx, mcond.condensed.graph.features(),
-                          mcond.condensed.graph.labels(), all, tc, srng);
-    }
-    SgcServingCache cache(mcond.condensed, sgc);
-    const std::vector<HeldOutBatch> stream =
-        SplitIntoBatches(data.test, 64);
-    double exact_s = 0.0, fast_s = 0.0;
-    double exact_correct = 0.0, fast_correct = 0.0;
-    int64_t total = 0;
-    for (const HeldOutBatch& b : stream) {
-      auto t0 = Clock::now();
-      const Tensor exact = cache.ServeExact(b, false, rng);
-      auto t1 = Clock::now();
-      const Tensor fast = cache.Serve(b, false, rng);
-      auto t2 = Clock::now();
-      exact_s += std::chrono::duration<double>(t1 - t0).count();
-      fast_s += std::chrono::duration<double>(t2 - t1).count();
-      exact_correct += AccuracyFromLogits(exact, b.labels) * b.size();
-      fast_correct += AccuracyFromLogits(fast, b.labels) * b.size();
-      total += b.size();
-    }
-    std::cout << "incremental serving over " << stream.size()
-              << " batches: exact " << FormatMillis(exact_s / stream.size())
-              << " ms/batch (acc "
-              << FormatFloat(exact_correct / total * 100, 2)
-              << "), cached " << FormatMillis(fast_s / stream.size())
-              << " ms/batch (acc "
-              << FormatFloat(fast_correct / total * 100, 2) << "), speedup "
-              << FormatRatio(exact_s / fast_s) << "\n";
   }
   return 0;
 }

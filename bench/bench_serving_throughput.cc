@@ -5,7 +5,8 @@
 //
 //   per_request: every batch recomposes the deployment from scratch
 //       (aM conversion, block composition, full renormalization, full
-//       feature restack) — the ComposeDeployment / ServeImpl path.
+//       feature restack) — the ComposeDeployment oracle, kept as a
+//       baseline row only; every serving API runs the session path.
 //   session:     one ServingSession built up front; every batch patches
 //       only the rows its links change. Logits are bit-identical to
 //       per_request by construction.

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
 
 #include "core/parallel.h"
-#include "core/tensor_ops.h"
 #include "graph/compose.h"
 #include "nn/metrics.h"
 #include "obs/metrics.h"
@@ -16,30 +14,15 @@ namespace mcond {
 
 namespace {
 
-/// Common serving path: compose, normalize, forward, slice, time. Runs one
-/// untimed warm-up iteration first (it pays one-time allocation/cache
-/// costs and fills the result artifacts), then `repeats` timed runs whose
-/// mean and min land in `seconds` / `seconds_min`. Per-run timing comes
-/// from the tracer's spans, so `--trace_out` figures and the reported
-/// latency agree by construction. `extra_total_us` is folded into every
-/// `mcond.serve.total_us` sample: the condensed path passes its one-time aM
-/// conversion there so the histogram agrees with `seconds`/`seconds_min`,
-/// which always included it.
-InferenceResult ServeImpl(GnnModel& model, const Graph& base,
-                          const CsrMatrix& links, const CsrMatrix& inter,
-                          const HeldOutBatch& batch, int64_t mapping_bytes,
-                          Rng& rng, int64_t repeats,
-                          uint64_t extra_total_us) {
+/// The one serving path: one untimed warm-up Serve (it sizes every
+/// workspace of the freshly built `session`), then `repeats` timed
+/// steady-state Serve calls whose mean and min land in `seconds` /
+/// `seconds_min`. Per-run timing comes from the tracer's spans, so
+/// `--trace_out` figures and the reported latency agree by construction.
+InferenceResult TimedServe(ServingSession& session, const HeldOutBatch& batch,
+                           bool graph_batch, int64_t mapping_bytes, Rng& rng,
+                           int64_t repeats) {
   MCOND_CHECK_GE(repeats, 1);
-  const int64_t n_base = base.NumNodes();
-  const int64_t n_new = batch.size();
-  obs::Histogram& compose_hist =
-      obs::GetHistogram("mcond.serve.compose_us");
-  obs::Histogram& normalize_hist =
-      obs::GetHistogram("mcond.serve.normalize_us");
-  obs::Histogram& forward_hist =
-      obs::GetHistogram("mcond.serve.forward_us");
-  obs::Histogram& total_hist = obs::GetHistogram("mcond.serve.total_us");
   obs::GetCounter("mcond.serve.requests").Increment();
   // Touch the pool before anything is timed: worker threads are created
   // lazily on first use, and that one-time cost belongs to the warm-up,
@@ -54,88 +37,14 @@ InferenceResult ServeImpl(GnnModel& model, const Graph& base,
   // reported timings so cold caches neither flatter nor penalize speedup
   // ratios between the original and condensed paths.
   for (int64_t rep = -1; rep < repeats; ++rep) {
-    CsrMatrix composed;
-    GraphOperators ops_ctx;
-    Tensor features;
-    Tensor logits;
-    double seconds = 0.0;
-    {
-      obs::TraceSpan serve_span("serve", /*always_time=*/true);
-      {
-        obs::TraceSpan span("serve.compose", /*always_time=*/true);
-        composed = ComposeBlockAdjacency(base.adjacency(), links, inter);
-        compose_hist.Record(span.ElapsedMicros());
-      }
-      {
-        obs::TraceSpan span("serve.normalize", /*always_time=*/true);
-        ops_ctx = GraphOperators::FromAdjacency(composed);
-        normalize_hist.Record(span.ElapsedMicros());
-      }
-      features = ComposeFeatures(base.features(), batch.features);
-      {
-        obs::TraceSpan span("serve.forward", /*always_time=*/true);
-        logits = model.Predict(ops_ctx, features, rng);
-        forward_hist.Record(span.ElapsedMicros());
-      }
-      seconds = serve_span.ElapsedSeconds();
-      total_hist.Record(serve_span.ElapsedMicros() + extra_total_us);
-    }
-    if (rep < 0) {
-      result.logits = SliceRows(logits, n_base, n_base + n_new);
-      result.memory_bytes =
-          composed.StorageBytes() +
-          features.size() * static_cast<int64_t>(sizeof(float)) +
-          mapping_bytes;
-      obs::GetGauge("mcond.serve.composed_csr_bytes")
-          .Set(static_cast<double>(composed.StorageBytes()));
-      result.composed_norm_adj = std::move(ops_ctx.gcn_norm);
-      result.composed_features = std::move(features);
-    } else {
-      total_seconds += seconds;
-      min_seconds = std::min(min_seconds, seconds);
-    }
-  }
-  result.seconds = total_seconds / static_cast<double>(repeats);
-  result.seconds_min = min_seconds;
-  result.accuracy = AccuracyFromLogits(result.logits, batch.labels);
-  return result;
-}
-
-/// Session-mode serving: build a ServingSession once (untimed, like the
-/// warm-up), then time `repeats` steady-state Serve calls. The session's
-/// serve includes the aM conversion, so no separate convert timing is
-/// folded in. Results are bit-identical to ServeImpl's.
-InferenceResult ServeSessionImpl(GnnModel& model, const Graph& base,
-                                 const CondensedGraph* condensed,
-                                 const HeldOutBatch& batch, bool graph_batch,
-                                 int64_t mapping_bytes, Rng& rng,
-                                 int64_t repeats) {
-  MCOND_CHECK_GE(repeats, 1);
-  obs::GetCounter("mcond.serve.requests").Increment();
-  obs::GetGauge("mcond.pool.threads")
-      .Set(static_cast<double>(ThreadPool::Global().NumThreads()));
-
-  std::optional<ServingSession> session;
-  if (condensed != nullptr) {
-    session.emplace(*condensed, model);
-  } else {
-    session.emplace(base, model);
-  }
-
-  InferenceResult result;
-  double total_seconds = 0.0;
-  double min_seconds = std::numeric_limits<double>::infinity();
-  for (int64_t rep = -1; rep < repeats; ++rep) {
     obs::TraceSpan serve_span("serve", /*always_time=*/true);
-    const Tensor& logits = session->Serve(batch, graph_batch, rng);
+    const Tensor& logits = session.Serve(batch, graph_batch, rng);
     const double seconds = serve_span.ElapsedSeconds();
     if (rep < 0) {
       result.logits = logits;
-      result.memory_bytes = session->memory_bytes() + mapping_bytes;
+      result.memory_bytes = session.memory_bytes() + mapping_bytes;
       obs::GetGauge("mcond.serve.composed_csr_bytes")
-          .Set(static_cast<double>(session->composed_csr_bytes()));
-      result.composed_norm_adj = session->operators().gcn_norm;
-      result.composed_features = session->features();
+          .Set(static_cast<double>(session.composed_csr_bytes()));
     } else {
       total_seconds += seconds;
       min_seconds = std::min(min_seconds, seconds);
@@ -146,10 +55,6 @@ InferenceResult ServeSessionImpl(GnnModel& model, const Graph& base,
   result.accuracy = AccuracyFromLogits(result.logits, batch.labels);
   return result;
 }
-
-}  // namespace
-
-namespace {
 
 Deployment MakeDeployment(const Graph& base, const CsrMatrix& links,
                           const HeldOutBatch& batch) {
@@ -197,52 +102,24 @@ Deployment ComposeDeployment(const CondensedGraph& condensed,
 
 InferenceResult ServeOnOriginal(GnnModel& model, const Graph& original,
                                 const HeldOutBatch& batch, bool graph_batch,
-                                Rng& rng, int64_t repeats, ServeMode mode) {
-  if (mode == ServeMode::kSession) {
-    return ServeSessionImpl(model, original, /*condensed=*/nullptr, batch,
-                            graph_batch, /*mapping_bytes=*/0, rng, repeats);
-  }
-  const HeldOutBatch used = graph_batch ? batch : batch.WithoutInterEdges();
-  return ServeImpl(model, original, used.links, used.inter, used,
-                   /*mapping_bytes=*/0, rng, repeats, /*extra_total_us=*/0);
+                                Rng& rng, int64_t repeats) {
+  ServingSession session(original, model);
+  return TimedServe(session, batch, graph_batch, /*mapping_bytes=*/0, rng,
+                    repeats);
 }
 
 InferenceResult ServeOnCondensed(GnnModel& model,
                                  const CondensedGraph& condensed,
                                  const HeldOutBatch& batch, bool graph_batch,
-                                 Rng& rng, int64_t repeats, ServeMode mode) {
+                                 Rng& rng, int64_t repeats) {
   MCOND_CHECK_GT(condensed.mapping.Nnz(), 0)
       << "condensed artifact has no mapping; cannot serve inductive nodes";
   MCOND_CHECK_EQ(batch.links.cols(), condensed.mapping.rows());
-  if (mode == ServeMode::kSession) {
-    // The session performs the aM conversion inside every Serve, so its
-    // timings (and the session_* histograms) include it by construction.
-    return ServeSessionImpl(model, condensed.graph, &condensed, batch,
-                            graph_batch, condensed.mapping.StorageBytes(),
-                            rng, repeats);
-  }
-  const HeldOutBatch used = graph_batch ? batch : batch.WithoutInterEdges();
-  // The aM conversion (Eq. 11) is part of the serving cost but happens once
-  // per batch, not once per repeat; it is timed separately and folded into
-  // the mean, the min, and (as extra_total_us) every mcond.serve.total_us
-  // sample, keeping ServeImpl generic while trace figures and reported
-  // latency stay consistent.
-  double convert_seconds = 0.0;
-  uint64_t convert_us = 0;
-  CsrMatrix converted;
-  {
-    obs::TraceSpan span("serve.link_convert", /*always_time=*/true);
-    converted = CsrMatrix::Multiply(used.links, condensed.mapping);
-    convert_us = span.ElapsedMicros();
-    obs::GetHistogram("mcond.serve.link_convert_us").Record(convert_us);
-    convert_seconds = span.ElapsedSeconds();
-  }
-  InferenceResult result =
-      ServeImpl(model, condensed.graph, converted, used.inter, used,
-                condensed.mapping.StorageBytes(), rng, repeats, convert_us);
-  result.seconds += convert_seconds;
-  result.seconds_min += convert_seconds;
-  return result;
+  // The session performs the aM conversion inside every Serve, so the
+  // timings include it.
+  ServingSession session(condensed, model);
+  return TimedServe(session, batch, graph_batch,
+                    condensed.mapping.StorageBytes(), rng, repeats);
 }
 
 }  // namespace mcond

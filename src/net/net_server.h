@@ -40,7 +40,7 @@ struct NetServerOptions {
 /// the front of the connection's read buffer (so the zero-copy parse sees
 /// aligned arrays), parsed, CSR-validated, admitted through the tenant's
 /// token bucket, materialized into a pooled RequestContext, and submitted
-/// with the completion-callback Submit overload — the IO thread never
+/// with a Submit completion callback — the IO thread never
 /// blocks on a serve. The worker-side callback encodes the response frame
 /// into the context and hands it back through a completion queue + wake
 /// pipe; the IO thread splices it onto the connection's write buffer.

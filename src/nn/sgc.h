@@ -20,13 +20,6 @@ class Sgc : public GnnModel {
   std::vector<Variable> Parameters() const override;
   void ResetParameters(Rng& rng) override;
 
-  int64_t propagation_depth() const { return k_; }
-
-  /// The linear readout applied after propagation; exposed so serving-side
-  /// optimizations (SgcServingCache) can classify externally propagated
-  /// features.
-  const Linear& classifier() const { return linear_; }
-
  private:
   int64_t k_;
   float dropout_;

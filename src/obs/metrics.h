@@ -14,12 +14,12 @@
 /// histograms, and bounded series, snapshot-table to JSON.
 ///
 ///   obs::GetCounter("mcond.serve.requests").Increment();
-///   obs::GetHistogram("mcond.serve.compose_us").Record(span.ElapsedMicros());
+///   obs::GetHistogram("mcond.serve.session_compose_us").Record(span.ElapsedMicros());
 ///   obs::GetSeries("mcond.condense.loss_s").Append(loss);
 ///   std::string json = obs::MetricsToJson();
 ///
 /// Naming convention: dot-separated `mcond.<area>.<metric>[_<unit>]`, e.g.
-/// `mcond.serve.compose_us`, `mcond.condense.loss_s`. Lookup takes a mutex;
+/// `mcond.serve.session_compose_us`, `mcond.condense.loss_s`. Lookup takes a mutex;
 /// hot paths should look a metric up once and keep the reference (instrument
 /// handles are never invalidated). Updates are lock-free atomics except
 /// Series, which appends under a mutex.

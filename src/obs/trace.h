@@ -9,7 +9,7 @@
 /// Scoped-span tracing.
 ///
 ///   {
-///     obs::TraceSpan span("serve.compose");
+///     obs::TraceSpan span("serve.session.compose");
 ///     ...work...
 ///   }  // span recorded here
 ///

@@ -88,12 +88,6 @@ ConcurrentServer::ConcurrentServer(std::shared_ptr<const SessionBase> base,
 ConcurrentServer::~ConcurrentServer() { Shutdown(); }
 
 StatusOr<ServeTicket> ConcurrentServer::Submit(const HeldOutBatch& batch,
-                                               bool graph_batch,
-                                               Tensor* out) {
-  return Submit(batch, graph_batch, out, ServeCallback());
-}
-
-StatusOr<ServeTicket> ConcurrentServer::Submit(const HeldOutBatch& batch,
                                                bool graph_batch, Tensor* out,
                                                ServeCallback on_done) {
   // Validate here, on the submitter's thread: a worker aborting the whole

@@ -159,12 +159,12 @@ class ConcurrentServer {
   ConcurrentServer(const ConcurrentServer&) = delete;
   ConcurrentServer& operator=(const ConcurrentServer&) = delete;
 
-  /// Completion hook for the callback Submit overload: invoked exactly once
-  /// on the worker thread, after `*out` holds the logits and the ticket has
-  /// been signaled. Keep it cheap — it runs inside the worker's serve loop
-  /// (and inside its ScopedInlineParallelRegion), so a slow callback stalls
-  /// that replica. The NetServer uses this to hand finished responses back
-  /// to its IO thread without parking a thread per in-flight request.
+  /// Completion hook for Submit: invoked exactly once on the worker thread,
+  /// after `*out` holds the logits and the ticket has been signaled. Keep
+  /// it cheap — it runs inside the worker's serve loop (and inside its
+  /// ScopedInlineParallelRegion), so a slow callback stalls that replica.
+  /// The NetServer uses this to hand finished responses back to its IO
+  /// thread without parking a thread per in-flight request.
   using ServeCallback = std::function<void(const Status&, const ServeTiming&)>;
 
   /// Enqueues one request. Validates shapes up front (InvalidArgument —
@@ -172,18 +172,14 @@ class ConcurrentServer {
   /// policy when the queue is full (ResourceExhausted when not blocking);
   /// Unavailable after Shutdown.
   /// On success the returned ticket completes once `*out` holds the n×C
-  /// batch logits.
+  /// batch logits, and a non-empty `on_done` then fires on the worker
+  /// thread. A synchronous failure (rejection, shutdown, invalid batch) is
+  /// returned here and `on_done` never fires — callers own exactly one
+  /// completion signal per request, never two. Every admitted request's
+  /// callback fires even across Shutdown, which drains the queue before
+  /// joining the workers.
   StatusOr<ServeTicket> Submit(const HeldOutBatch& batch, bool graph_batch,
-                               Tensor* out);
-
-  /// Same admission path, plus `on_done` fires on the worker thread once
-  /// the request completes. A synchronous failure (rejection, shutdown,
-  /// invalid batch) is returned here and `on_done` never fires — callers
-  /// own exactly one completion signal per request, never two. Every
-  /// admitted request's callback fires even across Shutdown, which drains
-  /// the queue before joining the workers.
-  StatusOr<ServeTicket> Submit(const HeldOutBatch& batch, bool graph_batch,
-                               Tensor* out, ServeCallback on_done);
+                               Tensor* out, ServeCallback on_done = {});
 
   /// Submit + Wait.
   Status ServeSync(const HeldOutBatch& batch, bool graph_batch, Tensor* out);

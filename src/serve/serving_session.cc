@@ -16,9 +16,9 @@ namespace mcond {
 // Bit-exactness notes
 //
 // Every value this file produces must be memcmp-equal to what the
-// per-request path (ComposeBlockAdjacency + GraphOperators::FromAdjacency)
-// computes, so the float expressions below deliberately replicate those in
-// graph/graph.cc and core/csr_matrix.cc:
+// from-scratch ComposeDeployment (ComposeBlockAdjacency +
+// GraphOperators::FromAdjacency) computes, so the float expressions below
+// deliberately replicate those in graph/graph.cc and core/csr_matrix.cc:
 //
 //  - RowSums accumulates each row in a double, in storage order, and casts
 //    to float once at the end. A composed base row is its base entries
@@ -587,8 +587,8 @@ const Tensor& ServingSession::Serve(const HeldOutBatch& batch,
       forward_hist_.Record(span.ElapsedMicros());
     }
   }
-  // The paper's memory model over the RAW composed adjacency (what the
-  // per-request path reports before normalization).
+  // The paper's memory model over the RAW composed adjacency (before
+  // normalization), as ComposeDeployment's `adjacency` would store it.
   const int64_t raw_nnz = sb.base_graph.adjacency().Nnz() + 2 * links_nnz +
                           (inter != nullptr ? inter->Nnz() : 0);
   composed_csr_bytes_ =

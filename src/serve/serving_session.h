@@ -23,10 +23,10 @@ namespace mcond {
 /// reused across requests; every request attaches a HeldOutBatch and
 /// returns its logits.
 ///
-/// The per-request path `ServeOnCondensed`/`ServeOnOriginal` recomposes the
+/// Composing a deployment from scratch (`ComposeDeployment`) recomposes the
 /// block adjacency, renormalizes all N+n rows, and restacks all N+n feature
-/// rows from scratch, although >95% of that work is identical between
-/// requests. The session amortizes the static part:
+/// rows, although >95% of that work is identical between requests. The
+/// session amortizes the static part:
 ///
 /// Cached at build time (in a SessionBase, shareable across sessions)
 ///  - the base adjacency with self-loops (Ã = A + I) and its raw form;
@@ -62,12 +62,11 @@ namespace mcond {
 ///  - the forward pass runs inside the arena, and the batch logits are
 ///    copied into a persistent output tensor.
 ///
-/// Exactness: results are bit-identical to the per-request path at every
-/// thread count — the same float expressions are evaluated in the same
-/// order; tests enforce memcmp equality. (Contrast with `SgcServingCache`,
-/// which is approximate and SGC-only.) The one semantic corner that cannot
-/// be patched incrementally — `RowNormalize` *dropping* rows whose degree
-/// is exactly 0 — is detected (at build for base rows, per request for
+/// Exactness: results are bit-identical to `ComposeDeployment` + Predict at
+/// every thread count — the same float expressions are evaluated in the
+/// same order; tests enforce memcmp equality. The one semantic corner that
+/// cannot be patched incrementally — `RowNormalize` *dropping* rows whose
+/// degree is exactly 0 — is detected (at build for base rows, per request for
 /// changed/batch rows) and routed to an exact full-recompose fallback;
 /// `fallback_serves()` counts how often that happened (0 on real graphs).
 ///
@@ -109,11 +108,6 @@ class ServingSession {
   /// valid until the next Serve call. `graph_batch` keeps the batch's
   /// inter-edges (ã); otherwise the node-batch setting is used.
   const Tensor& Serve(const HeldOutBatch& batch, bool graph_batch, Rng& rng);
-
-  /// The composed operators / stacked features of the LAST request (same
-  /// contents as Deployment's, exposed for result plumbing and tests).
-  const GraphOperators& operators() const { return ops_; }
-  const Tensor& features() const { return features_; }
 
   /// The paper's memory model for the last request: raw composed CSR bytes
   /// + (N+n)·d feature floats. Mapping bytes are NOT included (callers add
@@ -161,8 +155,8 @@ class ServingSession {
   /// Builds the composed CSR structures + values into the cached buffers
   /// and assembles ops_ from them.
   void BuildComposed(const LinksView& lv, const CsrMatrix* inter, int64_t n);
-  /// Exact slow path: full compose + FromAdjacency (same code as the
-  /// per-request path).
+  /// Exact slow path: full compose + FromAdjacency (same code as
+  /// ComposeDeployment).
   void FallbackCompose(const HeldOutBatch& batch, bool graph_batch,
                        int64_t n);
   void StackBatchFeatures(const Tensor& batch_features);

@@ -1,8 +1,7 @@
-// Tests for the serving-side extras: batching utilities, the incremental
-// SGC serving cache, and the Correct & Smooth calibrator.
+// Tests for the serving-side extras: batching utilities and the Correct &
+// Smooth calibrator.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <numeric>
 
 #include "condense/mcond.h"
@@ -10,8 +9,8 @@
 #include "data/datasets.h"
 #include "eval/batching.h"
 #include "eval/inference.h"
-#include "eval/serving_cache.h"
 #include "nn/metrics.h"
+#include "nn/sgc.h"
 #include "nn/trainer.h"
 #include "propagation/correct_and_smooth.h"
 
@@ -110,81 +109,6 @@ TEST_F(ServingExtrasTest, ServingChunksAgreeWithFullBatchPredictions) {
     row += c.size();
   }
   EXPECT_GE(agree, data_->test.size() * 8 / 10);
-}
-
-TEST_F(ServingExtrasTest, IncrementalCacheApproximatesExactServing) {
-  SgcServingCache cache(result_->condensed, *sgc_);
-  for (bool graph_batch : {false, true}) {
-    const Tensor fast = cache.Serve(data_->test, graph_batch, *rng_);
-    const Tensor exact = cache.ServeExact(data_->test, graph_batch, *rng_);
-    ASSERT_TRUE(fast.SameShape(exact));
-    // Predictions must agree on nearly every node (the approximation only
-    // drops batch→base feedback).
-    const std::vector<int64_t> pa = ArgmaxRows(fast);
-    const std::vector<int64_t> pb = ArgmaxRows(exact);
-    int64_t agree = 0;
-    for (size_t i = 0; i < pa.size(); ++i) agree += (pa[i] == pb[i]);
-    EXPECT_GE(agree, static_cast<int64_t>(pa.size() * 9 / 10));
-  }
-}
-
-TEST_F(ServingExtrasTest, IncrementalCacheAccuracyMatches) {
-  SgcServingCache cache(result_->condensed, *sgc_);
-  const Tensor fast = cache.Serve(data_->test, true, *rng_);
-  const double acc_fast = AccuracyFromLogits(fast, data_->test.labels);
-  const Tensor exact = cache.ServeExact(data_->test, true, *rng_);
-  const double acc_exact = AccuracyFromLogits(exact, data_->test.labels);
-  EXPECT_NEAR(acc_fast, acc_exact, 0.1);
-}
-
-TEST_F(ServingExtrasTest, IncrementalCacheErrorShrinksWithBatchSize) {
-  // The cache's only approximation is dropping batch→base feedback, whose
-  // magnitude grows with the number of attached nodes: fewer batch nodes
-  // perturb fewer base degrees and inject less mass into the base block.
-  // The incremental-vs-exact logit error must therefore decrease (within
-  // slack for near-ties) as the batch shrinks, down to the single-node
-  // floor where only a node's own degree shift is dropped.
-  // Serve the SAME full test population in chunks of shrinking size, so
-  // each point averages over an identical node set and only the batch size
-  // varies.
-  SgcServingCache cache(result_->condensed, *sgc_);
-  const std::vector<int64_t> sizes = {data_->test.size(), 16, 8, 4, 2, 1};
-  std::vector<double> errors;
-  for (const int64_t size : sizes) {
-    const std::vector<HeldOutBatch> chunks =
-        SplitIntoBatches(data_->test, size);
-    double sum = 0.0;
-    int64_t count = 0;
-    for (const HeldOutBatch& chunk : chunks) {
-      const Tensor fast = cache.Serve(chunk, /*graph_batch=*/false, *rng_);
-      const Tensor exact =
-          cache.ServeExact(chunk, /*graph_batch=*/false, *rng_);
-      ASSERT_TRUE(fast.SameShape(exact));
-      for (int64_t i = 0; i < fast.size(); ++i) {
-        sum += std::abs(static_cast<double>(fast.data()[i]) -
-                        static_cast<double>(exact.data()[i]));
-      }
-      count += fast.size();
-    }
-    errors.push_back(sum / static_cast<double>(count));
-  }
-  for (size_t i = 1; i < errors.size(); ++i) {
-    EXPECT_LE(errors[i], errors[i - 1] * 1.05 + 1e-6)
-        << "error grew when batch shrank from " << sizes[i - 1] << " to "
-        << sizes[i];
-  }
-  // And it heads toward the single-node floor: a batch of one drops only
-  // its own degree-shift feedback, a strictly smaller perturbation than
-  // the full batch's collective one.
-  EXPECT_LE(errors.back(), errors.front() * 0.8);
-  EXPECT_GT(errors.front(), 0.0);  // The approximation is real...
-  EXPECT_GT(errors.back(), 0.0);   // ...and so is the per-node floor.
-}
-
-TEST_F(ServingExtrasTest, CacheRequiresMapping) {
-  CondensedGraph no_mapping;
-  no_mapping.graph = result_->condensed.graph;
-  EXPECT_DEATH(SgcServingCache(no_mapping, *sgc_), "mapping");
 }
 
 TEST_F(ServingExtrasTest, CorrectAndSmoothBeatsOrMatchesVanilla) {

@@ -1,7 +1,9 @@
-// Tests for the persistent ServingSession (src/serve/): bit-identical
-// logits vs the per-request path across architectures, batch modes, and
-// thread widths; buffer reuse across a batch stream; and the steady-state
-// zero-tensor-heap-allocation contract.
+// Tests for the persistent ServingSession (src/serve/) and the
+// ServeOnCondensed / ServeOnOriginal helpers built on it: bit-identical
+// logits vs the from-scratch ComposeDeployment oracle across architectures,
+// batch modes, and thread widths; the paper's memory model; buffer reuse
+// across a batch stream; and the steady-state zero-tensor-heap-allocation
+// contract.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -17,6 +19,10 @@
 
 namespace mcond {
 namespace {
+
+constexpr GnnArch kAllArchs[] = {GnnArch::kSgc, GnnArch::kGcn,
+                                 GnnArch::kGraphSage, GnnArch::kAppnp,
+                                 GnnArch::kCheby};
 
 void ExpectBitEqual(const Tensor& a, const Tensor& b) {
   ASSERT_TRUE(a.SameShape(b));
@@ -51,8 +57,8 @@ class ServingSessionTest : public ::testing::Test {
     return MakeGnn(arch, g.FeatureDim(), g.num_classes(), gc, rng);
   }
 
-  /// The per-request reference: compose the deployment from scratch and
-  /// slice the batch rows, exactly what ServeImpl does.
+  /// The oracle: compose the deployment from scratch (ComposeDeployment),
+  /// run Predict over it, and slice the batch rows.
   static Tensor PerRequestLogits(GnnModel& model, const HeldOutBatch& batch,
                                  bool graph_batch, bool on_condensed) {
     Rng rng(9);
@@ -72,10 +78,9 @@ InductiveDataset* ServingSessionTest::data_ = nullptr;
 CondensedGraph* ServingSessionTest::condensed_ = nullptr;
 
 TEST_F(ServingSessionTest, BitIdenticalAcrossArchitecturesAndBatchModes) {
-  // kSgc / kGraphSage / kCheby collectively exercise all three cached
-  // operators (gcn_norm, row_norm, sym_no_loop).
-  for (const GnnArch arch :
-       {GnnArch::kSgc, GnnArch::kGraphSage, GnnArch::kCheby}) {
+  // Every architecture: together they exercise all three cached operators
+  // (gcn_norm, row_norm, sym_no_loop).
+  for (const GnnArch arch : kAllArchs) {
     std::unique_ptr<GnnModel> model = MakeModel(arch);
     for (const bool graph_batch : {true, false}) {
       const Tensor expect =
@@ -163,34 +168,40 @@ TEST_F(ServingSessionTest, SteadyStateServesDoNotTouchTensorHeap) {
   EXPECT_EQ(session.fallback_serves(), 0);
 }
 
-TEST_F(ServingSessionTest, ServeModeSessionMatchesPerRequestEndToEnd) {
-  // The high-level API: both modes must agree on logits, accuracy, and the
-  // paper's memory model.
-  std::unique_ptr<GnnModel> model = MakeModel(GnnArch::kSgc);
-  Rng rng_a(9), rng_b(9);
-  const InferenceResult per_request =
-      ServeOnCondensed(*model, *condensed_, data_->test,
-                       /*graph_batch=*/true, rng_a, /*repeats=*/1,
-                       ServeMode::kPerRequest);
-  const InferenceResult session =
-      ServeOnCondensed(*model, *condensed_, data_->test,
-                       /*graph_batch=*/true, rng_b, /*repeats=*/1,
-                       ServeMode::kSession);
-  ExpectBitEqual(per_request.logits, session.logits);
-  EXPECT_EQ(per_request.memory_bytes, session.memory_bytes);
-  EXPECT_DOUBLE_EQ(per_request.accuracy, session.accuracy);
-
-  Rng rng_c(9), rng_d(9);
-  const InferenceResult orig_pr =
-      ServeOnOriginal(*model, data_->train_graph, data_->test,
-                      /*graph_batch=*/false, rng_c, /*repeats=*/1,
-                      ServeMode::kPerRequest);
-  const InferenceResult orig_se =
-      ServeOnOriginal(*model, data_->train_graph, data_->test,
-                      /*graph_batch=*/false, rng_d, /*repeats=*/1,
-                      ServeMode::kSession);
-  ExpectBitEqual(orig_pr.logits, orig_se.logits);
-  EXPECT_EQ(orig_pr.memory_bytes, orig_se.memory_bytes);
+TEST_F(ServingSessionTest, ServeOnHelpersMatchOracleEndToEnd) {
+  // The high-level API serves through a session; its logits must equal the
+  // oracle's bit for bit on both graphs, for every architecture and batch
+  // mode, and `memory_bytes` must follow the paper's memory model: composed
+  // CSR bytes + (N+n)·d feature floats (+ mapping bytes on S).
+  for (const GnnArch arch : kAllArchs) {
+    std::unique_ptr<GnnModel> model = MakeModel(arch);
+    for (const bool graph_batch : {true, false}) {
+      for (const bool on_condensed : {true, false}) {
+        Rng rng(9);
+        const InferenceResult served =
+            on_condensed
+                ? ServeOnCondensed(*model, *condensed_, data_->test,
+                                   graph_batch, rng, /*repeats=*/1)
+                : ServeOnOriginal(*model, data_->train_graph, data_->test,
+                                  graph_batch, rng, /*repeats=*/1);
+        ExpectBitEqual(PerRequestLogits(*model, data_->test, graph_batch,
+                                        on_condensed),
+                       served.logits);
+        const Deployment dep =
+            on_condensed
+                ? ComposeDeployment(*condensed_, data_->test, graph_batch)
+                : ComposeDeployment(data_->train_graph, data_->test,
+                                    graph_batch);
+        const int64_t mapping_bytes =
+            on_condensed ? condensed_->mapping.StorageBytes() : 0;
+        EXPECT_EQ(served.memory_bytes,
+                  dep.adjacency.StorageBytes() +
+                      dep.features.size() *
+                          static_cast<int64_t>(sizeof(float)) +
+                      mapping_bytes);
+      }
+    }
+  }
 }
 
 TEST_F(ServingSessionTest, CondensedSessionRequiresMapping) {

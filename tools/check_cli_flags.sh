@@ -5,7 +5,8 @@
 # real subprocess (the full argv path, not a unit-tested parser) and
 # requires the two artifacts to be byte-identical; then round-trips each
 # through `inspect` and compares the reports. A boolean flag given in both
-# spellings must also behave identically.
+# spellings must also behave identically. Finally serves the artifact once
+# per spelling and requires identical accuracies.
 #
 # Usage: check_cli_flags.sh <path-to-mcond_cli>
 # Registered as a ctest (tools/CMakeLists.txt).
@@ -60,6 +61,23 @@ if ! cmp -s "$workdir/verbose_bare.bin" "$workdir/verbose_eq.bin"; then
 fi
 if ! cmp -s "$workdir/space.bin" "$workdir/verbose_bare.bin"; then
   echo "FLAG PARSE FAILURE: --verbose changed the condensed artifact" >&2
+  exit 1
+fi
+
+# Serve round over the artifact above, both spellings, with the concurrent
+# leg on (it exits 1 on logits that differ from a solo session). Accuracy
+# is deterministic in --seed; the timing fields are not, so only the `acc`
+# values are compared.
+"$CLI" serve --dataset tiny-sim --artifact "$workdir/space.bin" --seed 7 \
+    --node-batch --serve_concurrency 2 > "$workdir/space.serve"
+"$CLI" serve --dataset=tiny-sim --artifact="$workdir/space.bin" --seed=7 \
+    --node-batch --serve_concurrency=2 > "$workdir/equals.serve"
+grep -o 'acc [^,]*' "$workdir/space.serve" > "$workdir/space.acc"
+grep -o 'acc [^,]*' "$workdir/equals.serve" > "$workdir/equals.acc"
+if [ ! -s "$workdir/space.acc" ] ||
+   ! diff -q "$workdir/space.acc" "$workdir/equals.acc" > /dev/null; then
+  echo "FLAG PARSE FAILURE: serve accuracies differ between spellings" >&2
+  diff "$workdir/space.serve" "$workdir/equals.serve" >&2 || true
   exit 1
 fi
 

@@ -11,12 +11,10 @@
 //   mcond_cli inspect S.bin
 //       Print artifact statistics.
 //   mcond_cli serve --dataset reddit-sim --artifact S.bin [--node-batch]
-//             [--serve_mode per_request|session]
 //             [--serve_concurrency K] [--serve_queue N]
-//       Train SGC on the artifact and serve the dataset's test batch,
-//       reporting accuracy / latency / memory vs the original graph.
-//       --serve_mode session routes both paths through the persistent
-//       ServingSession (bit-identical results, lower steady-state latency).
+//       Train SGC on the artifact and serve the dataset's test batch through
+//       a ServingSession on each graph, reporting accuracy / latency /
+//       memory vs the original graph.
 //       --serve_concurrency K additionally streams the test split through
 //       a ConcurrentServer of K session replicas behind a bounded request
 //       queue of --serve_queue N slots (default 32), verifying the
@@ -310,17 +308,6 @@ int CmdServe(const Args& args) {
   const std::string artifact = FlagOr(args, "artifact", "condensed.bin");
   const uint64_t seed = std::stoull(FlagOr(args, "seed", "1"));
   const bool graph_batch = args.flags.count("node-batch") == 0;
-  const std::string mode_text = FlagOr(args, "serve_mode", "per_request");
-  ServeMode mode;
-  if (mode_text == "per_request") {
-    mode = ServeMode::kPerRequest;
-  } else if (mode_text == "session") {
-    mode = ServeMode::kSession;
-  } else {
-    std::cerr << "unknown --serve_mode '" << mode_text
-              << "' (expected per_request or session)\n";
-    return 1;
-  }
   StatusOr<CondensedGraph> loaded = LoadCondensedGraph(artifact);
   if (!loaded.ok()) {
     std::cerr << loaded.status().ToString() << "\n";
@@ -348,13 +335,11 @@ int CmdServe(const Args& args) {
   TrainNodeClassifier(*model, syn_ops, cg.graph.features(),
                       cg.graph.labels(), all, tc, rng);
   InferenceResult on_syn =
-      ServeOnCondensed(*model, cg, data.test, graph_batch, rng, 3, mode);
-  InferenceResult on_orig = ServeOnOriginal(*model, data.train_graph,
-                                            data.test, graph_batch, rng, 3,
-                                            mode);
+      ServeOnCondensed(*model, cg, data.test, graph_batch, rng, 3);
+  InferenceResult on_orig =
+      ServeOnOriginal(*model, data.train_graph, data.test, graph_batch, rng, 3);
   std::cout << (graph_batch ? "graph" : "node") << "-batch serving of "
-            << data.test.size() << " inductive nodes (" << mode_text
-            << " mode)\n";
+            << data.test.size() << " inductive nodes\n";
   std::cout << "  synthetic: acc " << on_syn.accuracy << ", "
             << on_syn.seconds * 1e3 << " ms (min "
             << on_syn.seconds_min * 1e3 << "), "
