@@ -294,12 +294,14 @@ BENCHMARK(BM_GemmTransBSimd)->Arg(0)->Arg(1)->ArgNames({"avx2"})
     ->Unit(benchmark::kMillisecond);
 
 // The adjacency generator's (MLP_Φ, Eq. 6) backward GEMMs on reddit-sim:
-// N'² = 9216 pair rows, 2d = 192 pair features, 64 hidden units, 1 score.
+// d = 96 features, h = 64 hidden units, 1 score, at the condense workload's
+// N' = 96 and the CLI default ratio's N' = 240. The first layer runs
+// factored on N'×d operands; the score layer runs on all N'² pair rows.
 // Args: tier, then the m, k, n of the product.
 
 void BM_GeneratorTransASimd(benchmark::State& state) {
-  // Weight gradients (N'²×k)ᵀ·(N'²×n): the pair layer at k=192, n=64 and
-  // the score layer at k=64, n=1.
+  // Weight gradients (m×k)ᵀ·(m×n): the first layer's X'ᵀ·dU at m = N',
+  // k = 96, n = 64 and the score layer at m = N'² = 9216, k = 64, n = 1.
   const simd::Tier saved = simd::ActiveTier();
   if (!EnterTier(state)) return;
   const int64_t m = state.range(1), k = state.range(2), n = state.range(3);
@@ -313,13 +315,15 @@ void BM_GeneratorTransASimd(benchmark::State& state) {
   simd::SetTier(saved);
 }
 BENCHMARK(BM_GeneratorTransASimd)
-    ->ArgsProduct({{0, 1}, {9216}, {192}, {64}})
+    ->ArgsProduct({{0, 1}, {96, 240}, {96}, {64}})
     ->ArgsProduct({{0, 1}, {9216}, {64}, {1}})
     ->ArgNames({"avx2", "m", "k", "n"})
     ->Unit(benchmark::kMillisecond);
 
 void BM_GeneratorTransBSimd(benchmark::State& state) {
-  // Score gradient back to the hidden layer: (N'²×1)·(64×1)ᵀ, k = 1.
+  // Input gradients (m×k)·(n×k)ᵀ: the first layer's dU·W_aᵀ back to X' at
+  // m = N', k = 64, n = 96 and the score gradient back to the hidden layer
+  // at m = N'² = 9216, k = 1, n = 64.
   const simd::Tier saved = simd::ActiveTier();
   if (!EnterTier(state)) return;
   const int64_t m = state.range(1), k = state.range(2), n = state.range(3);
@@ -333,9 +337,36 @@ void BM_GeneratorTransBSimd(benchmark::State& state) {
   simd::SetTier(saved);
 }
 BENCHMARK(BM_GeneratorTransBSimd)
+    ->ArgsProduct({{0, 1}, {96, 240}, {64}, {96}})
     ->ArgsProduct({{0, 1}, {9216}, {1}, {64}})
     ->ArgNames({"avx2", "m", "k", "n"})
     ->Unit(benchmark::kMillisecond);
+
+void BM_PairSum(benchmark::State& state) {
+  // The generator's factored first layer, forward plus both gradients:
+  // N'×64 operands, N'²×64 pair rows. The upstream gradient moves in and
+  // out of the node so no copy is timed.
+  const int64_t n = state.range(0), h = 64;
+  Rng rng(29);
+  Variable u = MakeVariable(rng.NormalTensor(n, h), /*requires_grad=*/true);
+  Variable v = MakeVariable(rng.NormalTensor(n, h), /*requires_grad=*/true);
+  Tensor upstream = rng.NormalTensor(n * n, h);
+  for (auto _ : state) {
+    Variable p = ops::PairSum(u, v);
+    p->mutable_grad() = std::move(upstream);
+    p->backward_fn()();
+    upstream = std::move(p->mutable_grad());
+    benchmark::DoNotOptimize(u->grad().data());
+    benchmark::DoNotOptimize(v->grad().data());
+    u->ZeroGrad();
+    v->ZeroGrad();
+  }
+  // One write (forward) and two reads (dU, dV) of the N'²×h pair rows.
+  state.SetBytesProcessed(state.iterations() * 3 * n * n * h *
+                          static_cast<int64_t>(sizeof(float)));
+}
+BENCHMARK(BM_PairSum)->Arg(96)->Arg(240)->ArgNames({"n"})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_SpMMSimd(benchmark::State& state) {
   const simd::Tier saved = simd::ActiveTier();
@@ -449,6 +480,18 @@ int RunSmoke() {
   std::printf("spmm %016" PRIx64 "\n", BitChecksum(norm.SpMM(g.features())));
   const Tensor y = rng.NormalTensor(config.num_nodes, 32);
   std::printf("spmm_t %016" PRIx64 "\n", BitChecksum(norm.SpMMTransposed(y)));
+
+  // The generator's factored first layer: forward value, dU and dV under a
+  // random upstream gradient, in one digest.
+  Rng prng(101);
+  Variable pu = MakeVariable(prng.NormalTensor(97, 61), /*requires_grad=*/true);
+  Variable pv = MakeVariable(prng.NormalTensor(83, 61), /*requires_grad=*/true);
+  Variable pair = ops::PairSum(pu, pv);
+  Backward(ops::SumAll(
+      ops::Mul(pair, MakeConstant(prng.NormalTensor(97 * 83, 61)))));
+  std::printf("pair_sum %016" PRIx64 "\n",
+              BitChecksum(ConcatRows(ConcatRows(pair->value(), pu->grad()),
+                                     pv->grad())));
   return 0;
 }
 

@@ -225,6 +225,68 @@ Variable DivRowBroadcast(const Variable& a, const Variable& col_nx1) {
   return out;
 }
 
+Variable PairSum(const Variable& u, const Variable& v) {
+  MCOND_CHECK_EQ(u->cols(), v->cols()) << "PairSum width mismatch";
+  const int64_t n = u->rows(), m = v->rows(), h = u->cols();
+  const Tensor& uv = u->value();
+  const Tensor& vv = v->value();
+  Tensor sums = Tensor::Uninitialized(n * m, h);
+  ParallelFor(
+      0, n * m, GrainFromCost(h),
+      [&](int64_t p0, int64_t p1) {
+        for (int64_t p = p0; p < p1; ++p) {
+          const float* ui = uv.RowData(p / m);
+          const float* vj = vv.RowData(p % m);
+          float* row = sums.RowData(p);
+          for (int64_t c = 0; c < h; ++c) row[c] = ui[c] + vj[c];
+        }
+      },
+      "ops.pair_sum");
+  Variable out = MakeOp(std::move(sums), {u, v});
+  VariableNode* o = out.get();
+  Variable pu = u, pv = v;
+  out->set_backward_fn([o, pu, pv, n, m, h]() {
+    const Tensor& g = o->grad();
+    if (pu->requires_grad()) {
+      // dU_i = Σ_j g[i·m + j], j ascending; one task owns each output row.
+      Tensor du(n, h);
+      ParallelFor(
+          0, n, GrainFromCost(m * h),
+          [&](int64_t i0, int64_t i1) {
+            for (int64_t i = i0; i < i1; ++i) {
+              float* dst = du.RowData(i);
+              for (int64_t j = 0; j < m; ++j) {
+                const float* src = g.RowData(i * m + j);
+                for (int64_t c = 0; c < h; ++c) dst[c] += src[c];
+              }
+            }
+          },
+          "ops.pair_sum_bwd_u");
+      pu->AccumulateGrad(du);
+    }
+    if (pv->requires_grad()) {
+      // dV_j = Σ_i g[i·m + j], i ascending for every j. A task owns the
+      // rows [j0, j1) and walks i outermost, so it reads g in contiguous
+      // (j1 - j0)·h runs.
+      Tensor dv(m, h);
+      ParallelFor(
+          0, m, GrainFromCost(n * h),
+          [&](int64_t j0, int64_t j1) {
+            for (int64_t i = 0; i < n; ++i) {
+              for (int64_t j = j0; j < j1; ++j) {
+                const float* src = g.RowData(i * m + j);
+                float* dst = dv.RowData(j);
+                for (int64_t c = 0; c < h; ++c) dst[c] += src[c];
+              }
+            }
+          },
+          "ops.pair_sum_bwd_v");
+      pv->AccumulateGrad(dv);
+    }
+  });
+  return out;
+}
+
 Variable Relu(const Variable& a) {
   Variable out = MakeOp(mcond::Relu(a->value()), {a});
   VariableNode* o = out.get();

@@ -40,6 +40,14 @@ Variable MulColBroadcast(const Variable& a, const Variable& row_1xm);
 /// out[i][j] = a[i][j] / v[i]; v must be strictly positive.
 Variable DivRowBroadcast(const Variable& a, const Variable& col_nx1);
 
+/// All-pairs row sum: for an n×h `u` and an m×h `v`, the (n·m)×h result has
+/// row i·m + j = u_i + v_j. The backward reduces dU over each m-row block
+/// and dV over the column blocks, each in ascending order, so the gradient
+/// bits do not depend on the pool width. This is the factored first layer
+/// of the MLP_Φ pair scorer (Eq. 6): [x_i ; x_j]·[W_a ; W_b] =
+/// (x W_a)_i + (x W_b)_j.
+Variable PairSum(const Variable& u, const Variable& v);
+
 /// Nonlinearities.
 Variable Relu(const Variable& a);
 Variable Sigmoid(const Variable& a);

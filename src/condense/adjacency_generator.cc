@@ -12,22 +12,23 @@ AdjacencyGenerator::AdjacencyGenerator(int64_t feature_dim,
 
 Variable AdjacencyGenerator::Forward(const Variable& synthetic_features) const {
   const int64_t n = synthetic_features->rows();
-  MCOND_CHECK_EQ(synthetic_features->cols(), feature_dim_);
-  // Build all ordered pairs: row p = i*n + j carries [x'_i ; x'_j].
-  std::vector<int64_t> left(static_cast<size_t>(n * n));
-  std::vector<int64_t> right(static_cast<size_t>(n * n));
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t j = 0; j < n; ++j) {
-      left[static_cast<size_t>(i * n + j)] = i;
-      right[static_cast<size_t>(i * n + j)] = j;
-    }
+  const int64_t d = feature_dim_;
+  MCOND_CHECK_EQ(synthetic_features->cols(), d);
+  const std::vector<std::unique_ptr<Linear>>& layers = mlp_->layers();
+  // First layer, factored (see the class comment). b₁ rides on u, so it is
+  // added N' times rather than N'² times.
+  const Linear& first = *layers.front();
+  Variable u = ops::AddRowBroadcast(
+      ops::MatMul(synthetic_features, ops::SliceRows(first.weight(), 0, d)),
+      first.bias());
+  Variable v = ops::MatMul(synthetic_features,
+                           ops::SliceRows(first.weight(), d, 2 * d));
+  // Row p = i*n + j holds the first-layer output of pair (i, j).
+  Variable h = ops::PairSum(u, v);
+  for (size_t l = 1; l < layers.size(); ++l) {
+    h = layers[l]->Forward(ops::Relu(h));
   }
-  Variable pairs = ops::ConcatCols(
-      ops::GatherRows(synthetic_features, std::move(left)),
-      ops::GatherRows(synthetic_features, std::move(right)));
-  Variable scores =
-      mlp_->Forward(pairs, /*training=*/false, scratch_rng_);  // (n², 1)
-  Variable score_matrix = ops::Reshape(scores, n, n);
+  Variable score_matrix = ops::Reshape(h, n, n);  // (n², 1) → (n, n)
   Variable symmetric = ops::Scale(
       ops::Add(score_matrix, ops::Transpose(score_matrix)), 0.5f);
   return ops::Sigmoid(symmetric);

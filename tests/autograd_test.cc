@@ -1,7 +1,10 @@
 #include "autograd/ops.h"
 
+#include <cstring>
+
 #include <gtest/gtest.h>
 
+#include "core/parallel.h"
 #include "core/rng.h"
 #include "core/tensor_ops.h"
 #include "gradcheck.h"
@@ -153,6 +156,69 @@ TEST(AutogradTest, ConcatSliceGatherGradcheck) {
                     ops::Add(ops::SumAll(ops::Mul(g, g)),
                              ops::SumAll(ops::Mul(cols, cols))));
   });
+}
+
+TEST(AutogradTest, PairSumGradcheck) {
+  Rng rng(19);
+  for (const int64_t h : {1, 64}) {
+    Variable u = Param(rng, 3, h);
+    Variable v = Param(rng, 4, h);
+    // A row-varying weight, so a dU/dV that sums the wrong block fails.
+    Variable w = MakeConstant(rng.NormalTensor(12, h));
+    ExpectGradientsMatch({u, v}, [&] {
+      Variable p = ops::PairSum(u, v);
+      return ops::SumAll(ops::Mul(ops::Mul(p, p), w));
+    });
+  }
+}
+
+TEST(AutogradTest, PairSumValue) {
+  Variable u = MakeConstant(Tensor::FromVector(2, 2, {1, 2, 3, 4}));
+  Variable v = MakeConstant(Tensor::FromVector(3, 2, {10, 20, 30, 40, 50, 60}));
+  const Tensor p = ops::PairSum(u, v)->value();
+  ASSERT_EQ(p.rows(), 6);
+  ASSERT_EQ(p.cols(), 2);
+  // Row i·3 + j = u_i + v_j.
+  EXPECT_FLOAT_EQ(p.At(0, 0), 11.0f);
+  EXPECT_FLOAT_EQ(p.At(2, 1), 62.0f);
+  EXPECT_FLOAT_EQ(p.At(4, 0), 33.0f);
+  EXPECT_FLOAT_EQ(p.At(5, 1), 64.0f);
+}
+
+bool BitEqual(const Tensor& a, const Tensor& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) == 0;
+}
+
+TEST(AutogradTest, PairSumBitsIndependentOfPoolWidth) {
+  // Large enough that the forward and both reductions split into several
+  // chunks at width 4; an odd h and a random upstream gradient, so any
+  // change of summation order shows in the bits.
+  Rng rng(20);
+  const Tensor u0 = rng.NormalTensor(97, 61);
+  const Tensor v0 = rng.NormalTensor(83, 61);
+  const Tensor w = rng.NormalTensor(97 * 83, 61);
+  struct Result {
+    Tensor value, du, dv;
+  };
+  auto run = [&] {
+    Variable u = MakeVariable(u0, true);
+    Variable v = MakeVariable(v0, true);
+    Variable p = ops::PairSum(u, v);
+    Backward(ops::SumAll(ops::Mul(p, MakeConstant(w))));
+    return Result{p->value(), u->grad(), v->grad()};
+  };
+  Result inline_run;
+  {
+    ScopedInlineParallelRegion width_one;
+    inline_run = run();
+  }
+  ThreadPool::Global().SetNumThreads(4);
+  const Result pooled = run();
+  ThreadPool::Global().SetNumThreads(ThreadPool::DefaultNumThreads());
+  EXPECT_TRUE(BitEqual(inline_run.value, pooled.value));
+  EXPECT_TRUE(BitEqual(inline_run.du, pooled.du));
+  EXPECT_TRUE(BitEqual(inline_run.dv, pooled.dv));
 }
 
 TEST(AutogradTest, RowSumMeanGradcheck) {

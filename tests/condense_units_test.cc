@@ -2,6 +2,9 @@
 // feature initialization, MLP_Φ adjacency generation, dense normalization,
 // relay gradients, gradient matching, and the mapping matrix.
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +15,7 @@
 #include "condense/gradient_matching.h"
 #include "condense/mapping.h"
 #include "condense/relay_sgc.h"
+#include "core/simd.h"
 #include "core/tensor_ops.h"
 #include "data/synthetic.h"
 #include "gradcheck.h"
@@ -116,6 +120,90 @@ TEST(AdjacencyGeneratorTest, GradientsFlowToFeaturesAndPhi) {
       params, [&] { return ops::SumAll(ops::Mul(gen.Forward(x),
                                                 gen.Forward(x))); },
       /*eps=*/1e-3f, /*rel_tol=*/0.1f, /*abs_tol=*/5e-3f);
+}
+
+// The literal Eq. (6) form the generator factors: gather every ordered
+// pair, concatenate to an N'²×2d matrix and run MLP_Φ on it.
+Variable ConcatPairAdjacency(const Mlp& phi, const Variable& x) {
+  const int64_t n = x->rows();
+  std::vector<int64_t> left(static_cast<size_t>(n * n));
+  std::vector<int64_t> right(static_cast<size_t>(n * n));
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t j = 0; j < n; ++j) {
+      left[static_cast<size_t>(i * n + j)] = i;
+      right[static_cast<size_t>(i * n + j)] = j;
+    }
+  }
+  Variable pairs = ops::ConcatCols(ops::GatherRows(x, std::move(left)),
+                                   ops::GatherRows(x, std::move(right)));
+  Rng unused(0);
+  Variable scores = ops::Reshape(
+      phi.Forward(pairs, /*training=*/false, unused), n, n);
+  return ops::Sigmoid(
+      ops::Scale(ops::Add(scores, ops::Transpose(scores)), 0.5f));
+}
+
+// |a - b| / max(1, |b|), worst entry; the same measure as simd_test.cc.
+float MaxRelDiff(const Tensor& a, const Tensor& b) {
+  float worst = 0.0f;
+  for (int64_t i = 0; i < a.size(); ++i) {
+    const float d = std::fabs(a.data()[i] - b.data()[i]);
+    worst = std::max(worst, d / std::max(1.0f, std::fabs(b.data()[i])));
+  }
+  return worst;
+}
+
+TEST(AdjacencyGeneratorTest, FactoredFirstLayerMatchesConcatOracle) {
+  struct RestoreTier {
+    simd::Tier saved = simd::ActiveTier();
+    ~RestoreTier() { simd::SetTier(saved); }
+  } restore_tier;
+  std::vector<simd::Tier> tiers{simd::Tier::kScalar};
+  if (simd::Avx2Compiled() && simd::CpuSupportsAvx2Fma()) {
+    tiers.push_back(simd::Tier::kAvx2);
+  }
+  struct Dims {
+    int64_t d, h;
+  };
+  for (const simd::Tier tier : tiers) {
+    simd::SetTier(tier);
+    for (const int64_t n : {1, 7, 33}) {
+      for (const Dims dims : {Dims{5, 3}, Dims{13, 17}, Dims{37, 65}}) {
+        // Same seed, same construction order: the oracle's MLP_Φ holds the
+        // generator's parameters bit for bit.
+        Rng gen_rng(n * 1000 + dims.d);
+        AdjacencyGenerator gen(dims.d, dims.h, gen_rng);
+        Rng phi_rng(n * 1000 + dims.d);
+        Mlp phi({2 * dims.d, dims.h, 1}, /*dropout=*/0.0f, phi_rng);
+        const std::vector<Variable> gp = gen.Parameters();
+        const std::vector<Variable> pp = phi.Parameters();
+        ASSERT_EQ(gp.size(), pp.size());
+        for (size_t k = 0; k < gp.size(); ++k) {
+          ASSERT_EQ(0, std::memcmp(gp[k]->value().data(),
+                                   pp[k]->value().data(),
+                                   sizeof(float) * gp[k]->value().size()));
+          // Biases start at zero; give every parameter a nonzero value so
+          // b₁'s placement is checked too.
+          const Tensor t = gen_rng.NormalTensor(gp[k]->rows(), gp[k]->cols(),
+                                                0.0f, 0.5f);
+          gp[k]->mutable_value() = t;
+          pp[k]->mutable_value() = t;
+        }
+        Variable x = MakeConstant(gen_rng.NormalTensor(n, dims.d));
+        const Tensor got = gen.Forward(x)->value();
+        const Tensor want = ConcatPairAdjacency(phi, x)->value();
+        ASSERT_EQ(got.rows(), n);
+        ASSERT_EQ(got.cols(), n);
+        // The first layer reassociates a k = 2d term sum: the GEMM
+        // tolerance rule of simd_test.cc.
+        const float tol = 64.0f * std::numeric_limits<float>::epsilon() *
+                          static_cast<float>(2 * dims.d);
+        EXPECT_LE(MaxRelDiff(got, want), tol)
+            << simd::TierName(tier) << " n=" << n << " d=" << dims.d
+            << " h=" << dims.h;
+      }
+    }
+  }
 }
 
 TEST(DenseOpsTest, NormalizeDenseMatchesSparsePath) {

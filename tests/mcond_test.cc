@@ -189,11 +189,11 @@ TEST(MCondGoldenTest, TinySimArtifactDigestOnScalarTier) {
   }
   simd::SetTier(saved_tier);
 
-  EXPECT_EQ(BitDigest(r.synthetic_features), 0x2326f1348026f9c1ull);
-  EXPECT_EQ(BitDigest(r.dense_adjacency), 0x54c570298261d3e9ull);
-  EXPECT_EQ(BitDigest(r.dense_mapping), 0x5fe327b6548db523ull);
+  EXPECT_EQ(BitDigest(r.synthetic_features), 0xfbccec52367da09full);
+  EXPECT_EQ(BitDigest(r.dense_adjacency), 0x3f4c9b771a7767c3ull);
+  EXPECT_EQ(BitDigest(r.dense_mapping), 0x1f4213f9e75d412bull);
   EXPECT_EQ(BitDigest(r.s_loss_history.data(), r.s_loss_history.size()),
-            0x23a1be12a0fa362aull);
+            0xe556cadc117f2a35ull);
 }
 
 TEST(MCondObservabilityTest, CondensePublishesItsFaultsAndSystemTime) {
