@@ -8,8 +8,9 @@
 // Modes:
 //   bench_condense_scale --smoke
 //       Prints resident_<tag> / streamed_<tag> bit-level digest pairs for
-//       every streamed kernel plus one full condense round on a small graph
-//       forced into >= 4 segments. tools/check_determinism.sh diffs the
+//       every streamed operation (sym-normalize, SpMM, row sums, propagate,
+//       compose, edge sampling) plus one full condense round on a small
+//       graph forced into >= 4 segments. tools/check_determinism.sh diffs the
 //       output between MCOND_NUM_THREADS=1 and N and pair-checks each
 //       streamed digest against its resident twin.
 //   bench_condense_scale --one <nodes> <budget_mb> [prefetch]
@@ -43,24 +44,71 @@
 #include "core/simd.h"
 #include "core/tensor_ops.h"
 #include "data/synthetic.h"
+#include "graph/compose.h"
 #include "graph/inductive.h"
+#include "graph/sampling.h"
 #include "graph/sharded_ops.h"
 #include "obs/resource.h"
 
 namespace mcond {
 namespace {
 
-// FNV-1a over raw float bit patterns: any single-ULP difference between the
-// resident and streamed paths flips the digest.
-void HashBits(uint64_t* h, const float* data, int64_t count) {
-  for (int64_t i = 0; i < count; ++i) {
-    uint32_t bits;
-    std::memcpy(&bits, &data[i], sizeof(bits));
-    for (int b = 0; b < 4; ++b) {
-      *h ^= (bits >> (8 * b)) & 0xffu;
-      *h *= 1099511628211ull;
-    }
+// FNV-1a over raw bytes: any single-ULP (or single-index) difference
+// between the resident and streamed paths flips the digest.
+void HashBytes(uint64_t* h, const void* data, size_t bytes) {
+  const unsigned char* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < bytes; ++i) {
+    *h ^= p[i];
+    *h *= 1099511628211ull;
   }
+}
+
+void HashBits(uint64_t* h, const float* data, int64_t count) {
+  HashBytes(h, data, static_cast<size_t>(count) * sizeof(float));
+}
+
+// Structure and values of a CSR matrix, fed one row-range view at a time
+// (the whole matrix, or each segment of a store in order): row_ptr once,
+// then the column and value streams hashed separately so the digest does
+// not depend on the split.
+struct CsrDigest {
+  uint64_t cols = 1469598103934665603ull;
+  uint64_t vals = 1469598103934665603ull;
+  uint64_t rows = 1469598103934665603ull;
+
+  explicit CsrDigest(const std::vector<int64_t>& row_ptr) {
+    HashBytes(&rows, row_ptr.data(), row_ptr.size() * sizeof(int64_t));
+  }
+  void Add(const CsrView& v) {
+    HashBytes(&cols, v.col_idx + v.row_ptr[0],
+              static_cast<size_t>(v.nnz) * sizeof(int32_t));
+    HashBits(&vals, v.values + v.row_ptr[0], v.nnz);
+  }
+  uint64_t Value() const {
+    uint64_t h = rows;
+    HashBytes(&h, &cols, sizeof(cols));
+    HashBytes(&h, &vals, sizeof(vals));
+    return h;
+  }
+};
+
+uint64_t StoreDigest(const ShardedCsr& store) {
+  CsrDigest digest(store.row_ptr());
+  SequentialCursor cursor(store);
+  for (int64_t s = 0; s < store.NumSegments(); ++s) {
+    StatusOr<PinnedSegment> pin = cursor.Next();
+    MCOND_CHECK(pin.ok());
+    digest.Add(pin.value().view());
+  }
+  return digest.Value();
+}
+
+uint64_t EdgeBatchDigest(const EdgeBatch& batch) {
+  uint64_t h = 1469598103934665603ull;
+  HashBytes(&h, batch.src.data(), batch.src.size() * sizeof(int64_t));
+  HashBytes(&h, batch.dst.data(), batch.dst.size() * sizeof(int64_t));
+  HashBits(&h, batch.target.data(), batch.size());
+  return h;
 }
 
 uint64_t BitChecksum(const Tensor& t) {
@@ -163,6 +211,30 @@ int RunSmoke() {
   MCOND_CHECK(sprop.ok());
   std::printf("streamed_propagate %016" PRIx64 "\n",
               BitChecksum(sprop.value()));
+
+  {
+    const CsrMatrix composed = ComposeBlockAdjacency(
+        train.adjacency(), split.val.links, split.val.inter);
+    CsrDigest digest(composed.row_ptr());
+    digest.Add(composed.View());
+    std::printf("resident_compose %016" PRIx64 "\n", digest.Value());
+    StatusOr<ShardedCsr> scomposed = ShardedComposeBlockAdjacency(
+        *sharded.value().adjacency, split.val.links, split.val.inter,
+        dir + "/composed.mcss", options, /*mem_budget_bytes=*/4096);
+    MCOND_CHECK(scomposed.ok());
+    std::printf("streamed_compose %016" PRIx64 "\n",
+                StoreDigest(scomposed.value()));
+  }
+
+  Rng resident_rng(123), streamed_rng(123);
+  std::printf("resident_sample_edges %016" PRIx64 "\n",
+              EdgeBatchDigest(
+                  SampleEdgeBatch(train.adjacency(), 32, 32, resident_rng)));
+  StatusOr<EdgeBatch> sampled =
+      ShardedSampleEdgeBatch(*sharded.value().adjacency, 32, 32, streamed_rng);
+  MCOND_CHECK(sampled.ok());
+  std::printf("streamed_sample_edges %016" PRIx64 "\n",
+              EdgeBatchDigest(sampled.value()));
 
   MCondConfig mc;
   mc.outer_rounds = 1;

@@ -11,10 +11,7 @@ namespace mcond {
 
 std::vector<int64_t> ClassBlockedLabeledNodes(
     const std::vector<int64_t>& labels) {
-  std::vector<int64_t> out;
-  for (size_t i = 0; i < labels.size(); ++i) {
-    if (labels[i] >= 0) out.push_back(static_cast<int64_t>(i));
-  }
+  std::vector<int64_t> out = LabeledNodes(labels);
   std::sort(out.begin(), out.end(), [&](int64_t a, int64_t b) {
     const int64_t ca = labels[static_cast<size_t>(a)];
     const int64_t cb = labels[static_cast<size_t>(b)];
@@ -42,11 +39,7 @@ std::vector<std::pair<int64_t, int64_t>> ClassGradBlocks(
 }
 
 std::vector<int64_t> CondenseSource::ClassCounts() const {
-  std::vector<int64_t> counts(static_cast<size_t>(num_classes()), 0);
-  for (int64_t y : labels()) {
-    if (y >= 0) counts[static_cast<size_t>(y)]++;
-  }
-  return counts;
+  return mcond::ClassCounts(labels(), num_classes());
 }
 
 namespace {

@@ -35,8 +35,8 @@ std::vector<std::pair<int64_t, int64_t>> ClassGradBlocks(
 /// What the MCond loop needs from the original graph T, abstracted so the
 /// same alternating optimization runs against a resident Graph or an
 /// out-of-core ShardedGraph. The two implementations are bit-identical on
-/// the same graph: only the kernels differ, and the streamed kernels carry
-/// the resident kernels' exactness contract (graph/sharded_ops.h).
+/// the same graph: they run the same row kernels, once over the whole
+/// matrix and once per pinned segment (graph/sharded_ops.h).
 ///
 /// Streamed-IO failures inside a source are fatal (MCOND_CHECK): the
 /// condense loop has no mid-round recovery story, and Open-time validation

@@ -11,17 +11,51 @@
 
 namespace mcond {
 
-namespace {
-
 using internal::KernelScope;
 
-/// Grain so each SpMM chunk gets ~64K float-ops even on very sparse rows.
-int64_t SpmmGrain(int64_t rows, int64_t nnz, int64_t d) {
-  const int64_t cost_per_row = 2 * d * (nnz / std::max<int64_t>(rows, 1) + 1);
-  return GrainFromCost(cost_per_row);
+void SpMM(const CsrView& a, const Tensor& x, float* y,
+          const char* trace_name) {
+  const int64_t d = x.cols();
+  const bool use_avx2 = simd::UseAvx2();
+  // ~64K float-ops per chunk even on very sparse rows.
+  const int64_t grain = GrainFromCost(
+      2 * d * (a.nnz / std::max<int64_t>(a.NumRows(), 1) + 1));
+  ParallelFor(
+      0, a.NumRows(), grain,
+      [&](int64_t r0, int64_t r1) {
+        if (use_avx2) {
+          simd::Avx2SpmmRows(a.row_ptr, a.col_idx, a.values, x.data(), y, d,
+                             r0, r1);
+          return;
+        }
+        for (int64_t r = r0; r < r1; ++r) {
+          float* yrow = y + r * d;
+          for (int64_t j = 0; j < d; ++j) yrow[j] = 0.0f;
+          for (int64_t k = a.row_ptr[r]; k < a.row_ptr[r + 1]; ++k) {
+            const float v = a.values[k];
+            const float* xrow = x.RowData(a.col_idx[k]);
+            for (int64_t j = 0; j < d; ++j) yrow[j] += v * xrow[j];
+          }
+        }
+      },
+      trace_name);
 }
 
-}  // namespace
+void RowSums(const CsrView& a, float* out, const char* trace_name) {
+  ParallelFor(
+      0, a.NumRows(),
+      GrainFromCost(2 * (a.nnz / std::max<int64_t>(a.NumRows(), 1) + 1)),
+      [&](int64_t r0, int64_t r1) {
+        for (int64_t r = r0; r < r1; ++r) {
+          double acc = 0.0;
+          for (int64_t k = a.row_ptr[r]; k < a.row_ptr[r + 1]; ++k) {
+            acc += a.values[k];
+          }
+          out[r] = static_cast<float>(acc);
+        }
+      },
+      trace_name);
+}
 
 CsrMatrix CsrMatrix::FromTriplets(int64_t rows, int64_t cols,
                                   std::vector<Triplet> triplets) {
@@ -121,7 +155,7 @@ void CsrMatrix::TakeParts(std::vector<int64_t>* row_ptr,
   row_ptr_.clear();
   col_idx_.clear();
   values_.clear();
-  tview_.reset();
+  transpose_.reset();
 }
 
 CsrMatrix CsrMatrix::Identity(int64_t n) {
@@ -164,114 +198,32 @@ bool CsrMatrix::HasEntry(int64_t r, int64_t c) const {
 }
 
 std::vector<float> CsrMatrix::RowSums() const {
-  std::vector<float> sums(static_cast<size_t>(rows_), 0.0f);
-  ParallelFor(
-      0, rows_, SpmmGrain(rows_, Nnz(), /*d=*/1),
-      [&](int64_t r0, int64_t r1) {
-        for (int64_t r = r0; r < r1; ++r) {
-          double acc = 0.0;
-          for (int64_t k = row_ptr_[static_cast<size_t>(r)];
-               k < row_ptr_[static_cast<size_t>(r) + 1]; ++k) {
-            acc += values_[static_cast<size_t>(k)];
-          }
-          sums[static_cast<size_t>(r)] = static_cast<float>(acc);
-        }
-      },
-      "core.row_sums");
+  std::vector<float> sums(static_cast<size_t>(rows_));
+  mcond::RowSums(View(), sums.data(), "core.row_sums");
   return sums;
 }
 
 Tensor CsrMatrix::SpMM(const Tensor& x) const {
   MCOND_CHECK_EQ(cols_, x.rows()) << "SpMM shape mismatch";
-  const int64_t d = x.cols();
-  KernelScope scope("core.spmm", "mcond.kernel.spmm_us", 2 * Nnz() * d);
-  // The AVX2 gather kernel is bit-identical to the scalar loop (ascending-k
-  // multiply-then-add) and writes every element of its rows, so the output
-  // may start uninitialized on that path.
-  const bool use_avx2 = simd::UseAvx2();
-  Tensor y = use_avx2 ? Tensor::Uninitialized(rows_, d) : Tensor(rows_, d);
-  ParallelFor(
-      0, rows_, SpmmGrain(rows_, Nnz(), d),
-      [&](int64_t r0, int64_t r1) {
-        if (use_avx2) {
-          simd::Avx2SpmmRows(row_ptr_.data(), col_idx_.data(), values_.data(),
-                             x.data(), y.data(), d, r0, r1);
-          return;
-        }
-        for (int64_t r = r0; r < r1; ++r) {
-          float* yrow = y.RowData(r);
-          for (int64_t k = row_ptr_[static_cast<size_t>(r)];
-               k < row_ptr_[static_cast<size_t>(r) + 1]; ++k) {
-            const float v = values_[static_cast<size_t>(k)];
-            const float* xrow = x.RowData(col_idx_[static_cast<size_t>(k)]);
-            for (int64_t j = 0; j < d; ++j) yrow[j] += v * xrow[j];
-          }
-        }
-      },
-      "core.spmm");
+  KernelScope scope("core.spmm", "mcond.kernel.spmm_us",
+                    2 * Nnz() * x.cols());
+  Tensor y = Tensor::Uninitialized(rows_, x.cols());
+  mcond::SpMM(View(), x, y.data(), "core.spmm");
   return y;
 }
 
-const CsrMatrix::TransposedView& CsrMatrix::EnsureTransposedView() const {
-  if (tview_) return *tview_;
-  MCOND_CHECK_LE(rows_, std::numeric_limits<int32_t>::max());
-  auto view = std::make_shared<TransposedView>();
-  const size_t nnz = values_.size();
-  view->col_ptr.assign(static_cast<size_t>(cols_) + 1, 0);
-  for (const int32_t c : col_idx_) {
-    ++view->col_ptr[static_cast<size_t>(c) + 1];
-  }
-  for (size_t c = 1; c < view->col_ptr.size(); ++c) {
-    view->col_ptr[c] += view->col_ptr[c - 1];
-  }
-  view->src_row.resize(nnz);
-  view->values.resize(nnz);
-  // Walking rows in ascending order fills each column's slice in ascending
-  // source-row order — the property SpMMTransposed's determinism rests on.
-  std::vector<int64_t> cursor(view->col_ptr.begin(),
-                              view->col_ptr.end() - 1);
-  for (int64_t r = 0; r < rows_; ++r) {
-    for (int64_t k = row_ptr_[static_cast<size_t>(r)];
-         k < row_ptr_[static_cast<size_t>(r) + 1]; ++k) {
-      const size_t c = static_cast<size_t>(col_idx_[static_cast<size_t>(k)]);
-      const size_t pos = static_cast<size_t>(cursor[c]++);
-      view->src_row[pos] = static_cast<int32_t>(r);
-      view->values[pos] = values_[static_cast<size_t>(k)];
-    }
-  }
-  tview_ = std::move(view);
-  return *tview_;
+const CsrMatrix& CsrMatrix::CachedTranspose() const {
+  if (!transpose_) transpose_ = std::make_shared<const CsrMatrix>(Transpose());
+  return *transpose_;
 }
 
 Tensor CsrMatrix::SpMMTransposed(const Tensor& x) const {
   MCOND_CHECK_EQ(rows_, x.rows()) << "SpMMTransposed shape mismatch";
-  const int64_t d = x.cols();
-  KernelScope scope("core.spmm_t", "mcond.kernel.spmm_t_us", 2 * Nnz() * d);
-  const TransposedView& tv = EnsureTransposedView();
-  const bool use_avx2 = simd::UseAvx2();
-  Tensor y = use_avx2 ? Tensor::Uninitialized(cols_, d) : Tensor(cols_, d);
-  ParallelFor(
-      0, cols_, SpmmGrain(cols_, Nnz(), d),
-      [&](int64_t c0, int64_t c1) {
-        if (use_avx2) {
-          // The CSC view is the same (ptr, idx, values) shape as CSR, so the
-          // row-gather kernel serves both orientations.
-          simd::Avx2SpmmRows(tv.col_ptr.data(), tv.src_row.data(),
-                             tv.values.data(), x.data(), y.data(), d, c0, c1);
-          return;
-        }
-        for (int64_t c = c0; c < c1; ++c) {
-          float* yrow = y.RowData(c);
-          for (int64_t k = tv.col_ptr[static_cast<size_t>(c)];
-               k < tv.col_ptr[static_cast<size_t>(c) + 1]; ++k) {
-            const float v = tv.values[static_cast<size_t>(k)];
-            const float* xrow =
-                x.RowData(tv.src_row[static_cast<size_t>(k)]);
-            for (int64_t j = 0; j < d; ++j) yrow[j] += v * xrow[j];
-          }
-        }
-      },
-      "core.spmm_t");
+  KernelScope scope("core.spmm_t", "mcond.kernel.spmm_t_us",
+                    2 * Nnz() * x.cols());
+  const CsrMatrix& t = CachedTranspose();
+  Tensor y = Tensor::Uninitialized(cols_, x.cols());
+  mcond::SpMM(t.View(), x, y.data(), "core.spmm_t");
   return y;
 }
 
@@ -308,16 +260,27 @@ Tensor CsrMatrix::SpMMTransposedSerial(const Tensor& x) const {
 }
 
 CsrMatrix CsrMatrix::Transpose() const {
-  std::vector<Triplet> t;
-  t.reserve(values_.size());
+  MCOND_CHECK_LE(rows_, std::numeric_limits<int32_t>::max());
+  std::vector<int64_t> t_ptr(static_cast<size_t>(cols_) + 1, 0);
+  for (const int32_t c : col_idx_) ++t_ptr[static_cast<size_t>(c) + 1];
+  for (size_t c = 1; c < t_ptr.size(); ++c) t_ptr[c] += t_ptr[c - 1];
+  std::vector<int32_t> t_col(values_.size());
+  std::vector<float> t_val(values_.size());
+  // Walking rows in ascending order fills each column's slice in ascending
+  // source-row order: canonical CSR, and the order SpMMTransposed's
+  // determinism rests on.
+  std::vector<int64_t> cursor(t_ptr.begin(), t_ptr.end() - 1);
   for (int64_t r = 0; r < rows_; ++r) {
     for (int64_t k = row_ptr_[static_cast<size_t>(r)];
          k < row_ptr_[static_cast<size_t>(r) + 1]; ++k) {
-      t.push_back({col_idx_[static_cast<size_t>(k)], r,
-                   values_[static_cast<size_t>(k)]});
+      const size_t c = static_cast<size_t>(col_idx_[static_cast<size_t>(k)]);
+      const size_t pos = static_cast<size_t>(cursor[c]++);
+      t_col[pos] = static_cast<int32_t>(r);
+      t_val[pos] = values_[static_cast<size_t>(k)];
     }
   }
-  return FromTriplets(cols_, rows_, std::move(t));
+  return FromParts(cols_, rows_, std::move(t_ptr), std::move(t_col),
+                   std::move(t_val), /*validate=*/false);
 }
 
 CsrMatrix CsrMatrix::Multiply(const CsrMatrix& a, const CsrMatrix& b) {

@@ -16,6 +16,44 @@ struct Triplet {
   float value = 0.0f;
 };
 
+/// Non-owning view of rows [row_begin, row_end) of a CSR matrix: the one
+/// shape every sparse row kernel takes. `row_ptr` has NumRows() + 1 entries
+/// and indexes `col_idx`/`values` directly, so matrix row r is local row
+/// r - row_begin. CsrMatrix::View() covers a whole matrix with its own
+/// arrays; a pinned ShardedCsr segment covers its row range with segment-
+/// local arrays (row_ptr[0] == 0, `index` = the segment's number).
+struct CsrView {
+  int64_t index = 0;
+  int64_t row_begin = 0;
+  int64_t row_end = 0;
+  int64_t nnz = 0;
+  const int64_t* row_ptr = nullptr;
+  const int32_t* col_idx = nullptr;
+  const float* values = nullptr;
+
+  int64_t NumRows() const { return row_end - row_begin; }
+  /// Rows [begin, end) of this view (matrix row numbers, inside this view).
+  CsrView Rows(int64_t begin, int64_t end) const {
+    const int64_t* p = row_ptr + (begin - row_begin);
+    return {index, begin, end, p[end - begin] - p[0], p, col_idx, values};
+  }
+};
+
+/// y = a · x over the rows of `a`: matrix row r goes to y + (r -
+/// a.row_begin) · x.cols(), as Σ_k values[k] · x[col_idx[k]] in ascending k,
+/// multiply-then-add. Every element of those rows is written, so `y` may
+/// start uninitialized. Row-parallel, dispatching to the AVX2 gather kernel
+/// (bit-identical to the scalar loop), so the bits depend on neither the
+/// thread count, the SIMD tier nor how a matrix is split into views. The
+/// one SpMM row loop: CsrMatrix::SpMM, SpMMTransposed and the streamed
+/// segment passes (graph/sharded_ops.h) all run it.
+void SpMM(const CsrView& a, const Tensor& x, float* y,
+          const char* trace_name = nullptr);
+
+/// out[r - a.row_begin] = the sum of row r's stored values, accumulated in
+/// double in ascending k and rounded once. Row-parallel.
+void RowSums(const CsrView& a, float* out, const char* trace_name = nullptr);
+
 /// Compressed-sparse-row matrix of float. This is the adjacency
 /// representation used everywhere: the original graph A, the sparsified
 /// synthetic adjacency A', the sparsified mapping M, and the composed
@@ -29,7 +67,7 @@ class CsrMatrix {
   /// Constructs an empty 0×0 matrix.
   CsrMatrix() : rows_(0), cols_(0), row_ptr_(1, 0) {}
 
-  /// Copies share no derived state: the lazily-built transposed view is
+  /// Copies share no derived state: the lazily built transpose cache is
   /// dropped so a copy that later mutates values (Scaled, mutable_values)
   /// cannot observe a stale cache. Moves transfer the cache.
   CsrMatrix(const CsrMatrix& other)
@@ -45,7 +83,7 @@ class CsrMatrix {
       row_ptr_ = other.row_ptr_;
       col_idx_ = other.col_idx_;
       values_ = other.values_;
-      tview_.reset();
+      transpose_.reset();
     }
     return *this;
   }
@@ -94,7 +132,7 @@ class CsrMatrix {
   const std::vector<int32_t>& col_idx() const { return col_idx_; }
   const std::vector<float>& values() const { return values_; }
   std::vector<float>& mutable_values() {
-    tview_.reset();  // Derived caches no longer match once values change.
+    transpose_.reset();  // Derived caches no longer match once values change.
     return values_;
   }
 
@@ -105,6 +143,12 @@ class CsrMatrix {
 
   /// Value at (r, c); 0 if not stored. O(log nnz(row)) via binary search.
   float At(int64_t r, int64_t c) const;
+
+  /// The whole matrix as a view (row_begin 0, the matrix's own arrays).
+  CsrView View() const {
+    return {0, 0, rows_, Nnz(), row_ptr_.data(), col_idx_.data(),
+            values_.data()};
+  }
 
   /// Number of stored entries in row r.
   int64_t RowNnz(int64_t r) const {
@@ -122,20 +166,21 @@ class CsrMatrix {
   /// exactly (core/simd.h).
   Tensor SpMM(const Tensor& x) const;
 
-  /// Y = thisᵀ · X. Gather-parallel over OUTPUT rows via a lazily built
-  /// (and cached) transposed index, so there are no scatter races and each
-  /// output element keeps the serial ascending-source-row accumulation
-  /// order — bit-identical to SpMMTransposedSerial at every thread count.
-  /// The cached index makes repeated backward passes O(nnz·d) with no
-  /// rebuild; building is not safe to race from two threads' FIRST calls
-  /// on the same matrix (kernels are dispatched from one thread here).
+  /// Y = thisᵀ · X: the SpMM row kernel over a lazily built (and cached)
+  /// Transpose(), so there are no scatter races and each output element
+  /// keeps the serial ascending-source-row accumulation order —
+  /// bit-identical to SpMMTransposedSerial at every thread count. The cache
+  /// makes repeated backward passes O(nnz·d) with no rebuild; building is
+  /// not safe to race from two threads' FIRST calls on the same matrix
+  /// (kernels are dispatched from one thread here).
   Tensor SpMMTransposed(const Tensor& x) const;
 
   /// Retained single-threaded reference kernels (tests, bench baselines).
   Tensor SpMMSerial(const Tensor& x) const;
   Tensor SpMMTransposedSerial(const Tensor& x) const;
 
-  /// Structural transpose.
+  /// Transpose by counting sort: row c lists the source rows of column c in
+  /// ascending order, with their values.
   CsrMatrix Transpose() const;
 
   /// C = A · B for two sparse matrices (SpGEMM). Used at serving time to
@@ -160,23 +205,16 @@ class CsrMatrix {
   bool HasEntry(int64_t r, int64_t c) const;
 
  private:
-  /// CSC-style view of this matrix: for each column, the source rows (in
-  /// ascending order) and values of the entries in that column. Built
-  /// lazily by SpMMTransposed, invalidated by mutation (copy ctor,
-  /// mutable_values).
-  struct TransposedView {
-    std::vector<int64_t> col_ptr;  // cols_ + 1 offsets
-    std::vector<int32_t> src_row;  // ascending within each column
-    std::vector<float> values;
-  };
-  const TransposedView& EnsureTransposedView() const;
+  /// Transpose(), built lazily by SpMMTransposed and invalidated by
+  /// mutation (copy ctor, mutable_values).
+  const CsrMatrix& CachedTranspose() const;
 
   int64_t rows_;
   int64_t cols_;
   std::vector<int64_t> row_ptr_;
   std::vector<int32_t> col_idx_;
   std::vector<float> values_;
-  mutable std::shared_ptr<const TransposedView> tview_;
+  mutable std::shared_ptr<const CsrMatrix> transpose_;
 };
 
 }  // namespace mcond

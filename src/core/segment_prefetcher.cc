@@ -39,7 +39,7 @@ void TrackInflight(int64_t delta) {
 
 /// Touches one byte per page so the fault-in cost lands on the worker
 /// thread, not on the consumer's first traversal of the segment.
-void FaultIn(const CsrSegmentView& view, int64_t byte_size) {
+void FaultIn(const CsrView& view, int64_t byte_size) {
   constexpr int64_t kPage = 4096;
   const volatile char* base =
       reinterpret_cast<const volatile char*>(view.row_ptr);

@@ -98,7 +98,7 @@ void ShardedCsrState::ReleaseMappings(EvictedMappings* evicted) {
 StatusOr<PinnedSegment> ShardedCsrState::PinSegment(int64_t index) {
   const ShardedCsr::Segment& seg = segments[static_cast<size_t>(index)];
   EvictedMappings evicted;
-  CsrSegmentView view;
+  CsrView view;
   {
     std::lock_guard<std::mutex> lock(mu);
     Mapped& m = mapped[static_cast<size_t>(index)];

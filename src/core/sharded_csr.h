@@ -24,22 +24,6 @@ struct ShardOptions {
   int64_t max_rows_per_segment = 0;
 };
 
-/// Read-only view of one mapped segment. `row_ptr` is LOCAL to the segment
-/// ((row_end - row_begin + 1) entries, row_ptr[0] == 0), so it can be handed
-/// to the same chunk kernels that consume a whole-matrix CSR, with outputs
-/// offset by row_begin.
-struct CsrSegmentView {
-  int64_t index = 0;
-  int64_t row_begin = 0;
-  int64_t row_end = 0;
-  int64_t nnz = 0;
-  const int64_t* row_ptr = nullptr;
-  const int32_t* col_idx = nullptr;
-  const float* values = nullptr;
-
-  int64_t NumRows() const { return row_end - row_begin; }
-};
-
 namespace internal {
 struct ShardedCsrState;
 }  // namespace internal
@@ -48,7 +32,9 @@ class SegmentPrefetcher;
 
 /// RAII pin of one segment: the mapping is guaranteed to stay resident (the
 /// LRU never evicts a pinned segment) until this object is destroyed. Move-
-/// only; the owning ShardedCsr must outlive every pin.
+/// only; the owning ShardedCsr must outlive every pin. Its view covers the
+/// segment's row range with segment-local arrays (row_ptr[0] == 0), so the
+/// row kernels that take a whole matrix's CsrMatrix::View() take it too.
 class PinnedSegment {
  public:
   PinnedSegment() = default;
@@ -58,7 +44,7 @@ class PinnedSegment {
   PinnedSegment& operator=(const PinnedSegment&) = delete;
   ~PinnedSegment();
 
-  const CsrSegmentView& view() const { return view_; }
+  const CsrView& view() const { return view_; }
   const int64_t* row_ptr() const { return view_.row_ptr; }
   const int32_t* col_idx() const { return view_.col_idx; }
   const float* values() const { return view_.values; }
@@ -66,12 +52,12 @@ class PinnedSegment {
  private:
   friend class ShardedCsr;
   friend struct internal::ShardedCsrState;
-  PinnedSegment(internal::ShardedCsrState* state, CsrSegmentView view)
+  PinnedSegment(internal::ShardedCsrState* state, CsrView view)
       : state_(state), view_(view) {}
   void Release();
 
   internal::ShardedCsrState* state_ = nullptr;
-  CsrSegmentView view_;
+  CsrView view_;
 };
 
 /// Streams a CSR matrix to the single-file segment-store format row by row,

@@ -577,10 +577,11 @@ void Avx2SoftmaxRows(const float* src, float* dst, int64_t cols, int64_t i0,
 }
 
 void Avx2SymNormalizeRows(const int64_t* row_ptr, const int32_t* col_idx,
-                          const float* v, const float* dinv_sqrt, float* out,
-                          int64_t r0, int64_t r1) {
+                          const float* v, const float* dinv_row,
+                          const float* dinv_sqrt, float* out, int64_t r0,
+                          int64_t r1) {
   for (int64_t r = r0; r < r1; ++r) {
-    const float dr = dinv_sqrt[r];
+    const float dr = dinv_row[r];
     const __m256 drv = _mm256_set1_ps(dr);
     const int64_t kb = row_ptr[r];
     const int64_t ke = row_ptr[r + 1];
@@ -639,7 +640,8 @@ void Avx2SoftmaxRows(const float*, float*, int64_t, int64_t, int64_t) {
   std::abort();
 }
 void Avx2SymNormalizeRows(const int64_t*, const int32_t*, const float*,
-                          const float*, float*, int64_t, int64_t) {
+                          const float*, const float*, float*, int64_t,
+                          int64_t) {
   std::abort();
 }
 

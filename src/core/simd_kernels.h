@@ -74,12 +74,14 @@ void Avx2AddRowInPlace(float* row, const float* r, int64_t n);
 void Avx2SoftmaxRows(const float* src, float* dst, int64_t cols, int64_t i0,
                      int64_t i1);
 
-/// out[k] = v[k] * dinv_sqrt[r] * dinv_sqrt[col_idx[k]] for every stored
+/// out[k] = v[k] * dinv_row[r] * dinv_sqrt[col_idx[k]] for every stored
 /// entry of rows [r0, r1) — the SymNormalize rescale, with a vector gather
-/// on the column factor. Bit-identical to the scalar loop.
+/// on the column factor. `dinv_row` is dinv_sqrt offset to the first row of
+/// a row-range view. Bit-identical to the scalar loop.
 void Avx2SymNormalizeRows(const int64_t* row_ptr, const int32_t* col_idx,
-                          const float* v, const float* dinv_sqrt, float* out,
-                          int64_t r0, int64_t r1);
+                          const float* v, const float* dinv_row,
+                          const float* dinv_sqrt, float* out, int64_t r0,
+                          int64_t r1);
 
 }  // namespace simd
 }  // namespace mcond

@@ -1,7 +1,8 @@
 #include "graph/compose.h"
 
-#include <cstring>
+#include <algorithm>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "core/parallel.h"
@@ -10,14 +11,55 @@
 
 namespace mcond {
 
-// Direct CSR assembly: the block structure is already canonically ordered
-// (per base row: base columns < N, then transpose columns N+i with i
-// ascending; per batch row: links columns < N, then inter columns + N), and
-// no coordinate can appear in two blocks, so the triplet sort-and-merge the
-// old implementation paid is pure overhead. Row copies are parallel; only
-// the O(nnz(links)) transpose scatter stays serial (its iteration order is
-// what makes the appended columns ascend). Output is bit-identical to the
-// FromTriplets path.
+CsrView ComposeRows(const CsrView& base, const CsrMatrix& links_t,
+                    const CsrMatrix& links, const CsrMatrix& inter,
+                    int64_t row_begin, int64_t row_end,
+                    std::vector<int64_t>* row_ptr,
+                    std::vector<int32_t>* col_idx,
+                    std::vector<float>* values) {
+  const int64_t big_n = links.cols();
+  const int64_t n = row_end - row_begin;
+  // Row r's left block (columns as stored) and right block (columns + N).
+  const auto blocks = [&](int64_t r) -> std::pair<CsrView, CsrView> {
+    if (r < big_n) return {base.Rows(r, r + 1), links_t.View().Rows(r, r + 1)};
+    const int64_t i = r - big_n;
+    return {links.View().Rows(i, i + 1), inter.View().Rows(i, i + 1)};
+  };
+  std::vector<int64_t>& rp = *row_ptr;
+  rp.resize(static_cast<size_t>(n) + 1);
+  rp[0] = 0;
+  for (int64_t r = 0; r < n; ++r) {
+    const auto [left, right] = blocks(row_begin + r);
+    rp[static_cast<size_t>(r) + 1] =
+        rp[static_cast<size_t>(r)] + left.nnz + right.nnz;
+  }
+  const int64_t nnz = rp[static_cast<size_t>(n)];
+  col_idx->resize(static_cast<size_t>(nnz));
+  values->resize(static_cast<size_t>(nnz));
+  int32_t* ci = col_idx->data();
+  float* v = values->data();
+  // No coordinate appears in two blocks and each block's columns ascend, so
+  // the rows come out canonical with no sort.
+  ParallelFor(
+      0, n, GrainFromCost(2 * (nnz / std::max<int64_t>(n, 1) + 1)),
+      [&](int64_t r0, int64_t r1) {
+        for (int64_t r = r0; r < r1; ++r) {
+          const auto [left, right] = blocks(row_begin + r);
+          int64_t dst = rp[static_cast<size_t>(r)];
+          const int64_t lsrc = left.row_ptr[0];
+          std::copy_n(left.col_idx + lsrc, left.nnz, ci + dst);
+          std::copy_n(left.values + lsrc, left.nnz, v + dst);
+          dst += left.nnz;
+          for (int64_t k = right.row_ptr[0]; k < right.row_ptr[1]; ++k) {
+            ci[dst] = static_cast<int32_t>(big_n + right.col_idx[k]);
+            v[dst++] = right.values[k];
+          }
+        }
+      },
+      "graph.compose_rows");
+  return {0, row_begin, row_end, nnz, rp.data(), ci, v};
+}
+
 CsrMatrix ComposeBlockAdjacency(const CsrMatrix& base, const CsrMatrix& links,
                                 const CsrMatrix& inter) {
   MCOND_TRACE_SPAN("graph.compose_block_adjacency");
@@ -25,92 +67,13 @@ CsrMatrix ComposeBlockAdjacency(const CsrMatrix& base, const CsrMatrix& links,
   MCOND_CHECK_EQ(links.cols(), base.cols());
   MCOND_CHECK_EQ(inter.rows(), links.rows());
   MCOND_CHECK_EQ(inter.cols(), links.rows());
-  const int64_t big_n = base.rows();
-  const int64_t small_n = links.rows();
-  const int64_t total = big_n + small_n;
+  const int64_t total = base.rows() + links.rows();
   MCOND_CHECK_LE(total, std::numeric_limits<int32_t>::max());
-
-  // Per-base-row count of transpose entries (links column histogram).
-  std::vector<int64_t> extra(static_cast<size_t>(big_n), 0);
-  for (const int32_t c : links.col_idx()) ++extra[static_cast<size_t>(c)];
-
-  std::vector<int64_t> row_ptr(static_cast<size_t>(total) + 1);
-  row_ptr[0] = 0;
-  for (int64_t r = 0; r < big_n; ++r) {
-    row_ptr[static_cast<size_t>(r) + 1] = row_ptr[static_cast<size_t>(r)] +
-                                          base.RowNnz(r) +
-                                          extra[static_cast<size_t>(r)];
-  }
-  for (int64_t i = 0; i < small_n; ++i) {
-    row_ptr[static_cast<size_t>(big_n + i) + 1] =
-        row_ptr[static_cast<size_t>(big_n + i)] + links.RowNnz(i) +
-        inter.RowNnz(i);
-  }
-  const int64_t nnz = row_ptr[static_cast<size_t>(total)];
-  std::vector<int32_t> col_idx(static_cast<size_t>(nnz));
-  std::vector<float> values(static_cast<size_t>(nnz));
-
-  // Top-left block: parallel row copies; cursor marks where the transpose
-  // entries will be appended.
-  std::vector<int64_t>& cursor = extra;  // reuse: overwritten per row below
-  const int64_t grain =
-      GrainFromCost(2 * (base.Nnz() / std::max<int64_t>(big_n, 1) + 1));
-  ParallelFor(
-      0, big_n, grain,
-      [&](int64_t r0, int64_t r1) {
-        for (int64_t r = r0; r < r1; ++r) {
-          const int64_t src = base.row_ptr()[static_cast<size_t>(r)];
-          const int64_t nb = base.RowNnz(r);
-          const int64_t dst = row_ptr[static_cast<size_t>(r)];
-          std::memcpy(col_idx.data() + dst, base.col_idx().data() + src,
-                      static_cast<size_t>(nb) * sizeof(int32_t));
-          std::memcpy(values.data() + dst, base.values().data() + src,
-                      static_cast<size_t>(nb) * sizeof(float));
-          cursor[static_cast<size_t>(r)] = dst + nb;
-        }
-      },
-      "graph.compose_base_rows");
-
-  // Top-right block (linksᵀ): serial scatter in ascending links-row order,
-  // so appended columns big_n + r ascend within each base row.
-  for (int64_t r = 0; r < small_n; ++r) {
-    for (int64_t k = links.row_ptr()[static_cast<size_t>(r)];
-         k < links.row_ptr()[static_cast<size_t>(r) + 1]; ++k) {
-      const int32_t c = links.col_idx()[static_cast<size_t>(k)];
-      const int64_t pos = cursor[static_cast<size_t>(c)]++;
-      col_idx[static_cast<size_t>(pos)] = static_cast<int32_t>(big_n + r);
-      values[static_cast<size_t>(pos)] = links.values()[static_cast<size_t>(k)];
-    }
-  }
-
-  // Bottom blocks: links row then inter row (columns offset by big_n).
-  ParallelFor(
-      0, small_n,
-      GrainFromCost(2 * ((links.Nnz() + inter.Nnz()) /
-                             std::max<int64_t>(small_n, 1) +
-                         1)),
-      [&](int64_t i0, int64_t i1) {
-        for (int64_t i = i0; i < i1; ++i) {
-          int64_t dst = row_ptr[static_cast<size_t>(big_n + i)];
-          const int64_t lsrc = links.row_ptr()[static_cast<size_t>(i)];
-          const int64_t ln = links.RowNnz(i);
-          std::memcpy(col_idx.data() + dst, links.col_idx().data() + lsrc,
-                      static_cast<size_t>(ln) * sizeof(int32_t));
-          std::memcpy(values.data() + dst, links.values().data() + lsrc,
-                      static_cast<size_t>(ln) * sizeof(float));
-          dst += ln;
-          for (int64_t k = inter.row_ptr()[static_cast<size_t>(i)];
-               k < inter.row_ptr()[static_cast<size_t>(i) + 1]; ++k) {
-            col_idx[static_cast<size_t>(dst)] = static_cast<int32_t>(
-                big_n + inter.col_idx()[static_cast<size_t>(k)]);
-            values[static_cast<size_t>(dst)] =
-                inter.values()[static_cast<size_t>(k)];
-            ++dst;
-          }
-        }
-      },
-      "graph.compose_batch_rows");
-
+  std::vector<int64_t> row_ptr;
+  std::vector<int32_t> col_idx;
+  std::vector<float> values;
+  ComposeRows(base.View(), links.Transpose(), links, inter, 0, total,
+              &row_ptr, &col_idx, &values);
   return CsrMatrix::FromParts(total, total, std::move(row_ptr),
                               std::move(col_idx), std::move(values),
                               /*validate=*/false);

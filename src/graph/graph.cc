@@ -14,59 +14,105 @@ namespace mcond {
 
 CsrMatrix AddSelfLoops(const CsrMatrix& a, float weight) {
   MCOND_CHECK_EQ(a.rows(), a.cols()) << "self-loops need a square matrix";
-  std::vector<Triplet> t;
-  t.reserve(static_cast<size_t>(a.Nnz() + a.rows()));
-  for (int64_t r = 0; r < a.rows(); ++r) {
-    bool has_diag = false;
-    for (int64_t k = a.row_ptr()[static_cast<size_t>(r)];
-         k < a.row_ptr()[static_cast<size_t>(r) + 1]; ++k) {
-      const int64_t c = a.col_idx()[static_cast<size_t>(k)];
-      if (c == r) has_diag = true;
-      t.push_back({r, c, a.values()[static_cast<size_t>(k)]});
-    }
-    if (!has_diag) t.push_back({r, r, weight});
+  std::vector<int64_t> row_ptr;
+  std::vector<int32_t> col_idx;
+  std::vector<float> values;
+  AddSelfLoopRows(a.View(), weight, &row_ptr, &col_idx, &values);
+  return CsrMatrix::FromParts(a.rows(), a.cols(), std::move(row_ptr),
+                              std::move(col_idx), std::move(values),
+                              /*validate=*/false);
+}
+
+CsrView AddSelfLoopRows(const CsrView& a, float weight,
+                        std::vector<int64_t>* row_ptr,
+                        std::vector<int32_t>* col_idx,
+                        std::vector<float>* values) {
+  const int64_t n = a.NumRows();
+  std::vector<int64_t>& rp = *row_ptr;
+  rp.resize(static_cast<size_t>(n) + 1);
+  rp[0] = 0;
+  for (int64_t r = 0; r < n; ++r) {
+    const int64_t b = a.row_ptr[r];
+    const int64_t e = a.row_ptr[r + 1];
+    const bool has_diag = std::binary_search(
+        a.col_idx + b, a.col_idx + e, static_cast<int32_t>(a.row_begin + r));
+    rp[static_cast<size_t>(r) + 1] =
+        rp[static_cast<size_t>(r)] + (e - b) + (has_diag ? 0 : 1);
   }
-  return CsrMatrix::FromTriplets(a.rows(), a.cols(), std::move(t));
+  col_idx->resize(static_cast<size_t>(rp[static_cast<size_t>(n)]));
+  values->resize(col_idx->size());
+  int32_t* ci = col_idx->data();
+  float* v = values->data();
+  ParallelFor(
+      0, n, GrainFromCost(2 * (a.nnz / std::max<int64_t>(n, 1) + 1)),
+      [&](int64_t r0, int64_t r1) {
+        for (int64_t r = r0; r < r1; ++r) {
+          const int32_t diag = static_cast<int32_t>(a.row_begin + r);
+          int64_t out = rp[static_cast<size_t>(r)];
+          bool placed = false;
+          for (int64_t k = a.row_ptr[r]; k < a.row_ptr[r + 1]; ++k) {
+            const int32_t c = a.col_idx[k];
+            if (!placed && c >= diag) {
+              if (c != diag) {
+                ci[out] = diag;
+                v[out++] = weight;
+              }
+              placed = true;
+            }
+            ci[out] = c;
+            v[out++] = a.values[k];
+          }
+          if (!placed) {
+            ci[out] = diag;
+            v[out] = weight;
+          }
+        }
+      },
+      "graph.add_self_loops");
+  return {a.index, a.row_begin, a.row_end, rp[static_cast<size_t>(n)],
+          rp.data(), ci, v};
+}
+
+std::vector<float> InvSqrtDegrees(const std::vector<float>& deg) {
+  std::vector<float> dinv_sqrt(deg.size());
+  for (size_t i = 0; i < deg.size(); ++i) {
+    dinv_sqrt[i] = deg[i] > 0.0f ? 1.0f / std::sqrt(deg[i]) : 0.0f;
+  }
+  return dinv_sqrt;
+}
+
+void SymNormalizeValues(const CsrView& a, const float* dinv_sqrt, float* out) {
+  const float* dinv_row = dinv_sqrt + a.row_begin;
+  const bool use_avx2 = simd::UseAvx2();
+  ParallelFor(
+      0, a.NumRows(),
+      GrainFromCost(2 * (a.nnz / std::max<int64_t>(a.NumRows(), 1) + 1)),
+      [&](int64_t r0, int64_t r1) {
+        if (use_avx2) {
+          // Bit-identical to the loop below: same (v·dr)·dinv[col]
+          // association, vector gather on the column factor.
+          simd::Avx2SymNormalizeRows(a.row_ptr, a.col_idx, a.values,
+                                     dinv_row, dinv_sqrt, out, r0, r1);
+          return;
+        }
+        for (int64_t r = r0; r < r1; ++r) {
+          const float dr = dinv_row[r];
+          for (int64_t k = a.row_ptr[r]; k < a.row_ptr[r + 1]; ++k) {
+            out[k] = a.values[k] * dr * dinv_sqrt[a.col_idx[k]];
+          }
+        }
+      },
+      "graph.sym_normalize");
 }
 
 CsrMatrix SymNormalize(const CsrMatrix& a, bool add_self_loops) {
   MCOND_TRACE_SPAN("graph.sym_normalize");
   const CsrMatrix tilde = add_self_loops ? AddSelfLoops(a) : a;
-  const std::vector<float> deg = tilde.RowSums();
-  std::vector<float> dinv_sqrt(deg.size());
-  for (size_t i = 0; i < deg.size(); ++i) {
-    dinv_sqrt[i] = deg[i] > 0.0f ? 1.0f / std::sqrt(deg[i]) : 0.0f;
-  }
+  const std::vector<float> dinv_sqrt = InvSqrtDegrees(tilde.RowSums());
   // Normalization never changes the sparsity structure — only the values —
-  // so rescale in place of the triplet rebuild (which re-sorts all nnz).
-  // Row-parallel: each chunk owns a disjoint slice of the value array.
-  const std::vector<int64_t>& rp = tilde.row_ptr();
-  const std::vector<int32_t>& ci = tilde.col_idx();
-  const std::vector<float>& v = tilde.values();
+  // so rescale in place of a triplet rebuild (which re-sorts all nnz).
   std::vector<float> vals(static_cast<size_t>(tilde.Nnz()));
-  const bool use_avx2 = simd::UseAvx2();
-  ParallelFor(
-      0, tilde.rows(),
-      GrainFromCost(2 * (tilde.Nnz() / std::max<int64_t>(tilde.rows(), 1) + 1)),
-      [&](int64_t r0, int64_t r1) {
-        if (use_avx2) {
-          // Bit-identical to the loop below: same (v·dr)·dinv[col]
-          // association, vector gather on the column factor.
-          simd::Avx2SymNormalizeRows(rp.data(), ci.data(), v.data(),
-                                     dinv_sqrt.data(), vals.data(), r0, r1);
-          return;
-        }
-        for (int64_t r = r0; r < r1; ++r) {
-          const float dr = dinv_sqrt[static_cast<size_t>(r)];
-          for (int64_t k = rp[static_cast<size_t>(r)];
-               k < rp[static_cast<size_t>(r) + 1]; ++k) {
-            vals[static_cast<size_t>(k)] =
-                v[static_cast<size_t>(k)] * dr *
-                dinv_sqrt[static_cast<size_t>(ci[static_cast<size_t>(k)])];
-          }
-        }
-      },
-      "graph.sym_normalize");
+  SymNormalizeValues(tilde.View(), dinv_sqrt.data(), vals.data());
   return tilde.WithValues(std::move(vals));
 }
 
@@ -125,6 +171,23 @@ CsrMatrix RowNormalize(const CsrMatrix& a) {
   return a.WithValues(std::move(vals));
 }
 
+std::vector<int64_t> LabeledNodes(const std::vector<int64_t>& labels) {
+  std::vector<int64_t> out;
+  for (size_t i = 0; i < labels.size(); ++i) {
+    if (labels[i] >= 0) out.push_back(static_cast<int64_t>(i));
+  }
+  return out;
+}
+
+std::vector<int64_t> ClassCounts(const std::vector<int64_t>& labels,
+                                 int64_t num_classes) {
+  std::vector<int64_t> counts(static_cast<size_t>(num_classes), 0);
+  for (int64_t y : labels) {
+    if (y >= 0) ++counts[static_cast<size_t>(y)];
+  }
+  return counts;
+}
+
 Graph::Graph(CsrMatrix adjacency, Tensor features,
              std::vector<int64_t> labels, int64_t num_classes)
     : adjacency_(std::move(adjacency)),
@@ -139,22 +202,6 @@ Graph::Graph(CsrMatrix adjacency, Tensor features,
   }
   normalized_ = SymNormalize(adjacency_);
   row_normalized_ = RowNormalize(AddSelfLoops(adjacency_));
-}
-
-std::vector<int64_t> Graph::LabeledNodes() const {
-  std::vector<int64_t> out;
-  for (size_t i = 0; i < labels_.size(); ++i) {
-    if (labels_[i] >= 0) out.push_back(static_cast<int64_t>(i));
-  }
-  return out;
-}
-
-std::vector<int64_t> Graph::ClassCounts() const {
-  std::vector<int64_t> counts(static_cast<size_t>(num_classes_), 0);
-  for (int64_t y : labels_) {
-    if (y >= 0) ++counts[static_cast<size_t>(y)];
-  }
-  return counts;
 }
 
 int64_t Graph::StorageBytes() const {

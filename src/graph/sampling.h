@@ -2,10 +2,12 @@
 #define MCOND_GRAPH_SAMPLING_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "core/csr_matrix.h"
 #include "core/rng.h"
+#include "core/status.h"
 
 namespace mcond {
 
@@ -25,6 +27,16 @@ struct EdgeBatch {
 /// num_pos edges, all edges are used.
 EdgeBatch SampleEdgeBatch(const CsrMatrix& adjacency, int64_t num_pos,
                           int64_t num_neg, Rng& rng);
+
+/// The one RNG draw sequence behind SampleEdgeBatch and
+/// ShardedSampleEdgeBatch, over a square adjacency given by its global
+/// `row_ptr` (rows + 1 entries) and a row accessor: `row(r)` returns any
+/// view that holds row r (the whole matrix, or the segment pinned for it),
+/// valid until the next call. An accessor error ends the sampling with it.
+StatusOr<EdgeBatch> SampleEdgeBatch(
+    const std::vector<int64_t>& row_ptr,
+    const std::function<StatusOr<CsrView>(int64_t r)>& row, int64_t num_pos,
+    int64_t num_neg, Rng& rng);
 
 }  // namespace mcond
 

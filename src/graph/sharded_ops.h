@@ -14,13 +14,16 @@
 
 namespace mcond {
 
-/// Streamed counterparts of the resident graph kernels. Every function here
-/// carries the same contract: iterating segments one at a time (bounded by
-/// the store's memory budget), the outputs are BIT-IDENTICAL to the
-/// corresponding resident CsrMatrix / graph.h operation at every thread
-/// count and SIMD tier — each output row is produced by exactly one chunk
-/// whose per-row arithmetic order is independent of the segment partition,
-/// the same property the ParallelFor determinism contract rests on.
+/// Streamed passes of the graph kernels. Each one pins the segments of a
+/// ShardedCsr one at a time in SequentialCursor order (bounded by the
+/// store's memory budget) and runs, on each segment's CsrView, the same
+/// row-range kernel the resident CsrMatrix / graph.h operation runs on its
+/// whole-matrix view: SpMM and RowSums (core/csr_matrix.h), AddSelfLoopRows
+/// and SymNormalizeValues (graph.h), ComposeRows (compose.h), and the
+/// SampleEdgeBatch draw sequence (sampling.h). Each output row comes from
+/// one kernel call whose per-row arithmetic does not depend on how rows are
+/// split into views, so every result is BIT-IDENTICAL to its resident
+/// counterpart at every thread count, SIMD tier and prefetch depth.
 
 /// Y = A · X. Bit-identical to CsrMatrix::SpMM on the same matrix.
 StatusOr<Tensor> ShardedSpMM(const ShardedCsr& a, const Tensor& x);
@@ -30,15 +33,15 @@ StatusOr<std::vector<float>> ShardedRowSums(const ShardedCsr& a);
 
 /// Â^depth X streamed over segments; with a non-empty `keep` the final hop
 /// only materializes the kept rows (out row i = propagated row keep[i]),
-/// matching GatherRows(PropagateSparse(...), keep) bit-for-bit without the
-/// last full N×d buffer.
+/// matching GatherRows(Â^depth X, keep) bit-for-bit without the last full
+/// N×d buffer. A keep row outside [0, N) is OutOfRange at every depth.
 StatusOr<Tensor> ShardedPropagate(const ShardedCsr& a_hat, const Tensor& x,
                                   int64_t depth,
                                   const std::vector<int64_t>& keep = {});
 
 /// Streams D^{-1/2}(A + I)D^{-1/2} into a new store at `out_path` (two
-/// passes: merged-diagonal degrees, then rescaled rows). Values are
-/// bit-identical to graph.h SymNormalize on the resident matrix.
+/// passes over each segment's rows of A + I: degrees, then rescaled rows).
+/// Bit-identical to graph.h SymNormalize on the resident matrix.
 StatusOr<ShardedCsr> ShardedSymNormalize(const ShardedCsr& a,
                                          const std::string& out_path,
                                          const ShardOptions& options = {},
@@ -52,9 +55,9 @@ StatusOr<ShardedCsr> ShardedComposeBlockAdjacency(
     const std::string& out_path, const ShardOptions& options = {},
     int64_t mem_budget_bytes = 0);
 
-/// Replays SampleEdgeBatch's exact RNG draw sequence against a sharded
-/// adjacency: identical batches for identical seeds, one pinned segment per
-/// slot/entry probe.
+/// SampleEdgeBatch's RNG draw sequence against a sharded adjacency:
+/// identical batches for identical seeds, one pinned segment per slot/entry
+/// probe.
 StatusOr<EdgeBatch> ShardedSampleEdgeBatch(const ShardedCsr& adjacency,
                                            int64_t num_pos, int64_t num_neg,
                                            Rng& rng);
@@ -71,7 +74,6 @@ struct ShardedGraph {
 
   int64_t NumNodes() const { return adjacency ? adjacency->rows() : 0; }
   int64_t FeatureDim() const { return features.cols(); }
-  std::vector<int64_t> LabeledNodes() const;
   std::vector<int64_t> ClassCounts() const;
 };
 

@@ -47,7 +47,7 @@ ShardedCsr OpenStore(const CsrMatrix& m, const std::string& path,
 /// A pinned view must be bit-identical to the matrix rows it covers no
 /// matter which path produced it (sync pin, prefetch handover, post-evict
 /// remap).
-bool ViewMatchesMatrix(const CsrSegmentView& view, const CsrMatrix& m) {
+bool ViewMatchesMatrix(const CsrView& view, const CsrMatrix& m) {
   if (view.row_ptr == nullptr) return false;
   const int64_t base = m.row_ptr()[static_cast<size_t>(view.row_begin)];
   for (int64_t r = view.row_begin; r < view.row_end; ++r) {

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "condense/mcond.h"
+#include "core/simd.h"
 #include "core/tensor_ops.h"
 #include "data/synthetic.h"
 #include "graph/compose.h"
@@ -29,11 +30,12 @@ struct ShardedFixture {
   std::string dir;
 
   explicit ShardedFixture(const std::string& name, int64_t n = 96,
-                          int64_t mem_budget_bytes = 4096) {
+                          int64_t mem_budget_bytes = 4096,
+                          int64_t feature_dim = 16) {
     SbmConfig config;
     config.num_nodes = n;
     config.num_classes = 3;
-    config.feature_dim = 16;
+    config.feature_dim = feature_dim;
     config.avg_degree = 6.0;
     Rng rng(5);
     graph = GenerateSbmGraph(config, rng);
@@ -53,6 +55,21 @@ struct ShardedFixture {
   }
 };
 
+/// Every SIMD tier this host runs. The streamed passes must match the
+/// resident kernels on each, the AVX2 SpMM kernel's tail lanes included.
+std::vector<simd::Tier> HostTiers() {
+  std::vector<simd::Tier> tiers{simd::Tier::kScalar};
+  if (simd::Avx2Compiled() && simd::CpuSupportsAvx2Fma()) {
+    tiers.push_back(simd::Tier::kAvx2);
+  }
+  return tiers;
+}
+
+struct RestoreTier {
+  simd::Tier saved = simd::ActiveTier();
+  ~RestoreTier() { simd::SetTier(saved); }
+};
+
 void ExpectTensorsBitIdentical(const Tensor& a, const Tensor& b) {
   ASSERT_EQ(a.rows(), b.rows());
   ASSERT_EQ(a.cols(), b.cols());
@@ -69,7 +86,7 @@ void ExpectCsrBitIdentical(const ShardedCsr& sharded, const CsrMatrix& m) {
   for (int64_t s = 0; s < sharded.NumSegments(); ++s) {
     StatusOr<PinnedSegment> pin = sharded.Pin(s);
     ASSERT_TRUE(pin.ok());
-    const CsrSegmentView& view = pin.value().view();
+    const CsrView& view = pin.value().view();
     const int64_t base = m.row_ptr()[static_cast<size_t>(view.row_begin)];
     ASSERT_EQ(std::memcmp(view.col_idx, m.col_idx().data() + base,
                           static_cast<size_t>(view.nnz) * sizeof(int32_t)),
@@ -81,13 +98,22 @@ void ExpectCsrBitIdentical(const ShardedCsr& sharded, const CsrMatrix& m) {
 }
 
 TEST(ShardedOpsTest, SpmmBitIdenticalToResident) {
-  ShardedFixture f("sharded_ops_spmm");
-  ASSERT_GE(f.sharded.normalized->NumSegments(), 4);
-  StatusOr<Tensor> streamed =
-      ShardedSpMM(*f.sharded.normalized, f.graph.features());
-  ASSERT_TRUE(streamed.ok());
-  ExpectTensorsBitIdentical(
-      streamed.value(), f.graph.normalized_adjacency().SpMM(f.graph.features()));
+  RestoreTier restore_tier;
+  for (const simd::Tier tier : HostTiers()) {
+    simd::SetTier(tier);
+    for (const int64_t d : {16, 13}) {
+      SCOPED_TRACE(std::string(simd::TierName(tier)) + " d=" +
+                   std::to_string(d));
+      ShardedFixture f("sharded_ops_spmm", 96, 4096, d);
+      ASSERT_GE(f.sharded.normalized->NumSegments(), 4);
+      StatusOr<Tensor> streamed =
+          ShardedSpMM(*f.sharded.normalized, f.graph.features());
+      ASSERT_TRUE(streamed.ok());
+      ExpectTensorsBitIdentical(
+          streamed.value(),
+          f.graph.normalized_adjacency().SpMM(f.graph.features()));
+    }
+  }
 }
 
 TEST(ShardedOpsTest, RowSumsBitIdenticalToResident) {
@@ -104,54 +130,127 @@ TEST(ShardedOpsTest, SymNormalizeBitIdenticalToResident) {
                         f.graph.normalized_adjacency());
 }
 
+TEST(ShardedOpsTest, SymNormalizeExplicitDiagonalsBitIdenticalToResident) {
+  // The SBM generator never emits self-loops, so this hand-built matrix
+  // covers the merge branches the fixtures miss: rows that already store
+  // their diagonal (first, middle, last, and as the only entry), an empty
+  // row, and rows whose columns all lie below or all above the diagonal.
+  const std::vector<Triplet> triplets = {
+      {0, 0, 2.0f}, {0, 3, 1.0f},                 // diagonal first
+      {1, 1, 0.5f},                               // diagonal only
+                                                  // row 2 empty
+      {3, 0, 1.0f}, {3, 1, 1.5f},                 // all columns < r
+      {4, 5, 1.0f}, {4, 6, 0.25f},                // all columns > r
+      {5, 2, 1.0f}, {5, 5, 3.0f}, {5, 6, 1.0f},   // diagonal in the middle
+      {6, 0, 0.5f}, {6, 4, 2.0f}, {6, 6, 1.0f}};  // diagonal last
+  const CsrMatrix m = CsrMatrix::FromTriplets(7, 7, triplets);
+  // Rows 2, 3 and 4 gain a loop; the others keep their own diagonal.
+  EXPECT_EQ(AddSelfLoops(m).Nnz(), m.Nnz() + 3);
+  EXPECT_EQ(AddSelfLoops(m).At(1, 1), 0.5f);
+
+  const std::string dir = TempDir("sharded_ops_norm_diag");
+  std::filesystem::create_directories(dir);
+  ShardOptions options;
+  options.max_rows_per_segment = 2;
+  ASSERT_TRUE(ShardedCsr::Write(m, dir + "/a.mcss", options).ok());
+  RestoreTier restore_tier;
+  for (const simd::Tier tier : HostTiers()) {
+    simd::SetTier(tier);
+    SCOPED_TRACE(simd::TierName(tier));
+    StatusOr<ShardedCsr> a = ShardedCsr::Open(dir + "/a.mcss", 4096);
+    ASSERT_TRUE(a.ok());
+    ASSERT_GE(a.value().NumSegments(), 3);
+    StatusOr<ShardedCsr> streamed =
+        ShardedSymNormalize(a.value(), dir + "/norm.mcss", options, 4096);
+    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+    ExpectCsrBitIdentical(streamed.value(), SymNormalize(m));
+  }  // Each pass closes its stores before the files are removed.
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+}
+
 TEST(ShardedOpsTest, PropagateWithKeepMatchesGatherBitExact) {
-  ShardedFixture f("sharded_ops_prop");
-  const std::vector<int64_t> keep = {3, 17, 41, 90, 95};
-  StatusOr<Tensor> streamed =
-      ShardedPropagate(*f.sharded.normalized, f.graph.features(), 2, keep);
-  ASSERT_TRUE(streamed.ok());
-  Tensor full = f.graph.features();
-  for (int i = 0; i < 2; ++i) {
-    full = f.graph.normalized_adjacency().SpMM(full);
+  RestoreTier restore_tier;
+  for (const simd::Tier tier : HostTiers()) {
+    simd::SetTier(tier);
+    for (const int64_t d : {16, 13}) {
+      SCOPED_TRACE(std::string(simd::TierName(tier)) + " d=" +
+                   std::to_string(d));
+      ShardedFixture f("sharded_ops_prop", 96, 4096, d);
+      const std::vector<int64_t> keep = {3, 17, 41, 90, 95};
+      StatusOr<Tensor> streamed =
+          ShardedPropagate(*f.sharded.normalized, f.graph.features(), 2, keep);
+      ASSERT_TRUE(streamed.ok());
+      Tensor full = f.graph.features();
+      for (int i = 0; i < 2; ++i) {
+        full = f.graph.normalized_adjacency().SpMM(full);
+      }
+      ExpectTensorsBitIdentical(streamed.value(), GatherRows(full, keep));
+    }
   }
-  ExpectTensorsBitIdentical(streamed.value(), GatherRows(full, keep));
+}
+
+TEST(ShardedOpsTest, PropagateRejectsOutOfRangeKeepAtEveryDepth) {
+  ShardedFixture f("sharded_ops_prop_range");
+  const int64_t n = f.graph.NumNodes();
+  for (const int64_t bad : {n, n + 7, int64_t{-1}}) {
+    for (const int64_t depth : {0, 2}) {
+      SCOPED_TRACE("keep row " + std::to_string(bad) + " depth " +
+                   std::to_string(depth));
+      StatusOr<Tensor> z = ShardedPropagate(
+          *f.sharded.normalized, f.graph.features(), depth, {3, bad});
+      ASSERT_FALSE(z.ok());
+      EXPECT_EQ(z.status().code(), StatusCode::kOutOfRange);
+    }
+  }
 }
 
 TEST(ShardedOpsTest, ComposeBitIdenticalToResident) {
-  ShardedFixture f("sharded_ops_compose");
-  Rng rng(9);
-  InductiveDataset split = MakeInductiveSplit(f.graph, 0.2, 0.2, rng);
-  // Compose the *train* graph with its val batch, resident and streamed.
-  const std::string train_dir = TempDir("sharded_ops_compose_train");
-  ShardOptions options;
-  options.max_rows_per_segment =
-      std::max<int64_t>(1, split.train_graph.NumNodes() / 4);
-  StatusOr<ShardedGraph> train =
-      ShardGraph(split.train_graph, train_dir, options, 4096);
-  ASSERT_TRUE(train.ok());
-  const CsrMatrix resident = ComposeBlockAdjacency(
-      split.train_graph.adjacency(), split.val.links, split.val.inter);
-  StatusOr<ShardedCsr> streamed = ShardedComposeBlockAdjacency(
-      *train.value().adjacency, split.val.links, split.val.inter,
-      train_dir + "/composed.mcss", options, 4096);
-  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-  ExpectCsrBitIdentical(streamed.value(), resident);
-  train = ShardedGraph{};  // Close the train stores before removing files.
-  std::error_code ec;
-  std::filesystem::remove_all(train_dir, ec);
+  RestoreTier restore_tier;
+  for (const simd::Tier tier : HostTiers()) {
+    simd::SetTier(tier);
+    SCOPED_TRACE(simd::TierName(tier));
+    ShardedFixture f("sharded_ops_compose", 96, 4096, 13);
+    Rng rng(9);
+    InductiveDataset split = MakeInductiveSplit(f.graph, 0.2, 0.2, rng);
+    // Compose the *train* graph with its val batch, resident and streamed.
+    const std::string train_dir = TempDir("sharded_ops_compose_train");
+    ShardOptions options;
+    options.max_rows_per_segment =
+        std::max<int64_t>(1, split.train_graph.NumNodes() / 4);
+    StatusOr<ShardedGraph> train =
+        ShardGraph(split.train_graph, train_dir, options, 4096);
+    ASSERT_TRUE(train.ok());
+    const CsrMatrix resident = ComposeBlockAdjacency(
+        split.train_graph.adjacency(), split.val.links, split.val.inter);
+    StatusOr<ShardedCsr> streamed = ShardedComposeBlockAdjacency(
+        *train.value().adjacency, split.val.links, split.val.inter,
+        train_dir + "/composed.mcss", options, 4096);
+    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+    ExpectCsrBitIdentical(streamed.value(), resident);
+    streamed = ShardedCsr{};
+    train = ShardedGraph{};  // Close the train stores before removing files.
+    std::error_code ec;
+    std::filesystem::remove_all(train_dir, ec);
+  }
 }
 
 TEST(ShardedOpsTest, EdgeSamplingReplaysResidentRngExactly) {
-  ShardedFixture f("sharded_ops_sample");
-  Rng resident_rng(123), sharded_rng(123);
-  const EdgeBatch expect =
-      SampleEdgeBatch(f.graph.adjacency(), 32, 32, resident_rng);
-  StatusOr<EdgeBatch> got =
-      ShardedSampleEdgeBatch(*f.sharded.adjacency, 32, 32, sharded_rng);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got.value().src, expect.src);
-  EXPECT_EQ(got.value().dst, expect.dst);
-  EXPECT_EQ(got.value().target, expect.target);
+  RestoreTier restore_tier;
+  for (const simd::Tier tier : HostTiers()) {
+    simd::SetTier(tier);
+    SCOPED_TRACE(simd::TierName(tier));
+    ShardedFixture f("sharded_ops_sample", 96, 4096, 13);
+    Rng resident_rng(123), sharded_rng(123);
+    const EdgeBatch expect =
+        SampleEdgeBatch(f.graph.adjacency(), 32, 32, resident_rng);
+    StatusOr<EdgeBatch> got =
+        ShardedSampleEdgeBatch(*f.sharded.adjacency, 32, 32, sharded_rng);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got.value().src, expect.src);
+    EXPECT_EQ(got.value().dst, expect.dst);
+    EXPECT_EQ(got.value().target, expect.target);
+  }
 }
 
 TEST(ShardedCondenseTest, FullCondenseRoundBitIdenticalToResident) {
@@ -270,7 +369,7 @@ TEST(ShardedGeneratorTest, ShardedSbmProducesValidSymmetricStore) {
   for (int64_t s = 0; s < g.value().adjacency->NumSegments(); ++s) {
     StatusOr<PinnedSegment> pin = g.value().adjacency->Pin(s);
     ASSERT_TRUE(pin.ok());
-    const CsrSegmentView& view = pin.value().view();
+    const CsrView& view = pin.value().view();
     for (int64_t r = view.row_begin; r < view.row_end; ++r) {
       for (int64_t k = view.row_ptr[r - view.row_begin];
            k < view.row_ptr[r - view.row_begin + 1]; ++k) {

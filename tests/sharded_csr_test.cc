@@ -43,7 +43,7 @@ void ExpectStoreEqualsMatrix(const ShardedCsr& sharded, const CsrMatrix& m) {
   for (int64_t s = 0; s < sharded.NumSegments(); ++s) {
     StatusOr<PinnedSegment> pin = sharded.Pin(s);
     ASSERT_TRUE(pin.ok()) << pin.status().ToString();
-    const CsrSegmentView& view = pin.value().view();
+    const CsrView& view = pin.value().view();
     ASSERT_EQ(view.row_begin, covered);
     covered = view.row_end;
     EXPECT_EQ(view.row_ptr[0], 0);
@@ -302,8 +302,8 @@ TEST(ShardedCsrTest, PrefetchHintThenPinPrefetchedIsBitIdentical) {
       StatusOr<PinnedSegment> plain = store.Pin(s);
       ASSERT_TRUE(pre.ok()) << pre.status().ToString();
       ASSERT_TRUE(plain.ok());
-      const CsrSegmentView& a = pre.value().view();
-      const CsrSegmentView& b = plain.value().view();
+      const CsrView& a = pre.value().view();
+      const CsrView& b = plain.value().view();
       ASSERT_EQ(a.nnz, b.nnz);
       for (int64_t r = 0; r <= a.row_end - a.row_begin; ++r) {
         EXPECT_EQ(a.row_ptr[r], b.row_ptr[r]);
