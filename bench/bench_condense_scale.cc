@@ -7,12 +7,12 @@
 //
 // Modes:
 //   bench_condense_scale --smoke
-//       Prints resident_<tag> / streamed_<tag> bit-level digest pairs for
-//       every streamed operation (sym-normalize, SpMM, row sums, propagate,
+//       Prints a `digest <op> resident|streamed <hex>` pair for every
+//       streamed operation (sym-normalize, SpMM, row sums, propagate,
 //       compose, edge sampling) plus one full condense round on a small
-//       graph forced into >= 4 segments. tools/check_determinism.sh diffs the
-//       output between MCOND_NUM_THREADS=1 and N and pair-checks each
-//       streamed digest against its resident twin.
+//       graph forced into >= 4 segments. tools/check_determinism.sh
+//       requires each streamed digest to equal its resident oracle, and
+//       every line identical across thread widths and prefetch depths.
 //   bench_condense_scale --one <nodes> <budget_mb> [prefetch]
 //       Runs one generate+condense at the given budget in THIS process and
 //       prints a single machine-readable ROW line. Peak RSS (VmHWM) is
@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "condense/mcond.h"
+#include "core/bit_digest.h"
 #include "core/parallel.h"
 #include "core/segment_prefetcher.h"
 #include "core/simd.h"
@@ -53,42 +54,26 @@
 namespace mcond {
 namespace {
 
-// FNV-1a over raw bytes: any single-ULP (or single-index) difference
-// between the resident and streamed paths flips the digest.
-void HashBytes(uint64_t* h, const void* data, size_t bytes) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < bytes; ++i) {
-    *h ^= p[i];
-    *h *= 1099511628211ull;
-  }
-}
-
-void HashBits(uint64_t* h, const float* data, int64_t count) {
-  HashBytes(h, data, static_cast<size_t>(count) * sizeof(float));
-}
-
 // Structure and values of a CSR matrix, fed one row-range view at a time
 // (the whole matrix, or each segment of a store in order): row_ptr once,
 // then the column and value streams hashed separately so the digest does
 // not depend on the split.
 struct CsrDigest {
-  uint64_t cols = 1469598103934665603ull;
-  uint64_t vals = 1469598103934665603ull;
-  uint64_t rows = 1469598103934665603ull;
+  uint64_t cols = kBitDigestSeed;
+  uint64_t vals = kBitDigestSeed;
+  uint64_t rows;
 
-  explicit CsrDigest(const std::vector<int64_t>& row_ptr) {
-    HashBytes(&rows, row_ptr.data(), row_ptr.size() * sizeof(int64_t));
-  }
+  explicit CsrDigest(const std::vector<int64_t>& row_ptr)
+      : rows(FoldBytes(kBitDigestSeed, row_ptr.data(),
+                       row_ptr.size() * sizeof(int64_t))) {}
   void Add(const CsrView& v) {
-    HashBytes(&cols, v.col_idx + v.row_ptr[0],
-              static_cast<size_t>(v.nnz) * sizeof(int32_t));
-    HashBits(&vals, v.values + v.row_ptr[0], v.nnz);
+    cols = FoldBytes(cols, v.col_idx + v.row_ptr[0],
+                     static_cast<size_t>(v.nnz) * sizeof(int32_t));
+    vals = FoldBits(vals, v.values + v.row_ptr[0], v.nnz);
   }
   uint64_t Value() const {
-    uint64_t h = rows;
-    HashBytes(&h, &cols, sizeof(cols));
-    HashBytes(&h, &vals, sizeof(vals));
-    return h;
+    const uint64_t h = FoldBytes(rows, &cols, sizeof(cols));
+    return FoldBytes(h, &vals, sizeof(vals));
   }
 };
 
@@ -104,32 +89,16 @@ uint64_t StoreDigest(const ShardedCsr& store) {
 }
 
 uint64_t EdgeBatchDigest(const EdgeBatch& batch) {
-  uint64_t h = 1469598103934665603ull;
-  HashBytes(&h, batch.src.data(), batch.src.size() * sizeof(int64_t));
-  HashBytes(&h, batch.dst.data(), batch.dst.size() * sizeof(int64_t));
-  HashBits(&h, batch.target.data(), batch.size());
-  return h;
-}
-
-uint64_t BitChecksum(const Tensor& t) {
-  uint64_t h = 1469598103934665603ull;
-  HashBits(&h, t.data(), t.size());
-  return h;
-}
-
-uint64_t BitChecksum(const std::vector<float>& v) {
-  uint64_t h = 1469598103934665603ull;
-  HashBits(&h, v.data(), static_cast<int64_t>(v.size()));
-  return h;
+  uint64_t h = FoldBytes(kBitDigestSeed, batch.src.data(),
+                         batch.src.size() * sizeof(int64_t));
+  h = FoldBytes(h, batch.dst.data(), batch.dst.size() * sizeof(int64_t));
+  return FoldBits(h, batch.target.data(), batch.size());
 }
 
 uint64_t CondenseDigest(const MCondResult& r) {
-  uint64_t h = 1469598103934665603ull;
-  HashBits(&h, r.synthetic_features.data(), r.synthetic_features.size());
-  HashBits(&h, r.dense_adjacency.data(), r.dense_adjacency.size());
-  HashBits(&h, r.s_loss_history.data(),
-           static_cast<int64_t>(r.s_loss_history.size()));
-  return h;
+  uint64_t h = BitDigest(r.synthetic_features);
+  h = FoldBits(h, r.dense_adjacency);
+  return FoldBits(h, r.s_loss_history);
 }
 
 std::string ScratchDir(const std::string& tag) {
@@ -143,12 +112,6 @@ std::string ScratchDir(const std::string& tag) {
 // ---------------------------------------------------------------------------
 
 int RunSmoke() {
-  // Same contract as bench_kernels --smoke: digests are defined on the
-  // exact-oracle scalar tier unless an explicit MCOND_SIMD asks for the
-  // vector tier's own cross-width check.
-  if (std::getenv("MCOND_SIMD") == nullptr) {
-    simd::SetTier(simd::Tier::kScalar);
-  }
   std::printf("threads %d\n", ThreadPool::Global().NumThreads());
   std::printf("simd %s\n", simd::TierName(simd::ActiveTier()));
   std::printf("prefetch %" PRId64 "\n", PrefetchSegments());
@@ -173,68 +136,62 @@ int RunSmoke() {
     return 1;
   }
 
-  std::printf("resident_sym_normalize %016" PRIx64 "\n",
-              BitChecksum(train.normalized_adjacency().values()));
-  std::printf("streamed_sym_normalize %016" PRIx64 "\n",
-              [&] {
-                uint64_t h = 1469598103934665603ull;
-                const ShardedCsr& norm = *sharded.value().normalized;
-                SequentialCursor cursor(norm);
-                for (int64_t s = 0; s < norm.NumSegments(); ++s) {
-                  StatusOr<PinnedSegment> pin = cursor.Next();
-                  MCOND_CHECK(pin.ok());
-                  HashBits(&h, pin.value().values(), pin.value().view().nnz);
-                }
-                return h;
-              }());
+  PrintDigest("sym_normalize", "resident",
+              BitDigest(train.normalized_adjacency().values()));
+  {
+    uint64_t h = kBitDigestSeed;
+    const ShardedCsr& norm = *sharded.value().normalized;
+    SequentialCursor cursor(norm);
+    for (int64_t s = 0; s < norm.NumSegments(); ++s) {
+      StatusOr<PinnedSegment> pin = cursor.Next();
+      MCOND_CHECK(pin.ok());
+      h = FoldBits(h, pin.value().values(), pin.value().view().nnz);
+    }
+    PrintDigest("sym_normalize", "streamed", h);
+  }
 
-  std::printf("resident_spmm %016" PRIx64 "\n",
-              BitChecksum(train.normalized_adjacency().SpMM(train.features())));
+  PrintDigest("spmm", "resident",
+              BitDigest(train.normalized_adjacency().SpMM(train.features())));
   StatusOr<Tensor> spmm =
       ShardedSpMM(*sharded.value().normalized, train.features());
   MCOND_CHECK(spmm.ok());
-  std::printf("streamed_spmm %016" PRIx64 "\n", BitChecksum(spmm.value()));
+  PrintDigest("spmm", "streamed", BitDigest(spmm.value()));
 
-  std::printf("resident_rowsums %016" PRIx64 "\n",
-              BitChecksum(train.adjacency().RowSums()));
+  PrintDigest("rowsums", "resident", BitDigest(train.adjacency().RowSums()));
   StatusOr<std::vector<float>> sums = ShardedRowSums(*sharded.value().adjacency);
   MCOND_CHECK(sums.ok());
-  std::printf("streamed_rowsums %016" PRIx64 "\n", BitChecksum(sums.value()));
+  PrintDigest("rowsums", "streamed", BitDigest(sums.value()));
 
   const std::vector<int64_t> keep = train.LabeledNodes();
   Tensor prop = train.features();
   for (int i = 0; i < 2; ++i) prop = train.normalized_adjacency().SpMM(prop);
-  std::printf("resident_propagate %016" PRIx64 "\n",
-              BitChecksum(GatherRows(prop, keep)));
+  PrintDigest("propagate", "resident", BitDigest(GatherRows(prop, keep)));
   StatusOr<Tensor> sprop =
       ShardedPropagate(*sharded.value().normalized, train.features(), 2, keep);
   MCOND_CHECK(sprop.ok());
-  std::printf("streamed_propagate %016" PRIx64 "\n",
-              BitChecksum(sprop.value()));
+  PrintDigest("propagate", "streamed", BitDigest(sprop.value()));
 
   {
     const CsrMatrix composed = ComposeBlockAdjacency(
         train.adjacency(), split.val.links, split.val.inter);
     CsrDigest digest(composed.row_ptr());
     digest.Add(composed.View());
-    std::printf("resident_compose %016" PRIx64 "\n", digest.Value());
+    PrintDigest("compose", "resident", digest.Value());
     StatusOr<ShardedCsr> scomposed = ShardedComposeBlockAdjacency(
         *sharded.value().adjacency, split.val.links, split.val.inter,
         dir + "/composed.mcss", options, /*mem_budget_bytes=*/4096);
     MCOND_CHECK(scomposed.ok());
-    std::printf("streamed_compose %016" PRIx64 "\n",
-                StoreDigest(scomposed.value()));
+    PrintDigest("compose", "streamed", StoreDigest(scomposed.value()));
   }
 
   Rng resident_rng(123), streamed_rng(123);
-  std::printf("resident_sample_edges %016" PRIx64 "\n",
+  PrintDigest("sample_edges", "resident",
               EdgeBatchDigest(
                   SampleEdgeBatch(train.adjacency(), 32, 32, resident_rng)));
   StatusOr<EdgeBatch> sampled =
       ShardedSampleEdgeBatch(*sharded.value().adjacency, 32, 32, streamed_rng);
   MCOND_CHECK(sampled.ok());
-  std::printf("streamed_sample_edges %016" PRIx64 "\n",
-              EdgeBatchDigest(sampled.value()));
+  PrintDigest("sample_edges", "streamed", EdgeBatchDigest(sampled.value()));
 
   MCondConfig mc;
   mc.outer_rounds = 1;
@@ -242,11 +199,11 @@ int RunSmoke() {
   mc.m_steps_per_round = 2;
   mc.relay_refinement_steps = 2;
   mc.edge_batch = 16;
-  std::printf("resident_condense %016" PRIx64 "\n",
+  PrintDigest("condense", "resident",
               CondenseDigest(RunMCond(train, split.val, 9, mc, 77)));
-  std::printf("streamed_condense %016" PRIx64 "\n",
-              CondenseDigest(RunMCondSharded(sharded.value(), split.val, 9,
-                                             mc, 77)));
+  PrintDigest("condense", "streamed",
+              CondenseDigest(
+                  RunMCondSharded(sharded.value(), split.val, 9, mc, 77)));
 
   sharded = ShardedGraph{};  // Close stores before removing the directory.
   std::error_code ec;

@@ -6,11 +6,11 @@
 //
 // Extra modes:
 //   bench_kernels --smoke
-//       Runs one fixed instance of each parallel kernel and prints a
-//       bit-level checksum per kernel, pinned to the exact-oracle scalar
-//       SIMD tier unless MCOND_SIMD is set. tools/check_determinism.sh
-//       diffs this output between MCOND_NUM_THREADS=1 and N to prove the
-//       determinism contract end to end (docs/performance.md).
+//       Runs one fixed instance of each parallel kernel and prints one
+//       `digest <kernel> value <hex>` line per kernel on the SIMD tier
+//       MCOND_SIMD selects. tools/check_determinism.sh requires every line
+//       identical across thread widths and prefetch depths
+//       (docs/performance.md).
 //   BM_*Threads benchmarks sweep the pool width (the Arg is the thread
 //       count; 0 means the default width) for the speedup table in
 //       BENCH_kernels.json.
@@ -18,11 +18,10 @@
 //       for the scalar-vs-vector rows in BENCH_kernels.json.
 #include <benchmark/benchmark.h>
 
-#include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
+#include "core/bit_digest.h"
 #include "core/parallel.h"
 #include "core/simd.h"
 #include "core/tensor_ops.h"
@@ -417,41 +416,9 @@ void BM_ElementwiseSimd(benchmark::State& state) {
 BENCHMARK(BM_ElementwiseSimd)->Arg(0)->Arg(1)->ArgNames({"avx2"})
     ->Unit(benchmark::kMillisecond);
 
-// ---- Smoke / checksum mode. ----
-
-/// Order-independent-of-nothing checksum: folds the exact bit pattern of
-/// every float in `t`, so ANY single-bit difference between two runs
-/// changes the output.
-uint64_t BitChecksum(const Tensor& t) {
-  uint64_t h = 1469598103934665603ull;  // FNV-1a 64.
-  const float* p = t.data();
-  for (int64_t i = 0; i < t.size(); ++i) {
-    uint32_t bits;
-    std::memcpy(&bits, &p[i], sizeof(bits));
-    h = (h ^ bits) * 1099511628211ull;
-  }
-  return h;
-}
-
-uint64_t BitChecksum(const std::vector<float>& v) {
-  uint64_t h = 1469598103934665603ull;
-  for (float f : v) {
-    uint32_t bits;
-    std::memcpy(&bits, &f, sizeof(bits));
-    h = (h ^ bits) * 1099511628211ull;
-  }
-  return h;
-}
+// ---- Smoke / digest mode. ----
 
 int RunSmoke() {
-  // Smoke digests are defined on the exact-oracle (scalar) tier: the AVX2
-  // GEMM/softmax kernels are tolerance-bounded, not bit-identical, so their
-  // checksums would differ per tier. An explicit MCOND_SIMD still wins —
-  // that is how the AVX2 tier's own cross-thread-count determinism is
-  // checked (MCOND_SIMD=avx2 tools/check_determinism.sh).
-  if (std::getenv("MCOND_SIMD") == nullptr) {
-    simd::SetTier(simd::Tier::kScalar);
-  }
   std::printf("threads %d\n", ThreadPool::Global().NumThreads());
   std::printf("simd %s\n", simd::TierName(simd::ActiveTier()));
   Rng rng(99);
@@ -459,12 +426,11 @@ int RunSmoke() {
   const Tensor b = rng.NormalTensor(257, 129);
   const Tensor bt = rng.NormalTensor(129, 257);
   const Tensor at = rng.NormalTensor(257, 301);
-  std::printf("matmul %016" PRIx64 "\n", BitChecksum(MatMul(a, b)));
-  std::printf("matmul_ta %016" PRIx64 "\n", BitChecksum(MatMulTransA(at, b)));
-  std::printf("matmul_tb %016" PRIx64 "\n", BitChecksum(MatMulTransB(a, bt)));
-  std::printf("softmax %016" PRIx64 "\n", BitChecksum(SoftmaxRows(a)));
-  std::printf("add %016" PRIx64 "\n",
-              BitChecksum(Add(a, Scale(a, 0.5f))));
+  PrintDigest("matmul", "value", BitDigest(MatMul(a, b)));
+  PrintDigest("matmul_ta", "value", BitDigest(MatMulTransA(at, b)));
+  PrintDigest("matmul_tb", "value", BitDigest(MatMulTransB(a, bt)));
+  PrintDigest("softmax", "value", BitDigest(SoftmaxRows(a)));
+  PrintDigest("add", "value", BitDigest(Add(a, Scale(a, 0.5f))));
 
   SbmConfig config;
   config.num_nodes = 2048;
@@ -474,12 +440,12 @@ int RunSmoke() {
   Rng grng(7);
   Graph g = GenerateSbmGraph(config, grng);
   const CsrMatrix& norm = g.normalized_adjacency();
-  std::printf("sym_normalize %016" PRIx64 "\n", BitChecksum(norm.values()));
-  std::printf("row_normalize %016" PRIx64 "\n",
-              BitChecksum(g.row_normalized_adjacency().values()));
-  std::printf("spmm %016" PRIx64 "\n", BitChecksum(norm.SpMM(g.features())));
+  PrintDigest("sym_normalize", "value", BitDigest(norm.values()));
+  PrintDigest("row_normalize", "value",
+              BitDigest(g.row_normalized_adjacency().values()));
+  PrintDigest("spmm", "value", BitDigest(norm.SpMM(g.features())));
   const Tensor y = rng.NormalTensor(config.num_nodes, 32);
-  std::printf("spmm_t %016" PRIx64 "\n", BitChecksum(norm.SpMMTransposed(y)));
+  PrintDigest("spmm_t", "value", BitDigest(norm.SpMMTransposed(y)));
 
   // The generator's factored first layer: forward value, dU and dV under a
   // random upstream gradient, in one digest.
@@ -489,9 +455,9 @@ int RunSmoke() {
   Variable pair = ops::PairSum(pu, pv);
   Backward(ops::SumAll(
       ops::Mul(pair, MakeConstant(prng.NormalTensor(97 * 83, 61)))));
-  std::printf("pair_sum %016" PRIx64 "\n",
-              BitChecksum(ConcatRows(ConcatRows(pair->value(), pu->grad()),
-                                     pv->grad())));
+  PrintDigest("pair_sum", "value",
+              BitDigest(ConcatRows(ConcatRows(pair->value(), pu->grad()),
+                                   pv->grad())));
   return 0;
 }
 

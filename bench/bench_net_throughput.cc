@@ -15,16 +15,16 @@
 //              P], defaults 8/4/64/4/8), plus the derived net overhead.
 //   --json     BENCH_kernels.json-style JSON on stdout (BENCH_net.json is
 //              a committed snapshot of this).
-//   --smoke    tiny-sim, one pass: ordered FNV-1a bit digests of every
-//              tenant's logit stream served in-process and over loopback,
-//              at server replica counts K=1 and K=8, in graph- and
-//              node-batch modes, with the two tenants' clients running
-//              CONCURRENTLY against one registry.
-//              tools/check_determinism.sh diffs this output between kernel
-//              thread widths and asserts every inproc_/net_ digest pair
-//              matches — the loopback bit-identity gate.
+//   --smoke    tiny-sim, one pass: `digest k<K>_<tenant>_<mode>
+//              inproc|net` — ordered bit digests of every tenant's logit
+//              stream served in-process and over loopback, at server
+//              replica counts K=1 and K=8, in graph- and node-batch modes,
+//              with the two tenants' clients running CONCURRENTLY against
+//              one registry. tools/check_determinism.sh requires every net
+//              digest to equal its inproc oracle — the loopback
+//              bit-identity gate — and every line identical across thread
+//              widths and prefetch depths.
 #include <atomic>
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,6 +33,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/bit_digest.h"
 #include "core/logging.h"
 #include "core/parallel.h"
 #include "coreset/coreset.h"
@@ -47,19 +48,6 @@
 
 namespace mcond {
 namespace {
-
-constexpr uint64_t kFnvSeed = 1469598103934665603ull;
-
-/// Bit-exact FNV-1a fold (same scheme as bench_serving_throughput).
-uint64_t BitChecksumFold(uint64_t h, const Tensor& t) {
-  const float* p = t.data();
-  for (int64_t i = 0; i < t.size(); ++i) {
-    uint32_t bits;
-    std::memcpy(&bits, &p[i], sizeof(bits));
-    h = (h ^ bits) * 1099511628211ull;
-  }
-  return h;
-}
 
 const char* const kTenants[] = {"alpha", "beta"};
 
@@ -102,12 +90,12 @@ std::unique_ptr<net::ModelRegistry> MakeRegistry(
 uint64_t InprocDigest(net::Tenant* tenant,
                       const std::vector<HeldOutBatch>& batches,
                       bool graph_batch) {
-  uint64_t h = kFnvSeed;
+  uint64_t h = kBitDigestSeed;
   Tensor out;
   for (const HeldOutBatch& batch : batches) {
     const Status st = tenant->server->ServeSync(batch, graph_batch, &out);
     MCOND_CHECK(st.ok()) << st.ToString();
-    h = BitChecksumFold(h, out);
+    h = FoldBits(h, out);
   }
   return h;
 }
@@ -119,14 +107,14 @@ uint64_t NetDigest(int port, const char* tenant,
   net::NetClient client;
   Status st = client.Connect("127.0.0.1", port);
   MCOND_CHECK(st.ok()) << st.ToString();
-  uint64_t h = kFnvSeed;
+  uint64_t h = kBitDigestSeed;
   net::NetResponse resp;
   for (const HeldOutBatch& batch : batches) {
     st = client.Call(tenant, batch, graph_batch, &resp);
     MCOND_CHECK(st.ok()) << st.ToString();
     MCOND_CHECK(resp.status == net::WireStatus::kOk)
         << net::WireStatusName(resp.status) << ": " << resp.message;
-    h = BitChecksumFold(h, resp.logits);
+    h = FoldBits(h, resp.logits);
   }
   return h;
 }
@@ -163,10 +151,10 @@ int RunSmoke() {
       }
       for (std::thread& c : clients) c.join();
       for (int t = 0; t < 2; ++t) {
-        std::printf("inproc_k%d_%s_%s %016" PRIx64 "\n", k, kTenants[t],
-                    tag, inproc[t]);
-        std::printf("net_k%d_%s_%s %016" PRIx64 "\n", k, kTenants[t], tag,
-                    net[t]);
+        const std::string group = "k" + std::to_string(k) + "_" +
+                                  kTenants[t] + "_" + tag;
+        PrintDigest(group, "inproc", inproc[t]);
+        PrintDigest(group, "net", net[t]);
       }
     }
     server.Stop();

@@ -39,14 +39,14 @@
 //   --timeline F [--timeline_interval_ms N]   run a MetricsExporter during
 //              the concurrent row: JSONL time series to F plus a printed
 //              per-interval req/s + p50/p99 + rejects/s timeline.
-//   --smoke    tiny-sim, one pass, prints bit-level logit checksums for
-//              both paths and both batch modes, plus order-invariant
-//              concurrent checksum sums at K=1 and K=8 (micro-batched).
-//              tools/check_determinism.sh diffs this output between thread
-//              widths AND asserts the per_request/session checksum pairs
-//              and the concurrent sums match within a run.
+//   --smoke    tiny-sim, one pass: `digest <mode> per_request|session`
+//              logit digests for both batch modes over the condensed and
+//              the original (`orig_<mode>`) graph, plus the order-invariant
+//              `digest concurrent_<mode> expected|k1|k8` sums at K=1 and
+//              K=8 (micro-batched). tools/check_determinism.sh requires
+//              every line to equal its group's first line, and every line
+//              identical across thread widths and prefetch depths.
 #include <atomic>
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -55,6 +55,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/bit_digest.h"
 #include "core/logging.h"
 #include "core/parallel.h"
 #include "core/tensor_ops.h"
@@ -72,19 +73,6 @@
 namespace mcond {
 namespace {
 
-/// Bit-exact FNV-1a fold over a tensor; any single-bit change anywhere in
-/// the stream changes the digest (same scheme as bench_kernels --smoke).
-uint64_t BitChecksumFold(uint64_t h, const Tensor& t) {
-  const float* p = t.data();
-  for (int64_t i = 0; i < t.size(); ++i) {
-    uint32_t bits;
-    std::memcpy(&bits, &p[i], sizeof(bits));
-    h = (h ^ bits) * 1099511628211ull;
-  }
-  return h;
-}
-constexpr uint64_t kFnvSeed = 1469598103934665603ull;
-
 struct PathStats {
   double requests_per_sec = 0.0;
   uint64_t p50_us = 0;
@@ -94,7 +82,7 @@ struct PathStats {
   /// (delta of mcond.server.rejected). Always 0 for the solo paths and for
   /// blocking concurrent runs; nonzero only with --reject.
   int64_t rejected = 0;
-  uint64_t checksum = kFnvSeed;
+  uint64_t checksum = kBitDigestSeed;
 };
 
 /// One streaming pass per `passes` over `batches`, per-request path:
@@ -119,7 +107,7 @@ PathStats RunPerRequest(GnnModel& model, const Graph& base,
       hist.Record(span.ElapsedMicros());
       total_seconds += seconds;
       ++stats.requests;
-      stats.checksum = BitChecksumFold(stats.checksum, batch_logits);
+      stats.checksum = FoldBits(stats.checksum, batch_logits);
     }
   }
   stats.requests_per_sec =
@@ -147,7 +135,7 @@ PathStats RunSession(GnnModel& model, const Graph& base,
       const Tensor& logits = session.Serve(batch, graph_batch, rng);
       total_seconds += span.ElapsedSeconds();
       ++stats.requests;
-      stats.checksum = BitChecksumFold(stats.checksum, logits);
+      stats.checksum = FoldBits(stats.checksum, logits);
     }
   }
   stats.requests_per_sec =
@@ -238,7 +226,7 @@ PathStats RunConcurrent(GnnModel& model, const Graph& base,
           const Status st = server.ServeSync(batch, graph_batch, &out);
           if (!st.ok() && opt.reject) continue;  // load shed, move on
           MCOND_CHECK(st.ok()) << st.ToString();
-          local_sum += BitChecksumFold(kFnvSeed, out);
+          local_sum += BitDigest(out);
           ++local_done;
         }
       }
@@ -305,8 +293,8 @@ int RunSmoke() {
     const PathStats se = RunSession(*w.model, w.data.train_graph,
                                     &w.condensed, w.batches, graph_batch,
                                     /*passes=*/1, rng_b);
-    std::printf("logits_per_request_%s %016" PRIx64 "\n", tag, pr.checksum);
-    std::printf("logits_session_%s %016" PRIx64 "\n", tag, se.checksum);
+    PrintDigest(tag, "per_request", pr.checksum);
+    PrintDigest(tag, "session", se.checksum);
     // Original-graph sessions share the same patching machinery but skip
     // the aM conversion; checksum them too so the determinism gate covers
     // both constructors.
@@ -316,9 +304,8 @@ int RunSmoke() {
     const PathStats seo = RunSession(*w.model, w.data.train_graph,
                                      /*condensed=*/nullptr, w.batches,
                                      graph_batch, /*passes=*/1, rng_d);
-    std::printf("logits_per_request_orig_%s %016" PRIx64 "\n", tag,
-                pro.checksum);
-    std::printf("logits_session_orig_%s %016" PRIx64 "\n", tag, seo.checksum);
+    PrintDigest(std::string("orig_") + tag, "per_request", pro.checksum);
+    PrintDigest(std::string("orig_") + tag, "session", seo.checksum);
 
     // Concurrent serving must reproduce the solo bits at every replica
     // count and with micro-batching. Four closed-loop clients each stream
@@ -328,8 +315,7 @@ int RunSmoke() {
     Rng rng_e(7);
     uint64_t solo_sum = 0;
     for (const HeldOutBatch& batch : w.batches) {
-      solo_sum += BitChecksumFold(kFnvSeed,
-                                  solo.Serve(batch, graph_batch, rng_e));
+      solo_sum += BitDigest(solo.Serve(batch, graph_batch, rng_e));
     }
     ConcurrentOptions k1;
     k1.clients = 4;
@@ -345,10 +331,10 @@ int RunSmoke() {
     const PathStats c8 =
         RunConcurrent(*w.model, w.data.train_graph, &w.condensed, w.batches,
                       graph_batch, /*passes=*/1, k8);
-    std::printf("logits_concurrent_expected_%s %016" PRIx64 "\n", tag,
-                solo_sum * 4);
-    std::printf("logits_concurrent_k1_%s %016" PRIx64 "\n", tag, c1.checksum);
-    std::printf("logits_concurrent_k8_%s %016" PRIx64 "\n", tag, c8.checksum);
+    const std::string concurrent = std::string("concurrent_") + tag;
+    PrintDigest(concurrent, "expected", solo_sum * 4);
+    PrintDigest(concurrent, "k1", c1.checksum);
+    PrintDigest(concurrent, "k8", c8.checksum);
   }
   return 0;
 }

@@ -301,10 +301,11 @@ void ServingSession::BuildComposed(const LinksView& lv,
           const int64_t src_nl = raw.row_ptr()[rs];
           const int64_t nb_nl = raw.RowNnz(r);
           const int64_t dst_nl = sym_rp_[rs];
-          std::memcpy(sym_ci_.data() + dst_nl, raw.col_idx().data() + src_nl,
-                      static_cast<size_t>(nb_nl) * sizeof(int32_t));
-          std::memcpy(sym_v_.data() + dst_nl, sym_base_v + src_nl,
-                      static_cast<size_t>(nb_nl) * sizeof(float));
+          // copy_n, not memcpy: an edgeless base graph has null buffers
+          // here, and memcpy from null is undefined even for zero bytes.
+          std::copy_n(raw.col_idx().data() + src_nl, nb_nl,
+                      sym_ci_.data() + dst_nl);
+          std::copy_n(sym_base_v + src_nl, nb_nl, sym_v_.data() + dst_nl);
           cursor_noloop_[rs] = dst_nl + nb_nl;
         }
       },

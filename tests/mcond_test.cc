@@ -4,9 +4,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-
 #include "condense/gcond.h"
+#include "core/bit_digest.h"
 #include "core/parallel.h"
 #include "core/simd.h"
 #include "core/tensor_ops.h"
@@ -148,24 +147,6 @@ TEST_F(MCondPipelineTest, DeterministicGivenSeed) {
   EXPECT_TRUE(AllClose(again.dense_mapping, result_->dense_mapping));
 }
 
-// FNV-1a over raw float bit patterns: a single-ULP change flips the digest.
-uint64_t BitDigest(const float* data, size_t count) {
-  uint64_t h = 1469598103934665603ull;
-  for (size_t i = 0; i < count; ++i) {
-    uint32_t bits;
-    std::memcpy(&bits, &data[i], sizeof(bits));
-    for (int b = 0; b < 4; ++b) {
-      h ^= (bits >> (8 * b)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  }
-  return h;
-}
-
-uint64_t BitDigest(const Tensor& t) {
-  return BitDigest(t.data(), static_cast<size_t>(t.size()));
-}
-
 // Paper-level behaviour pinned bit for bit: the tiny-sim MCond artifact
 // (X', dense A', dense M and the ℒ_S history) on the scalar SIMD tier with
 // every ParallelFor inline at width 1 — the one oracle configuration. A
@@ -192,8 +173,7 @@ TEST(MCondGoldenTest, TinySimArtifactDigestOnScalarTier) {
   EXPECT_EQ(BitDigest(r.synthetic_features), 0xfbccec52367da09full);
   EXPECT_EQ(BitDigest(r.dense_adjacency), 0x3f4c9b771a7767c3ull);
   EXPECT_EQ(BitDigest(r.dense_mapping), 0x1f4213f9e75d412bull);
-  EXPECT_EQ(BitDigest(r.s_loss_history.data(), r.s_loss_history.size()),
-            0xe556cadc117f2a35ull);
+  EXPECT_EQ(BitDigest(r.s_loss_history), 0xe556cadc117f2a35ull);
 }
 
 TEST(MCondObservabilityTest, CondensePublishesItsFaultsAndSystemTime) {

@@ -219,8 +219,8 @@ TEST_F(TraceTest, DisabledSpansRecordNothing) {
 TEST_F(TraceTest, AlwaysTimeSpanMeasuresWhileDisabled) {
   obs::EnableTracing(false);
   obs::TraceSpan span("stopwatch", /*always_time=*/true);
-  volatile int sink = 0;
-  for (int i = 0; i < 100000; ++i) sink = sink + i;
+  volatile unsigned sink = 0;
+  for (unsigned i = 0; i < 100000; ++i) sink = sink + i;
   (void)sink;
   EXPECT_GE(span.ElapsedSeconds(), 0.0);
   EXPECT_EQ(span.ElapsedMicros() == 0,

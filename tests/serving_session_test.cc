@@ -204,6 +204,32 @@ TEST_F(ServingSessionTest, ServeOnHelpersMatchOracleEndToEnd) {
   }
 }
 
+TEST_F(ServingSessionTest, BitIdenticalOverEdgelessBaseGraph) {
+  // An edgeless base graph leaves the session's copy of the base adjacency
+  // empty; serving must still match the oracle bit for bit.
+  const Graph& g = condensed_->graph;
+  CondensedGraph edgeless;
+  edgeless.graph =
+      Graph(CsrMatrix::FromTriplets(g.NumNodes(), g.NumNodes(), {}),
+            g.features(), g.labels(), g.num_classes());
+  edgeless.mapping = condensed_->mapping;
+  for (const GnnArch arch : kAllArchs) {
+    std::unique_ptr<GnnModel> model = MakeModel(arch);
+    for (const bool graph_batch : {true, false}) {
+      const Deployment dep =
+          ComposeDeployment(edgeless, data_->test, graph_batch);
+      Rng oracle_rng(9);
+      const Tensor expect =
+          SliceRows(model->Predict(dep.operators, dep.features, oracle_rng),
+                    dep.num_base, dep.num_base + dep.batch_size);
+      ServingSession session(edgeless, *model);
+      Rng rng(9);
+      ExpectBitEqual(expect, session.Serve(data_->test, graph_batch, rng));
+      EXPECT_EQ(session.fallback_serves(), 0);
+    }
+  }
+}
+
 TEST_F(ServingSessionTest, CondensedSessionRequiresMapping) {
   std::unique_ptr<GnnModel> model = MakeModel(GnnArch::kSgc);
   CondensedGraph no_mapping;

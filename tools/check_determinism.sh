@@ -1,218 +1,72 @@
 #!/usr/bin/env bash
-# Proves the parallel substrate's determinism contract end to end: runs the
-# kernel smoke workload (bench_kernels --smoke) single-threaded and at a
-# deliberately oversubscribed width, then diffs the per-kernel bit-level
-# checksums. Any float that differs by even one ULP fails the diff.
+# The determinism gate: runs `<binary> --smoke` for each binary under the
+# matrix MCOND_NUM_THREADS {1, 8} x MCOND_PREFETCH_SEGMENTS {0, 3} and
+# checks the `digest <group> <variant> <hex>` lines it prints
+# (src/core/bit_digest.h):
+#   - the digest lines are identical across the matrix — thread width and
+#     segment prefetch change timing, never bits;
+#   - within a run, every line of a group equals the group's first line, its
+#     oracle (session == per-request, streamed == resident, net == inproc);
+#   - a group of one line uses the variant `value`, so a pair that lost its
+#     partner fails, and every binary prints at least one digest line.
+# Other lines (`threads`, `simd`, `prefetch`) are information only. The SIMD
+# tier is the caller's MCOND_SIMD.
 #
-# When given a bench_serving_throughput binary it additionally proves the
-# serving contracts: its --smoke checksums must match between the two
-# widths, AND within each run every logits_session* digest must equal its
-# logits_per_request* counterpart — the session path is bit-identical to
-# the per-request path, not just self-consistent (docs/performance.md).
-#
-# When given a bench_condense_scale binary it also proves the out-of-core
-# contract: its --smoke digests must match between the two widths AND
-# between prefetch off (MCOND_PREFETCH_SEGMENTS=0) and on (=3) — the
-# background segment prefetcher changes timing only, never bits. Within
-# each run every streamed_<tag> digest must equal its resident_<tag>
-# counterpart — the segment-store kernels (SpMM, normalization, propagation)
-# and a full condense round are bit-identical to the resident path at every
-# thread count, segment partition and prefetch depth (docs/performance.md).
-#
-# When given a bench_net_throughput binary it also proves the network
-# loopback contract: its --smoke digests must match between the two widths,
-# AND within each run every net_<tag> digest must equal its inproc_<tag>
-# counterpart — logits served over the wire protocol (loopback TCP, two
-# tenants concurrently from one registry, server replicas K=1 and K=8) are
-# bit-identical to in-process ConcurrentServer calls on the same tenants
-# (docs/serving.md).
-#
-# Usage: check_determinism.sh <path-to-bench_kernels> [wide_thread_count]
-#                             [path-to-bench_serving_throughput]
-#                             [path-to-bench_condense_scale]
-#                             [path-to-bench_net_throughput]
-# Registered as a ctest (see bench/CMakeLists.txt), so `ctest` runs it on
-# every build — including the single-core CI case, where the wide run still
-# exercises the pool's worker threads via preemption.
+# Usage: check_determinism.sh <binary>...
+# Registered as ctest rows (bench/CMakeLists.txt); a single-core host still
+# exercises the pool's worker threads at width 8 via preemption.
 set -euo pipefail
 
-BENCH="${1:?usage: check_determinism.sh <bench_kernels binary> [threads] [bench_serving_throughput binary] [bench_condense_scale binary]}"
-WIDE="${2:-8}"
-SERVING="${3:-}"
-CONDENSE="${4:-}"
-NET="${5:-}"
+(($# > 0)) || { echo "usage: check_determinism.sh <binary>..." >&2; exit 2; }
 
-narrow=$(MCOND_NUM_THREADS=1 "$BENCH" --smoke | grep -v '^threads ')
-wide=$(MCOND_NUM_THREADS="$WIDE" "$BENCH" --smoke | grep -v '^threads ')
-
-if [[ "$narrow" != "$wide" ]]; then
-  echo "DETERMINISM FAILURE: kernel checksums differ between 1 and $WIDE threads" >&2
-  diff <(echo "$narrow") <(echo "$wide") >&2 || true
+fail() {
+  echo "DETERMINISM FAILURE: $*" >&2
   exit 1
-fi
+}
 
-echo "OK: kernel checksums identical at 1 and $WIDE threads"
-echo "$narrow"
-
-if [[ -n "$SERVING" ]]; then
-  s_narrow=$(MCOND_NUM_THREADS=1 "$SERVING" --smoke | grep -v '^threads ')
-  s_wide=$(MCOND_NUM_THREADS="$WIDE" "$SERVING" --smoke | grep -v '^threads ')
-
-  if [[ "$s_narrow" != "$s_wide" ]]; then
-    echo "DETERMINISM FAILURE: serving checksums differ between 1 and $WIDE threads" >&2
-    diff <(echo "$s_narrow") <(echo "$s_wide") >&2 || true
-    exit 1
-  fi
-
-  # Pair check: logits_session_<tag> must equal logits_per_request_<tag>.
-  while read -r name digest; do
-    case "$name" in
-      logits_per_request*)
-        tag="${name#logits_per_request}"
-        session=$(echo "$s_narrow" | awk -v n="logits_session$tag" \
-                  '$1 == n {print $2}')
-        if [[ -z "$session" ]]; then
-          echo "DETERMINISM FAILURE: no logits_session$tag line to pair with $name" >&2
-          exit 1
+total=0
+for bin in "$@"; do
+  oracle=""
+  for threads in 1 8; do
+    for prefetch in 0 3; do
+      out=$(MCOND_NUM_THREADS=$threads MCOND_PREFETCH_SEGMENTS=$prefetch \
+            "$bin" --smoke) || fail "$bin --smoke exited with status $?"
+      digests=$(grep '^digest ' <<< "$out" || true)
+      [[ -n "$digests" ]] || fail "$bin printed no digest line"
+      if [[ -z "$oracle" ]]; then
+        oracle=$digests
+      elif [[ "$digests" != "$oracle" ]]; then
+        if ((prefetch == 0)); then axis="thread widths 1 and $threads"
+        elif ((threads == 1)); then axis="prefetch depths 0 and $prefetch"
+        else axis="(1 thread, prefetch 0) and ($threads threads, prefetch $prefetch)"
         fi
-        if [[ "$session" != "$digest" ]]; then
-          echo "DETERMINISM FAILURE: session logits differ from per-request for '$tag'" >&2
-          echo "  per_request $digest" >&2
-          echo "  session     $session" >&2
-          exit 1
-        fi
-        ;;
-    esac
-  done <<< "$s_narrow"
+        diff <(echo "$oracle") <(echo "$digests") >&2 || true
+        fail "$bin digests differ between $axis"
+      fi
+    done
+  done
 
-  # Concurrent check: the order-invariant digest sums from the replica-pool
-  # server must equal the expected (clients x solo) sum at K=1 AND at the
-  # oversubscribed, micro-batched K=8 — concurrency and coalescing change
-  # no bits.
-  while read -r name digest; do
-    case "$name" in
-      logits_concurrent_expected*)
-        tag="${name#logits_concurrent_expected}"
-        for k in k1 k8; do
-          got=$(echo "$s_narrow" | awk -v n="logits_concurrent_${k}$tag" \
-                '$1 == n {print $2}')
-          if [[ -z "$got" ]]; then
-            echo "DETERMINISM FAILURE: no logits_concurrent_${k}$tag line to pair with $name" >&2
-            exit 1
-          fi
-          if [[ "$got" != "$digest" ]]; then
-            echo "DETERMINISM FAILURE: concurrent ($k) logits differ from solo for '$tag'" >&2
-            echo "  expected   $digest" >&2
-            echo "  concurrent $got" >&2
-            exit 1
-          fi
-        done
-        ;;
-    esac
-  done <<< "$s_narrow"
+  # Within-run check on the oracle run (every run is identical to it).
+  checked=$(awk '
+    function bad(msg) { print msg; failed = 1; exit 1 }
+    NF != 4 { bad("malformed line: " $0) }
+    !($2 in variant) { variant[$2] = $3; hex[$2] = $4; order[++groups] = $2
+                       next }
+    $4 != hex[$2] { bad("digest " $2 " " $3 " " $4 " differs from its oracle " \
+                        variant[$2] " " hex[$2]) }
+    { paired[$2] = 1; equal++ }
+    END {
+      if (failed) exit 1
+      for (i = 1; i <= groups; i++) {
+        g = order[i]
+        if (!(g in paired) && variant[g] != "value")
+          bad("digest " g " " variant[g] " has no partner line")
+      }
+      print equal + 0
+    }' <<< "$oracle") || fail "$bin: $checked"
 
-  echo "OK: serving checksums identical at 1 and $WIDE threads, session == per-request, concurrent == solo at K=1 and K=8"
-  echo "$s_narrow"
-fi
-
-if [[ -n "$CONDENSE" ]]; then
-  # Four combos: {1, WIDE} threads x prefetch {off, on}. The `threads` and
-  # `prefetch` echo lines differ by construction; every digest line must not.
-  c_narrow=$(MCOND_NUM_THREADS=1 MCOND_PREFETCH_SEGMENTS=0 "$CONDENSE" --smoke \
-             | grep -Ev '^(threads|prefetch) ')
-  c_wide=$(MCOND_NUM_THREADS="$WIDE" MCOND_PREFETCH_SEGMENTS=0 "$CONDENSE" --smoke \
-           | grep -Ev '^(threads|prefetch) ')
-  c_narrow_pf=$(MCOND_NUM_THREADS=1 MCOND_PREFETCH_SEGMENTS=3 "$CONDENSE" --smoke \
-                | grep -Ev '^(threads|prefetch) ')
-  c_wide_pf=$(MCOND_NUM_THREADS="$WIDE" MCOND_PREFETCH_SEGMENTS=3 "$CONDENSE" --smoke \
-              | grep -Ev '^(threads|prefetch) ')
-
-  if [[ "$c_narrow" != "$c_wide" ]]; then
-    echo "DETERMINISM FAILURE: out-of-core checksums differ between 1 and $WIDE threads" >&2
-    diff <(echo "$c_narrow") <(echo "$c_wide") >&2 || true
-    exit 1
-  fi
-  if [[ "$c_narrow" != "$c_narrow_pf" ]]; then
-    echo "DETERMINISM FAILURE: out-of-core checksums differ between prefetch off and on (1 thread)" >&2
-    diff <(echo "$c_narrow") <(echo "$c_narrow_pf") >&2 || true
-    exit 1
-  fi
-  if [[ "$c_narrow" != "$c_wide_pf" ]]; then
-    echo "DETERMINISM FAILURE: out-of-core checksums differ between prefetch off and on ($WIDE threads)" >&2
-    diff <(echo "$c_narrow") <(echo "$c_wide_pf") >&2 || true
-    exit 1
-  fi
-
-  # Pair check: every streamed_<tag> must equal resident_<tag> — the
-  # segment-store path changes no bits relative to the resident path.
-  paired=0
-  while read -r name digest; do
-    case "$name" in
-      resident_*)
-        tag="${name#resident_}"
-        streamed=$(echo "$c_narrow" | awk -v n="streamed_$tag" \
-                   '$1 == n {print $2}')
-        if [[ -z "$streamed" ]]; then
-          echo "DETERMINISM FAILURE: no streamed_$tag line to pair with $name" >&2
-          exit 1
-        fi
-        if [[ "$streamed" != "$digest" ]]; then
-          echo "DETERMINISM FAILURE: streamed '$tag' differs from resident" >&2
-          echo "  resident $digest" >&2
-          echo "  streamed $streamed" >&2
-          exit 1
-        fi
-        paired=$((paired + 1))
-        ;;
-    esac
-  done <<< "$c_narrow"
-  if [[ "$paired" -eq 0 ]]; then
-    echo "DETERMINISM FAILURE: no resident_* digests in bench_condense_scale --smoke output" >&2
-    exit 1
-  fi
-
-  echo "OK: out-of-core checksums identical at 1 and $WIDE threads, prefetch off and on, streamed == resident for $paired kernels"
-  echo "$c_narrow"
-fi
-
-if [[ -n "$NET" ]]; then
-  n_narrow=$(MCOND_NUM_THREADS=1 "$NET" --smoke | grep -v '^threads ')
-  n_wide=$(MCOND_NUM_THREADS="$WIDE" "$NET" --smoke | grep -v '^threads ')
-
-  if [[ "$n_narrow" != "$n_wide" ]]; then
-    echo "DETERMINISM FAILURE: network serving checksums differ between 1 and $WIDE threads" >&2
-    diff <(echo "$n_narrow") <(echo "$n_wide") >&2 || true
-    exit 1
-  fi
-
-  # Pair check: every net_<tag> must equal inproc_<tag> — the wire protocol
-  # transfers logit bits verbatim; loopback == in-process for every tenant,
-  # replica count and batch mode.
-  paired=0
-  while read -r name digest; do
-    case "$name" in
-      inproc_*)
-        tag="${name#inproc_}"
-        got=$(echo "$n_narrow" | awk -v n="net_$tag" '$1 == n {print $2}')
-        if [[ -z "$got" ]]; then
-          echo "DETERMINISM FAILURE: no net_$tag line to pair with inproc_$tag" >&2
-          exit 1
-        fi
-        if [[ "$got" != "$digest" ]]; then
-          echo "DETERMINISM FAILURE: loopback logits differ from in-process for '$tag'" >&2
-          echo "  inproc $digest" >&2
-          echo "  net    $got" >&2
-          exit 1
-        fi
-        paired=$((paired + 1))
-        ;;
-    esac
-  done <<< "$n_narrow"
-  if [[ "$paired" -eq 0 ]]; then
-    echo "DETERMINISM FAILURE: no inproc_* digests in bench_net_throughput --smoke output" >&2
-    exit 1
-  fi
-
-  echo "OK: network loopback logits bit-identical to in-process for $paired tenant/replica/mode combos at 1 and $WIDE threads"
-  echo "$n_narrow"
-fi
+  echo "OK: $bin: digest lines identical at threads {1,8} x prefetch {0,3}; $checked within-run equalities"
+  echo "$oracle"
+  total=$((total + checked))
+done
+echo "OK: $# binaries, $total within-run equalities"
