@@ -360,20 +360,13 @@ void NetServer::HandleRequestFrame(Connection* conn,
   obs::Histogram* latency = tenant->latency_us;
   StatusOr<ServeTicket> ticket = tenant->server->Submit(
       ctx->batch, ctx->graph_batch, &ctx->out,
-      [this, ctx, latency](const Status& status, const ServeTiming& timing) {
+      [this, ctx, latency](const ServeTiming& timing) {
         // Worker thread: encode here so the IO thread only splices bytes.
         ctx->wire.clear();
-        if (status.ok()) {
-          EncodeResponseFrame(ctx->request_id, WireStatus::kOk,
-                              RejectReason::kNone, timing.queue_wait_us(),
-                              timing.service_us(), {}, &ctx->out,
-                              &ctx->wire);
-          latency->Record(timing.latency_us());
-        } else {
-          EncodeResponseFrame(ctx->request_id, WireStatus::kInternal,
-                              RejectReason::kNone, 0, 0, status.message(),
-                              nullptr, &ctx->wire);
-        }
+        EncodeResponseFrame(ctx->request_id, WireStatus::kOk,
+                            RejectReason::kNone, timing.queue_wait_us(),
+                            timing.service_us(), {}, &ctx->out, &ctx->wire);
+        latency->Record(timing.latency_us());
         {
           std::lock_guard<std::mutex> lock(completion_mu_);
           completed_.push_back(ctx);

@@ -7,6 +7,8 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "obs/log.h"
 #include "obs/trace.h"
@@ -53,6 +55,20 @@ void AppendJsonDouble(std::ostringstream& out, double v) {
     out << v;
   }
 }
+
+/// One exporter interval: the full registry snapshot plus what changed
+/// since the previous tick. Vectors are name-aligned with
+/// `snapshot.counters` / `snapshot.histograms`.
+struct MetricsTick {
+  uint64_t ts_us = 0;  // MonotonicMicros at snapshot time
+  double dt_s = 0.0;   // seconds since the previous tick (or Start)
+  int64_t index = 0;   // 0-based tick number
+  MetricsSnapshot snapshot;
+  /// (counter value - previous value) / dt_s, per counter.
+  std::vector<std::pair<std::string, double>> counter_rates;
+  /// Snapshot deltas: the samples recorded during this interval only.
+  std::vector<std::pair<std::string, HistogramSnapshot>> histogram_deltas;
+};
 
 /// One JSONL time-series point. Counter rates and histogram interval
 /// quantiles come from the tick's deltas; cumulative state rides along so
@@ -133,21 +149,6 @@ void InitObservabilityFromEnv() {
       EnableTracing(value != 0);
     }
   }
-}
-
-double MetricsTick::CounterRate(const std::string& name) const {
-  for (const auto& [n, rate] : counter_rates) {
-    if (n == name) return rate;
-  }
-  return 0.0;
-}
-
-const HistogramSnapshot* MetricsTick::HistogramDelta(
-    const std::string& name) const {
-  for (const auto& [n, delta] : histogram_deltas) {
-    if (n == name) return &delta;
-  }
-  return nullptr;
 }
 
 MetricsExporter::MetricsExporter(const MetricsExporterOptions& options)
@@ -290,7 +291,6 @@ void MetricsExporter::EmitTick() {
       MCOND_LOG(WARN) << "metrics exporter: " << status.ToString();
     }
   }
-  if (options_.tick_sink) options_.tick_sink(tick);
 
   prev_ = std::move(tick.snapshot);
   prev_ts_us_ = tick.ts_us;

@@ -3,11 +3,9 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "core/status.h"
 #include "obs/metrics.h"
@@ -27,7 +25,7 @@
 /// per-histogram cumulative AND per-interval quantiles) to an append-only
 /// JSONL file, and/or rewrites a Prometheus text-exposition file in place
 /// for scrapers. `mcond_cli --metrics_export_path/--metrics_export_interval_ms`
-/// and `bench_serving_throughput --timeline` drive it.
+/// drives it.
 
 namespace mcond {
 namespace obs {
@@ -49,33 +47,12 @@ Status WriteMetricsPrometheus(const std::string& path);
 /// current tracing state untouched.
 void InitObservabilityFromEnv();
 
-/// One exporter interval: the full registry snapshot plus what changed
-/// since the previous tick. Vectors are name-aligned with
-/// `snapshot.counters` / `snapshot.histograms`.
-struct MetricsTick {
-  uint64_t ts_us = 0;  // MonotonicMicros at snapshot time
-  double dt_s = 0.0;   // seconds since the previous tick (or Start)
-  int64_t index = 0;   // 0-based tick number
-  MetricsSnapshot snapshot;
-  /// (counter value - previous value) / dt_s, per counter.
-  std::vector<std::pair<std::string, double>> counter_rates;
-  /// Snapshot deltas: the samples recorded during this interval only.
-  std::vector<std::pair<std::string, HistogramSnapshot>> histogram_deltas;
-
-  /// Lookup helpers (linear scan; tick consumers are not hot paths).
-  double CounterRate(const std::string& name) const;
-  const HistogramSnapshot* HistogramDelta(const std::string& name) const;
-};
-
 struct MetricsExporterOptions {
   /// Append-only JSONL time series; one line per tick. "" disables.
   std::string jsonl_path;
   /// Prometheus text file, atomically rewritten each tick. "" disables.
   std::string prometheus_path;
   int interval_ms = 1000;
-  /// Optional in-process consumer, called on the exporter thread after the
-  /// files are written (benchmark timelines, tests).
-  std::function<void(const MetricsTick&)> tick_sink;
 };
 
 /// Background thread that periodically snapshots the global metrics

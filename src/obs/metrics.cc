@@ -81,24 +81,19 @@ HistogramSnapshot Histogram::Snapshot() const {
   return snap;
 }
 
-namespace {
-
-/// Shared quantile core: finds the bucket holding the ⌈q·count⌉-th sample
-/// and interpolates linearly inside it, assuming samples spread uniformly
-/// across the bucket's [lower, upper) range. Clamped into [min, max].
-uint64_t ApproxQuantileFromBuckets(
-    const std::array<int64_t, Histogram::kNumBuckets>& buckets,
-    int64_t count, uint64_t min, uint64_t max, double q) {
-  if (count <= 0) return 0;
+uint64_t HistogramApproxQuantile(const HistogramSnapshot& h, double q) {
+  if (h.count <= 0) return 0;
   if (q < 0.0) q = 0.0;
   if (q > 1.0) q = 1.0;
-  int64_t target = static_cast<int64_t>(q * static_cast<double>(count));
-  if (static_cast<double>(target) < q * static_cast<double>(count)) ++target;
+  int64_t target = static_cast<int64_t>(q * static_cast<double>(h.count));
+  if (static_cast<double>(target) < q * static_cast<double>(h.count)) {
+    ++target;
+  }
   if (target < 1) target = 1;
   int64_t seen = 0;
-  uint64_t estimate = max;
+  uint64_t estimate = h.max;
   for (int i = 0; i < Histogram::kNumBuckets; ++i) {
-    const int64_t in_bucket = buckets[static_cast<size_t>(i)];
+    const int64_t in_bucket = h.buckets[static_cast<size_t>(i)];
     if (in_bucket <= 0) continue;
     if (seen + in_bucket >= target) {
       const double lower =
@@ -112,18 +107,7 @@ uint64_t ApproxQuantileFromBuckets(
     }
     seen += in_bucket;
   }
-  return std::min(std::max(estimate, min), max);
-}
-
-}  // namespace
-
-uint64_t HistogramApproxQuantile(const Histogram& h, double q) {
-  return ApproxQuantileFromBuckets(h.Snapshot().buckets, h.Count(), h.Min(),
-                                   h.Max(), q);
-}
-
-uint64_t HistogramApproxQuantile(const HistogramSnapshot& h, double q) {
-  return ApproxQuantileFromBuckets(h.buckets, h.count, h.min, h.max, q);
+  return std::min(std::max(estimate, h.min), h.max);
 }
 
 HistogramSnapshot HistogramSnapshotDelta(const HistogramSnapshot& cur,

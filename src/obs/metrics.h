@@ -176,19 +176,14 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Series>> series_;
 };
 
-/// Approximate quantile (q in [0, 1], clamped) from a histogram's pow-2
-/// buckets, with linear interpolation inside the bucket holding the
-/// ⌈q·count⌉-th smallest sample: the estimate is
+/// Approximate quantile (q in [0, 1], clamped) from a histogram snapshot's
+/// pow-2 buckets — or from a *delta* of two snapshots (per-interval
+/// quantiles in the MetricsExporter) — with linear interpolation inside
+/// the bucket holding the ⌈q·count⌉-th smallest sample: the estimate is
 /// `lower + (rank_within_bucket / bucket_count) * width`, clamped into
-/// [Min(), Max()] so exact-percentile consumers (p50/p99 in benchmark
-/// reports) never see a value outside the observed range. 0 for an empty
-/// histogram. Interpolation assumes samples spread uniformly within a
-/// bucket — much tighter than the old upper-bound answer at serving
-/// latencies, though still an approximation.
-uint64_t HistogramApproxQuantile(const Histogram& h, double q);
-
-/// Same estimator over a snapshot — or over a *delta* of two snapshots
-/// (per-interval quantiles in the MetricsExporter).
+/// [min, max] so a reported percentile never lies outside the observed
+/// range. 0 for an empty snapshot. Interpolation assumes samples spread
+/// uniformly within a bucket, so the estimate is an approximation.
 uint64_t HistogramApproxQuantile(const HistogramSnapshot& h, double q);
 
 /// Element-wise `cur - prev` (buckets, count, sum); min/max are taken from

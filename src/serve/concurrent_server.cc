@@ -280,7 +280,7 @@ void ConcurrentServer::WorkerLoop(int worker_index) {
           timing.enqueue_us = req->timing.enqueue_us;
           timing.dequeue_us = req->timing.dequeue_us;
           timing.done_us = done_us;
-          req->on_done(Status::Ok(), timing);
+          req->on_done(timing);
         }
       }
     }

@@ -165,7 +165,7 @@ class ConcurrentServer {
   /// ScopedInlineParallelRegion), so a slow callback stalls that replica.
   /// The NetServer uses this to hand finished responses back to its IO
   /// thread without parking a thread per in-flight request.
-  using ServeCallback = std::function<void(const Status&, const ServeTiming&)>;
+  using ServeCallback = std::function<void(const ServeTiming&)>;
 
   /// Enqueues one request. Validates shapes up front (InvalidArgument —
   /// workers never abort on caller mistakes); applies the backpressure

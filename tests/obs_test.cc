@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -381,7 +380,7 @@ TEST(HistogramTest, RecordUpdatesCountSumMinMax) {
 
 TEST(HistogramTest, ApproxQuantileInterpolatesWithinBuckets) {
   obs::Histogram empty;
-  EXPECT_EQ(obs::HistogramApproxQuantile(empty, 0.5), 0u);
+  EXPECT_EQ(obs::HistogramApproxQuantile(empty.Snapshot(), 0.5), 0u);
 
   obs::Histogram h;
   // 90 fast samples around 10us, 10 slow ones around 1000us.
@@ -389,21 +388,21 @@ TEST(HistogramTest, ApproxQuantileInterpolatesWithinBuckets) {
   for (int i = 0; i < 10; ++i) h.Record(1000);
   // p50 lands in the [8,16) bucket holding all 90 fast samples; linear
   // interpolation puts rank 50 of 90 at 8 + (50/90)*8 = 12.44 -> 12.
-  EXPECT_EQ(obs::HistogramApproxQuantile(h, 0.5), 12u);
+  EXPECT_EQ(obs::HistogramApproxQuantile(h.Snapshot(), 0.5), 12u);
   // p99 is rank 99: 9 of the 10 samples in [512,1024) are below it, so
   // 512 + 0.9*512 = 972 (within the observed max of 1000, no clamp).
-  EXPECT_EQ(obs::HistogramApproxQuantile(h, 0.99), 972u);
+  EXPECT_EQ(obs::HistogramApproxQuantile(h.Snapshot(), 0.99), 972u);
   // Quantiles below the observed minimum clamp up to it: rank 1 of 90
   // interpolates to 8.09 inside [8,16), but no sample was below 10.
-  EXPECT_EQ(obs::HistogramApproxQuantile(h, 0.0), 10u);
+  EXPECT_EQ(obs::HistogramApproxQuantile(h.Snapshot(), 0.0), 10u);
   // The top of the distribution clamps to the observed max.
-  EXPECT_EQ(obs::HistogramApproxQuantile(h, 1.0), 1000u);
+  EXPECT_EQ(obs::HistogramApproxQuantile(h.Snapshot(), 1.0), 1000u);
 
   // A single sample reports itself exactly: interpolation reaches the
   // bucket's upper bound (8), the max clamp pulls it back to 7.
   obs::Histogram one;
   one.Record(7);
-  EXPECT_EQ(obs::HistogramApproxQuantile(one, 0.5), 7u);
+  EXPECT_EQ(obs::HistogramApproxQuantile(one.Snapshot(), 0.5), 7u);
 
   // Uniform fill of one bucket: quantiles step monotonically through it
   // instead of all collapsing onto the upper bound.
@@ -411,9 +410,9 @@ TEST(HistogramTest, ApproxQuantileInterpolatesWithinBuckets) {
   for (int i = 0; i < 100; ++i) {
     uniform.Record(64 + static_cast<uint64_t>(i % 64));  // all in [64,128)
   }
-  const uint64_t q25 = obs::HistogramApproxQuantile(uniform, 0.25);
-  const uint64_t q50 = obs::HistogramApproxQuantile(uniform, 0.5);
-  const uint64_t q75 = obs::HistogramApproxQuantile(uniform, 0.75);
+  const uint64_t q25 = obs::HistogramApproxQuantile(uniform.Snapshot(), 0.25);
+  const uint64_t q50 = obs::HistogramApproxQuantile(uniform.Snapshot(), 0.5);
+  const uint64_t q75 = obs::HistogramApproxQuantile(uniform.Snapshot(), 0.75);
   EXPECT_LT(q25, q50);
   EXPECT_LT(q50, q75);
   EXPECT_EQ(q25, 80u);   // 64 + 0.25*64
@@ -800,15 +799,9 @@ TEST(MetricsExporterTest, JsonlTimelineIsValidAndCarriesRates) {
   obs::Counter& counter = obs::GetCounter("mcond.test.export_requests");
   obs::Histogram& hist = obs::GetHistogram("mcond.test.export_lat_us");
 
-  std::vector<obs::MetricsTick> ticks;
-  std::mutex ticks_mu;
   obs::MetricsExporterOptions options;
   options.jsonl_path = path;
   options.interval_ms = 5;
-  options.tick_sink = [&](const obs::MetricsTick& tick) {
-    std::lock_guard<std::mutex> lock(ticks_mu);
-    ticks.push_back(tick);
-  };
   obs::MetricsExporter exporter(options);
   ASSERT_TRUE(exporter.Start().ok());
   // Concurrent updates while the exporter samples.
@@ -835,18 +828,22 @@ TEST(MetricsExporterTest, JsonlTimelineIsValidAndCarriesRates) {
             std::string::npos);
   EXPECT_NE(lines.back().find("\"interval_p50\""), std::string::npos);
 
-  // The ticks the sink saw: aligned name/rate vectors, a positive rate for
-  // the hot counter, and monotonically increasing indices.
-  std::lock_guard<std::mutex> lock(ticks_mu);
-  ASSERT_EQ(static_cast<int64_t>(ticks.size()), exporter.ticks());
+  // One line per tick, read back: indices count up from 0, and some
+  // interval saw a positive rate for the hot counter.
+  const auto number_after = [](const std::string& line, size_t from,
+                               const std::string& key) {
+    const size_t at = line.find(key, from);
+    if (at == std::string::npos) return -1.0;
+    return std::strtod(line.c_str() + at + key.size(), nullptr);
+  };
   double max_rate = 0.0;
-  for (size_t i = 0; i < ticks.size(); ++i) {
-    EXPECT_EQ(ticks[i].index, static_cast<int64_t>(i));
-    EXPECT_EQ(ticks[i].counter_rates.size(), ticks[i].snapshot.counters.size());
-    EXPECT_EQ(ticks[i].histogram_deltas.size(),
-              ticks[i].snapshot.histograms.size());
-    max_rate =
-        std::max(max_rate, ticks[i].CounterRate("mcond.test.export_requests"));
+  for (size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(number_after(lines[i], 0, "\"tick\":"), static_cast<double>(i))
+        << lines[i];
+    const size_t counter = lines[i].find("\"mcond.test.export_requests\"");
+    if (counter == std::string::npos) continue;
+    max_rate = std::max(max_rate,
+                        number_after(lines[i], counter, "\"rate_per_s\":"));
   }
   EXPECT_GT(max_rate, 0.0);
   std::remove(path.c_str());
