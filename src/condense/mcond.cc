@@ -13,7 +13,6 @@
 #include "core/parallel.h"
 #include "core/tensor_arena.h"
 #include "core/tensor_ops.h"
-#include "graph/compose.h"
 #include "graph/sampling.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -235,17 +234,14 @@ MCondResult RunAlgorithm1(const CondenseSource& source,
     const Tensor h_syn = relay.LogitsTensor(z_syn_now);     // H' (N'×C).
     const Tensor h_orig = relay.LogitsTensor(z_orig);       // H (N×C).
     Tensor h_sup_target;                                    // H_sup (n×C).
-    Variable x_combined;
     if (config.use_inductive_loss) {
       h_sup_target = relay.LogitsTensor(z_sup_on_original);
-      x_combined = MakeConstant(
-          ComposeFeatures(x_syn->value(), support.features));
     }
     const Variable h_syn_const = MakeConstant(h_syn);
     const Variable h_orig_const = MakeConstant(h_orig);
     const Variable a_syn_const = MakeConstant(a_syn_now);
-    const Variable inter_const =
-        MakeConstant(support.inter.ToDense());
+    const Variable x_syn_const = MakeConstant(x_syn->value());
+    const Variable x_sup_const = MakeConstant(support.features);
 
     for (int64_t t = 0; t < config.m_steps_per_round; ++t) {
       obs::TraceSpan m_span("condense.m_step");
@@ -261,12 +257,10 @@ MCondResult RunAlgorithm1(const CondenseSource& source,
       // their original-graph embeddings.
       if (config.use_inductive_loss && n_sup > 0) {
         Variable links = ops::SpMM(support.links, m_norm);  // aM (n×N').
-        Variable composed = ComposeDenseBlockAdjacency(
-            a_syn_const, links, inter_const);
-        Variable a_hat = NormalizeDenseAdjacency(composed);
-        Variable z = PropagateDense(a_hat, x_combined, config.relay_depth);
-        Variable h_sup_syn = relay.Logits(
-            ops::SliceRows(z, num_synthetic, num_synthetic + n_sup));
+        Variable z_sup = PropagateBlockSupportRows(
+            a_syn_const, links, support.inter, x_syn_const, x_sup_const,
+            config.relay_depth);
+        Variable h_sup_syn = relay.Logits(z_sup);
         Variable ind = ops::Scale(
             ops::L21Norm(
                 ops::Sub(MakeConstant(h_sup_target), h_sup_syn)),
@@ -326,9 +320,11 @@ MCondResult RunMCondOnSource(const CondenseSource& source,
   const obs::ProcessUsage usage_at_entry = obs::CurrentProcessUsage();
   MCondResult result;
   {
-    // Every S- and M-step frees and reallocates the same multi-MiB
-    // temporaries; keep their pages resident for the call instead of
-    // faulting them back in on every step.
+    // Every S- and M-step frees and reallocates the same temporaries above
+    // glibc's 128 KiB mmap threshold: the N×N' mapping-sized tensors of
+    // ℒ_tra and Adam, MLP_Φ's N'²×h hidden layer, and the n×N' aM blocks
+    // of ℒ_ind. Keep their pages resident for the call instead of faulting
+    // them back in on every step.
     internal::ScopedHeapRetention retain_freed_heap;
     result = RunAlgorithm1(source, support, num_synthetic, config, seed);
   }

@@ -1,10 +1,13 @@
 // Unit tests for the condensation building blocks: label allocation,
 // feature initialization, MLP_Φ adjacency generation, dense normalization,
-// relay gradients, gradient matching, and the mapping matrix.
+// the block-structured ℒ_ind propagation, relay gradients, gradient
+// matching, and the mapping matrix.
 #include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -18,6 +21,7 @@
 #include "core/simd.h"
 #include "core/tensor_ops.h"
 #include "data/synthetic.h"
+#include "dense_block_oracle.h"
 #include "gradcheck.h"
 
 namespace mcond {
@@ -247,13 +251,108 @@ TEST(DenseOpsTest, ComposeDenseBlockMatchesSparseCompose) {
   base = Scale(Add(base, Transpose(base)), 0.5f);
   Tensor links = rng.UniformTensor(2, 3, 0.0f, 1.0f);
   Tensor inter(2, 2);
-  Variable composed = ComposeDenseBlockAdjacency(
+  Variable composed = testing::ComposeDenseBlockAdjacency(
       MakeConstant(base), MakeConstant(links), MakeConstant(inter));
   // Check the blocks.
   EXPECT_FLOAT_EQ(composed->value().At(0, 1), base.At(0, 1));
   EXPECT_FLOAT_EQ(composed->value().At(3, 2), links.At(0, 2));
   EXPECT_FLOAT_EQ(composed->value().At(2, 3), links.At(0, 2));
   EXPECT_FLOAT_EQ(composed->value().At(4, 4), 0.0f);
+}
+
+enum class InterKind { kRandom, kEmpty, kDiagonal };
+
+// A symmetric weighted n×n inter-edge block: none (the node-batch case),
+// random off-diagonal edges, or those plus an explicit self-edge per node.
+CsrMatrix RandomInter(int64_t n, InterKind kind, Rng& rng) {
+  std::vector<Triplet> triplets;
+  if (kind != InterKind::kEmpty) {
+    for (int64_t i = 0; i < n; ++i) {
+      for (int64_t j = i + 1; j < n; ++j) {
+        if (rng.Uniform() < 0.3f) {
+          const float w = rng.Uniform(0.1f, 1.0f);
+          triplets.push_back({i, j, w});
+          triplets.push_back({j, i, w});
+        }
+      }
+      if (kind == InterKind::kDiagonal) {
+        triplets.push_back({i, i, rng.Uniform(0.1f, 1.0f)});
+      }
+    }
+  }
+  return CsrMatrix::FromTriplets(n, n, std::move(triplets));
+}
+
+// ℒ_ind's block propagation against the dense compose → normalize →
+// propagate → slice chain it replaces: the values and ∂/∂(aM) through a
+// random weighted sum, on odd shapes and on both SIMD tiers.
+TEST(DenseOpsTest, BlockPropagationMatchesDenseOracle) {
+  struct RestoreTier {
+    simd::Tier saved = simd::ActiveTier();
+    ~RestoreTier() { simd::SetTier(saved); }
+  } restore_tier;
+  std::vector<simd::Tier> tiers{simd::Tier::kScalar};
+  if (simd::Avx2Compiled() && simd::CpuSupportsAvx2Fma()) {
+    tiers.push_back(simd::Tier::kAvx2);
+  }
+  using Propagate = Variable (*)(const Variable&, const Variable&,
+                                 const CsrMatrix&, const Variable&,
+                                 const Variable&, int64_t);
+  constexpr int64_t kDim = 6;
+  for (const simd::Tier tier : tiers) {
+    simd::SetTier(tier);
+    for (const int64_t n_syn : {1, 7, 33}) {
+      for (const int64_t n_sup : {1, 5, 41}) {
+        for (const InterKind kind :
+             {InterKind::kRandom, InterKind::kEmpty, InterKind::kDiagonal}) {
+          Rng rng(static_cast<uint64_t>(n_syn * 100 + n_sup * 3) +
+                  static_cast<uint64_t>(kind));
+          // A' is a symmetric sigmoid output; aM a sparse nonnegative
+          // mixture of mapping rows.
+          Tensor a_syn = rng.UniformTensor(n_syn, n_syn, 0.0f, 1.0f);
+          a_syn = Scale(Add(a_syn, Transpose(a_syn)), 0.5f);
+          Tensor links = rng.UniformTensor(n_sup, n_syn, -0.5f, 1.0f);
+          for (int64_t i = 0; i < links.size(); ++i) {
+            links.data()[i] = std::max(links.data()[i], 0.0f);
+          }
+          const CsrMatrix inter = RandomInter(n_sup, kind, rng);
+          const Tensor x_syn = rng.NormalTensor(n_syn, kDim);
+          const Tensor x_sup = rng.NormalTensor(n_sup, kDim);
+          const Tensor weights = rng.NormalTensor(n_sup, kDim);
+          for (const int64_t depth : {1, 2, 3}) {
+            struct Run {
+              Tensor value, grad;
+            };
+            const auto run = [&](Propagate propagate) {
+              Variable l = MakeVariable(links, /*requires_grad=*/true);
+              Variable z = propagate(MakeConstant(a_syn), l, inter,
+                                     MakeConstant(x_syn),
+                                     MakeConstant(x_sup), depth);
+              Backward(ops::SumAll(ops::Mul(z, MakeConstant(weights))));
+              return Run{z->value(), l->grad()};
+            };
+            const Run got = run(&PropagateBlockSupportRows);
+            const Run want = run(&testing::DenseSupportRows);
+            ASSERT_EQ(got.value.rows(), n_sup);
+            ASSERT_EQ(got.value.cols(), kDim);
+            ASSERT_EQ(got.grad.rows(), n_sup);
+            ASSERT_EQ(got.grad.cols(), n_syn);
+            // Each hop reassociates a k = N'+n term sum: the GEMM
+            // tolerance rule of simd_test.cc, once per hop.
+            const float tol = 64.0f *
+                              std::numeric_limits<float>::epsilon() *
+                              static_cast<float>((n_syn + n_sup) * depth);
+            EXPECT_LE(MaxRelDiff(got.value, want.value), tol)
+                << simd::TierName(tier) << " N'=" << n_syn << " n=" << n_sup
+                << " depth=" << depth << " inter=" << static_cast<int>(kind);
+            EXPECT_LE(MaxRelDiff(got.grad, want.grad), tol)
+                << simd::TierName(tier) << " N'=" << n_syn << " n=" << n_sup
+                << " depth=" << depth << " inter=" << static_cast<int>(kind);
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(RelaySgcTest, LogitsShapeAndLinearity) {

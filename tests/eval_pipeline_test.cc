@@ -1,8 +1,8 @@
 // Cross-module property tests: the serving path must be internally
 // consistent (ServeOn* ≡ manual compose + predict), the dense and sparse
 // composition/normalization paths must agree, and the ℒ_ind forward pass
-// (differentiable, dense) must match the sparse serving pipeline on the
-// same inputs.
+// (differentiable, block by block) must match the sparse serving pipeline
+// on the same inputs.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -11,6 +11,7 @@
 #include "condense/mcond.h"
 #include "core/tensor_ops.h"
 #include "data/datasets.h"
+#include "dense_block_oracle.h"
 #include "eval/inference.h"
 #include "graph/compose.h"
 #include "nn/trainer.h"
@@ -77,21 +78,39 @@ TEST_F(PipelineTest, DeploymentMatchesServeResult) {
       res.logits, 1e-4f, 1e-5f));
 }
 
-TEST_F(PipelineTest, DenseCompositionMatchesSparseComposition) {
-  // The differentiable dense block-compose + normalize used inside ℒ_ind
-  // must agree with the sparse serving path.
+TEST_F(PipelineTest, BlockPropagationMatchesSparseComposition) {
+  // ℒ_ind's differentiable block propagation must agree with the sparse
+  // serving path: the support rows of
+  // SymNormalize(ComposeBlockAdjacency(A, links, inter))^L · [X; X_sup].
   const Graph& g = data_->train_graph;
   HeldOutBatch batch = data_->test;
-  const CsrMatrix sparse_composed =
-      ComposeBlockAdjacency(g.adjacency(), batch.links, batch.inter);
-  const Tensor sparse_norm = SymNormalize(sparse_composed).ToDense();
+  const int64_t n = g.NumNodes();
+  const CsrMatrix sparse_norm = SymNormalize(
+      ComposeBlockAdjacency(g.adjacency(), batch.links, batch.inter));
+  const Variable base = MakeConstant(g.adjacency().ToDense());
+  const Variable links = MakeConstant(batch.links.ToDense());
 
-  Variable dense = ComposeDenseBlockAdjacency(
-      MakeConstant(g.adjacency().ToDense()),
-      MakeConstant(batch.links.ToDense()),
-      MakeConstant(batch.inter.ToDense()));
-  const Tensor dense_norm = NormalizeDenseAdjacency(dense)->value();
-  EXPECT_TRUE(AllClose(dense_norm, sparse_norm, 1e-4f, 1e-5f));
+  // The dense oracle of condense_units_test normalizes like the sparse
+  // path too.
+  const Tensor dense_norm =
+      NormalizeDenseAdjacency(testing::ComposeDenseBlockAdjacency(
+                                  base, links,
+                                  MakeConstant(batch.inter.ToDense())))
+          ->value();
+  EXPECT_TRUE(AllClose(dense_norm, sparse_norm.ToDense(), 1e-4f, 1e-5f));
+
+  Tensor sparse_z = ComposeFeatures(g.features(), batch.features);
+  for (int64_t depth = 1; depth <= 3; ++depth) {
+    sparse_z = sparse_norm.SpMM(sparse_z);
+    const Tensor block_z =
+        PropagateBlockSupportRows(base, links, batch.inter,
+                                  MakeConstant(g.features()),
+                                  MakeConstant(batch.features), depth)
+            ->value();
+    EXPECT_TRUE(AllClose(block_z, SliceRows(sparse_z, n, n + batch.size()),
+                         1e-4f, 1e-5f))
+        << "depth " << depth;
+  }
 }
 
 TEST_F(PipelineTest, MappedLinksMatchSpGemm) {

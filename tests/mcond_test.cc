@@ -172,7 +172,7 @@ TEST(MCondGoldenTest, TinySimArtifactDigestOnScalarTier) {
 
   EXPECT_EQ(BitDigest(r.synthetic_features), 0xfbccec52367da09full);
   EXPECT_EQ(BitDigest(r.dense_adjacency), 0x3f4c9b771a7767c3ull);
-  EXPECT_EQ(BitDigest(r.dense_mapping), 0x1f4213f9e75d412bull);
+  EXPECT_EQ(BitDigest(r.dense_mapping), 0x47a68a1ac8b86ff2ull);
   EXPECT_EQ(BitDigest(r.s_loss_history), 0xe556cadc117f2a35ull);
 }
 
