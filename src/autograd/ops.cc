@@ -219,7 +219,7 @@ Variable DivRowBroadcast(const Variable& a, const Variable& col_nx1) {
       for (int64_t i = 0; i < gv.rows(); ++i) {
         gv.At(i, 0) *= -inv2.At(i, 0) * inv2.At(i, 0);
       }
-      pv->AccumulateGrad(gv);
+      pv->AccumulateGrad(std::move(gv));
     }
   });
   return out;
@@ -262,7 +262,7 @@ Variable PairSum(const Variable& u, const Variable& v) {
             }
           },
           "ops.pair_sum_bwd_u");
-      pu->AccumulateGrad(du);
+      pu->AccumulateGrad(std::move(du));
     }
     if (pv->requires_grad()) {
       // dV_j = Σ_i g[i·m + j], i ascending for every j. A task owns the
@@ -281,7 +281,7 @@ Variable PairSum(const Variable& u, const Variable& v) {
             }
           },
           "ops.pair_sum_bwd_v");
-      pv->AccumulateGrad(dv);
+      pv->AccumulateGrad(std::move(dv));
     }
   });
   return out;
@@ -318,7 +318,21 @@ Variable Sigmoid(const Variable& a) {
           }
         },
         "ops.sigmoid_bwd");
-    pa->AccumulateGrad(d);
+    pa->AccumulateGrad(std::move(d));
+  });
+  return out;
+}
+
+Variable SigmoidRowNormalize(const Variable& a, float eps) {
+  Tensor y, inv;
+  Variable out =
+      MakeOp(mcond::SigmoidRowNormalize(a->value(), eps, &y, &inv), {a});
+  VariableNode* o = out.get();
+  Variable pa = a;
+  out->set_backward_fn([o, pa, y = std::move(y), inv = std::move(inv)]() {
+    if (!pa->requires_grad()) return;
+    pa->AccumulateGrad(
+        SigmoidRowNormalizeBackward(o->grad(), o->value(), y, inv));
   });
   return out;
 }
@@ -342,7 +356,7 @@ Variable TanhV(const Variable& a) {
           }
         },
         "ops.tanh_bwd");
-    pa->AccumulateGrad(d);
+    pa->AccumulateGrad(std::move(d));
   });
   return out;
 }
@@ -375,7 +389,7 @@ Variable PowV(const Variable& a, float p) {
           }
         },
         "ops.pow_bwd");
-    pa->AccumulateGrad(d);
+    pa->AccumulateGrad(std::move(d));
   });
   return out;
 }
@@ -442,7 +456,7 @@ Variable ConcatCols(const Variable& left, const Variable& right) {
             }
           },
           "ops.concat_cols_bwd");
-      pl->AccumulateGrad(gl);
+      pl->AccumulateGrad(std::move(gl));
     }
     if (pr->requires_grad()) {
       Tensor gr = Tensor::Uninitialized(g.rows(), g.cols() - lc);
@@ -455,7 +469,7 @@ Variable ConcatCols(const Variable& left, const Variable& right) {
             }
           },
           "ops.concat_cols_bwd");
-      pr->AccumulateGrad(gr);
+      pr->AccumulateGrad(std::move(gr));
     }
   });
   return out;
@@ -469,7 +483,7 @@ Variable SliceRows(const Variable& a, int64_t begin, int64_t end) {
     if (!pa->requires_grad()) return;
     Tensor g(pa->rows(), pa->cols());
     ScatterRowsInPlace(g, begin, o->grad());
-    pa->AccumulateGrad(g);
+    pa->AccumulateGrad(std::move(g));
   });
   return out;
 }
@@ -489,7 +503,7 @@ Variable GatherRows(const Variable& a, std::vector<int64_t> indices) {
       const float* src = og.RowData(static_cast<int64_t>(i));
       for (int64_t j = 0; j < g.cols(); ++j) dst[j] += src[j];
     }
-    pa->AccumulateGrad(g);
+    pa->AccumulateGrad(std::move(g));
   });
   return out;
 }
@@ -512,7 +526,7 @@ Variable RowSum(const Variable& a) {
           }
         },
         "ops.row_sum_bwd");
-    pa->AccumulateGrad(g);
+    pa->AccumulateGrad(std::move(g));
   });
   return out;
 }
@@ -562,7 +576,7 @@ Variable SoftmaxRows(const Variable& a) {
           }
         },
         "ops.softmax_bwd");
-    pa->AccumulateGrad(d);
+    pa->AccumulateGrad(std::move(d));
   });
   return out;
 }
@@ -620,7 +634,7 @@ Variable L21Norm(const Variable& a) {
           }
         },
         "ops.l21_bwd");
-    pa->AccumulateGrad(g);
+    pa->AccumulateGrad(std::move(g));
   });
   return out;
 }
@@ -695,7 +709,7 @@ Variable CosineColumnDistance(const Variable& a, const Variable& b) {
             }
           },
           "ops.cosine_bwd");
-      pa->AccumulateGrad(g);
+      pa->AccumulateGrad(std::move(g));
     }
     if (pb->requires_grad()) {
       Tensor g(r, c);
@@ -716,7 +730,7 @@ Variable CosineColumnDistance(const Variable& a, const Variable& b) {
             }
           },
           "ops.cosine_bwd");
-      pb->AccumulateGrad(g);
+      pb->AccumulateGrad(std::move(g));
     }
   });
   return out;
@@ -757,7 +771,7 @@ Variable RowsDotRows(const Variable& a, const Variable& b) {
             }
           },
           "ops.rows_dot_rows_bwd");
-      pa->AccumulateGrad(ga);
+      pa->AccumulateGrad(std::move(ga));
     }
     if (pb->requires_grad()) {
       Tensor gb = Tensor::Uninitialized(pb->rows(), pb->cols());
@@ -772,7 +786,7 @@ Variable RowsDotRows(const Variable& a, const Variable& b) {
             }
           },
           "ops.rows_dot_rows_bwd");
-      pb->AccumulateGrad(gb);
+      pb->AccumulateGrad(std::move(gb));
     }
   });
   return out;

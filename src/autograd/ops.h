@@ -52,6 +52,10 @@ Variable PairSum(const Variable& u, const Variable& v);
 Variable Relu(const Variable& a);
 Variable Sigmoid(const Variable& a);
 Variable TanhV(const Variable& a);
+/// Eq. (15): ReLU(σ(a_i) / Σ_j σ(a_ij) − eps) per row, as one taped op
+/// whose forward and backward are each one row-parallel pass. Same bits as
+/// Relu(AddScalar(DivRowBroadcast(Sigmoid(a), RowSum(Sigmoid(a))), −eps)).
+Variable SigmoidRowNormalize(const Variable& a, float eps);
 /// Elementwise power; inputs must be positive when p is fractional.
 Variable PowV(const Variable& a, float p);
 

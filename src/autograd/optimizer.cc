@@ -2,16 +2,42 @@
 
 #include <cmath>
 
-#include "core/tensor_ops.h"
+#include "core/parallel.h"
 
 namespace mcond {
 
+namespace {
+
+// Both updates read the accumulated gradient in place and fold weight decay
+// in per element. Every element is updated by one chunk with no
+// cross-element state, so the bits do not depend on the pool width.
+
+/// Elements per ParallelFor chunk of an optimizer update.
+constexpr int64_t kUpdateGrain = int64_t{1} << 14;
+
+/// g + wd·x, the expression AxpyInPlace(g, wd, x) evaluates; g when wd = 0.
+inline float DecayedGrad(float g, float x, float wd) {
+  return wd > 0.0f ? g + wd * x : g;
+}
+
+}  // namespace
+
 void SgdOptimizer::Step() {
+  const float step = -lr_;
+  const float wd = weight_decay_;
   for (const Variable& p : params_) {
     if (p->grad().empty()) continue;
-    Tensor g = p->grad();
-    if (weight_decay_ > 0.0f) AxpyInPlace(g, weight_decay_, p->value());
-    AxpyInPlace(p->mutable_value(), -lr_, g);
+    const float* pg = p->grad().data();
+    float* px = p->mutable_value().data();
+    ParallelFor(
+        0, p->value().size(), kUpdateGrain,
+        [&](int64_t k0, int64_t k1) {
+          for (int64_t k = k0; k < k1; ++k) {
+            const float g = DecayedGrad(pg[k], px[k], wd);
+            px[k] += step * g;
+          }
+        },
+        "optim.sgd");
     p->ZeroGrad();
   }
 }
@@ -37,23 +63,27 @@ void AdamOptimizer::Step() {
   ++t_;
   const float bc1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
   const float bc2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
+  const float wd = weight_decay_;
   for (size_t i = 0; i < params_.size(); ++i) {
     const Variable& p = params_[i];
     if (p->grad().empty()) continue;
-    Tensor g = p->grad();
-    if (weight_decay_ > 0.0f) AxpyInPlace(g, weight_decay_, p->value());
     float* pm = m_[i].data();
     float* pv = v_[i].data();
-    const float* pg = g.data();
+    const float* pg = p->grad().data();
     float* px = p->mutable_value().data();
-    const int64_t n = g.size();
-    for (int64_t k = 0; k < n; ++k) {
-      pm[k] = beta1_ * pm[k] + (1.0f - beta1_) * pg[k];
-      pv[k] = beta2_ * pv[k] + (1.0f - beta2_) * pg[k] * pg[k];
-      const float mhat = pm[k] / bc1;
-      const float vhat = pv[k] / bc2;
-      px[k] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
-    }
+    ParallelFor(
+        0, p->value().size(), kUpdateGrain,
+        [&](int64_t k0, int64_t k1) {
+          for (int64_t k = k0; k < k1; ++k) {
+            const float g = DecayedGrad(pg[k], px[k], wd);
+            pm[k] = beta1_ * pm[k] + (1.0f - beta1_) * g;
+            pv[k] = beta2_ * pv[k] + (1.0f - beta2_) * g * g;
+            const float mhat = pm[k] / bc1;
+            const float vhat = pv[k] / bc2;
+            px[k] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
+          }
+        },
+        "optim.adam");
     p->ZeroGrad();
   }
 }

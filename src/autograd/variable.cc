@@ -6,15 +6,21 @@
 
 namespace mcond {
 
-void VariableNode::AccumulateGrad(const Tensor& g) {
+bool VariableNode::AddToExistingGrad(const Tensor& g) {
   MCOND_CHECK(g.rows() == value_.rows() && g.cols() == value_.cols())
       << "gradient shape " << g.rows() << "x" << g.cols()
       << " does not match value " << value_.rows() << "x" << value_.cols();
-  if (grad_.empty() && grad_.rows() == 0) {
-    grad_ = g;
-  } else {
-    AxpyInPlace(grad_, 1.0f, g);
-  }
+  if (grad_.empty() && grad_.rows() == 0) return false;
+  AxpyInPlace(grad_, 1.0f, g);
+  return true;
+}
+
+void VariableNode::AccumulateGrad(const Tensor& g) {
+  if (!AddToExistingGrad(g)) grad_ = g;
+}
+
+void VariableNode::AccumulateGrad(Tensor&& g) {
+  if (!AddToExistingGrad(g)) grad_ = std::move(g);
 }
 
 Variable MakeVariable(Tensor value, bool requires_grad) {

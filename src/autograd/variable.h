@@ -39,8 +39,11 @@ class VariableNode {
 
   bool requires_grad() const { return requires_grad_; }
 
-  /// Adds `g` into the stored gradient, allocating it on first use.
+  /// Adds `g` into the stored gradient. The first accumulation copies `g`;
+  /// the rvalue overload takes ownership of its buffer instead, so a
+  /// backward closure hands over the gradient it just built.
   void AccumulateGrad(const Tensor& g);
+  void AccumulateGrad(Tensor&& g);
 
   /// Drops the accumulated gradient (used between optimizer steps).
   void ZeroGrad() { grad_ = Tensor(); }
@@ -59,6 +62,10 @@ class VariableNode {
   const std::function<void()>& backward_fn() const { return backward_fn_; }
 
  private:
+  /// Checks `g`'s shape, then adds it into grad_ if grad_ is set. Returns
+  /// false, leaving grad_ untouched, on the first accumulation.
+  bool AddToExistingGrad(const Tensor& g);
+
   Tensor value_;
   Tensor grad_;
   bool requires_grad_;

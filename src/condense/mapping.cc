@@ -1,7 +1,5 @@
 #include "condense/mapping.h"
 
-#include <algorithm>
-
 #include "core/tensor_ops.h"
 
 namespace mcond {
@@ -46,23 +44,11 @@ void MappingMatrix::InitializeRandom(Rng& rng) {
 }
 
 Variable MappingMatrix::Normalized() const {
-  Variable sig = ops::Sigmoid(raw_);
-  Variable row_sums = ops::RowSum(sig);
-  Variable normalized = ops::DivRowBroadcast(sig, row_sums);
-  return ops::Relu(ops::AddScalar(normalized, -config_.epsilon));
+  return ops::SigmoidRowNormalize(raw_, config_.epsilon);
 }
 
 Tensor MappingMatrix::NormalizedTensor() const {
-  Tensor sig = Sigmoid(raw_->value());
-  const Tensor sums = RowSum(sig);
-  for (int64_t i = 0; i < sig.rows(); ++i) {
-    const float inv = 1.0f / sums.At(i, 0);
-    float* row = sig.RowData(i);
-    for (int64_t j = 0; j < sig.cols(); ++j) {
-      row[j] = std::max(0.0f, row[j] * inv - config_.epsilon);
-    }
-  }
-  return sig;
+  return SigmoidRowNormalize(raw_->value(), config_.epsilon);
 }
 
 CsrMatrix MappingMatrix::Sparsify(float delta) const {

@@ -44,10 +44,15 @@ class MappingMatrix : public Module {
   /// Random baseline initialization (Fig. 5(c) comparison).
   void InitializeRandom(Rng& rng);
 
-  /// Eq. (15) as a differentiable expression over the raw parameter.
+  /// Eq. (15) as a differentiable expression over the raw parameter: one
+  /// taped op (ops::SigmoidRowNormalize). Its forward is one row-parallel
+  /// pass that allocates the N×N' result plus the saved σ (N×N') and 1/s
+  /// (N×1); its backward is one pass that allocates ∂/∂raw (N×N') and
+  /// moves it into the parameter's gradient.
   Variable Normalized() const;
 
-  /// Eq. (15) evaluated eagerly (no tape).
+  /// Eq. (15) evaluated eagerly (no tape) by the same row kernel, so its
+  /// bits equal Normalized()'s value; allocates only the N×N' result.
   Tensor NormalizedTensor() const;
 
   /// Eq. (14): entries of the normalized mapping below `delta` dropped,

@@ -321,10 +321,11 @@ MCondResult RunMCondOnSource(const CondenseSource& source,
   MCondResult result;
   {
     // Every S- and M-step frees and reallocates the same temporaries above
-    // glibc's 128 KiB mmap threshold: the N×N' mapping-sized tensors of
-    // ℒ_tra and Adam, MLP_Φ's N'²×h hidden layer, and the n×N' aM blocks
-    // of ℒ_ind. Keep their pages resident for the call instead of faulting
-    // them back in on every step.
+    // glibc's 128 KiB mmap threshold: the N×N' mapping-sized tensors of the
+    // Eq. 15 normalization and its backward and of ℒ_tra's gradient,
+    // MLP_Φ's N'²×h hidden layer, and the n×N' aM blocks of ℒ_ind. Keep
+    // their pages resident for the call instead of faulting them back in
+    // on every step.
     internal::ScopedHeapRetention retain_freed_heap;
     result = RunAlgorithm1(source, support, num_synthetic, config, seed);
   }

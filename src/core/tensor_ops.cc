@@ -358,13 +358,97 @@ Tensor ReluMask(const Tensor& pre_activation) {
                      simd::Avx2ReluMask);
 }
 
+namespace {
+
+/// Split by sign for numerical stability on large |x|.
+inline float SigmoidScalar(float x) {
+  if (x >= 0.0f) return 1.0f / (1.0f + std::exp(-x));
+  const float e = std::exp(x);
+  return e / (1.0f + e);
+}
+
+}  // namespace
+
 Tensor Sigmoid(const Tensor& a) {
-  return Elementwise(a, [](float x) {
-    // Split by sign for numerical stability on large |x|.
-    if (x >= 0.0f) return 1.0f / (1.0f + std::exp(-x));
-    const float e = std::exp(x);
-    return e / (1.0f + e);
-  });
+  return Elementwise(a, [](float x) { return SigmoidScalar(x); });
+}
+
+Tensor SigmoidRowNormalize(const Tensor& a, float eps, Tensor* sigmoid,
+                           Tensor* inv_row_sums) {
+  MCOND_CHECK((sigmoid == nullptr) == (inv_row_sums == nullptr))
+      << "SigmoidRowNormalize saves σ and 1/s together or not at all";
+  const int64_t cols = a.cols();
+  Tensor out = Tensor::Uninitialized(a.rows(), cols);
+  if (sigmoid != nullptr) {
+    *sigmoid = Tensor::Uninitialized(a.rows(), cols);
+    *inv_row_sums = Tensor::Uninitialized(a.rows(), 1);
+  }
+  const float shift = -eps;
+  // Row-parallel, one pass per row. Each step is the expression of the
+  // chain Sigmoid → RowSum → DivRowBroadcast → AddScalar(−eps) → Relu,
+  // so the bits match it at every pool width and on both SIMD tiers (those
+  // ops' AVX2 forms are exact).
+  ParallelFor(
+      0, a.rows(), GrainFromCost(4 * cols),
+      [&](int64_t i0, int64_t i1) {
+        for (int64_t i = i0; i < i1; ++i) {
+          const float* src = a.RowData(i);
+          float* dst = out.RowData(i);
+          // Without a caller to save σ, `dst` holds it until overwritten.
+          float* y = sigmoid != nullptr ? sigmoid->RowData(i) : dst;
+          double acc = 0.0;
+          for (int64_t j = 0; j < cols; ++j) {
+            y[j] = SigmoidScalar(src[j]);
+            acc += y[j];
+          }
+          const float s = static_cast<float>(acc);
+          MCOND_CHECK_GT(s, 0.0f) << "SigmoidRowNormalize needs positive rows";
+          const float inv = 1.0f / s;
+          if (inv_row_sums != nullptr) inv_row_sums->RowData(i)[0] = inv;
+          for (int64_t j = 0; j < cols; ++j) {
+            const float x = y[j] * inv + shift;
+            dst[j] = x > 0.0f ? x : 0.0f;
+          }
+        }
+      },
+      "core.sigmoid_row_normalize");
+  return out;
+}
+
+Tensor SigmoidRowNormalizeBackward(const Tensor& g, const Tensor& out,
+                                   const Tensor& sigmoid,
+                                   const Tensor& inv_row_sums) {
+  MCOND_CHECK(g.SameShape(out) && g.SameShape(sigmoid))
+      << "SigmoidRowNormalizeBackward shape mismatch";
+  MCOND_CHECK_EQ(inv_row_sums.rows(), g.rows());
+  const int64_t cols = g.cols();
+  Tensor d = Tensor::Uninitialized(g.rows(), cols);
+  // Per row, the backward of the five-op chain expression for expression:
+  // the ReLU mask multiplies g (so masked entries keep the sign of g·0),
+  // the 1/s branch folds Σ_j (g·mask)·y in double, and σ' = y·(1−y).
+  ParallelFor(
+      0, g.rows(), GrainFromCost(4 * cols),
+      [&](int64_t i0, int64_t i1) {
+        for (int64_t i = i0; i < i1; ++i) {
+          const float* pg = g.RowData(i);
+          const float* po = out.RowData(i);
+          const float* py = sigmoid.RowData(i);
+          float* pd = d.RowData(i);
+          const float inv = inv_row_sums.RowData(i)[0];
+          double acc = 0.0;
+          for (int64_t j = 0; j < cols; ++j) {
+            pd[j] = pg[j] * (po[j] > 0.0f ? 1.0f : 0.0f);
+            acc += pd[j] * py[j];
+          }
+          float gv = static_cast<float>(acc);
+          gv *= -inv * inv;
+          for (int64_t j = 0; j < cols; ++j) {
+            pd[j] = (pd[j] * inv + gv) * py[j] * (1.0f - py[j]);
+          }
+        }
+      },
+      "core.sigmoid_row_normalize_bwd");
+  return d;
 }
 
 Tensor TanhT(const Tensor& a) {

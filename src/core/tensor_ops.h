@@ -69,6 +69,20 @@ Tensor Relu(const Tensor& a);
 /// d/dx relu(x) evaluated entrywise from the pre-activation.
 Tensor ReluMask(const Tensor& pre_activation);
 Tensor Sigmoid(const Tensor& a);
+/// Eq. (15) of the paper in one row-parallel pass: per row, y = σ(a),
+/// s = Σ_j y_j (double accumulator), then out = ReLU(y / s − eps) as
+/// y·(1/s) + (−eps). Bit-identical to Sigmoid → RowSum → 1/s row scale →
+/// add −eps → Relu. Rows must have s > 0. When `sigmoid` and
+/// `inv_row_sums` are given, y and 1/s (rows×1) are written there for
+/// SigmoidRowNormalizeBackward.
+Tensor SigmoidRowNormalize(const Tensor& a, float eps,
+                           Tensor* sigmoid = nullptr,
+                           Tensor* inv_row_sums = nullptr);
+/// ∂L/∂a of SigmoidRowNormalize from the upstream gradient `g` of `out`
+/// and the saved y and 1/s. Bit-identical to the five-op chain's backward.
+Tensor SigmoidRowNormalizeBackward(const Tensor& g, const Tensor& out,
+                                   const Tensor& sigmoid,
+                                   const Tensor& inv_row_sums);
 Tensor TanhT(const Tensor& a);
 Tensor ExpT(const Tensor& a);
 Tensor LogT(const Tensor& a);

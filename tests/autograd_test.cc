@@ -1,11 +1,13 @@
 #include "autograd/ops.h"
 
 #include <cstring>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/parallel.h"
 #include "core/rng.h"
+#include "core/simd.h"
 #include "core/tensor_ops.h"
 #include "gradcheck.h"
 
@@ -354,6 +356,102 @@ TEST(AutogradTest, DiamondGraphGradient) {
   Variable y = ops::Add(ops::Mul(x, x), ops::Scale(x, 3.0f));
   Backward(ops::SumAll(y));
   EXPECT_FLOAT_EQ(x->grad().At(0, 0), 7.0f);
+}
+
+TEST(AutogradTest, AccumulateGradMovesRvaluesAndCopiesLvalues) {
+  Variable x = MakeVariable(Tensor(2, 3), true);
+  Tensor first = Tensor::Full(2, 3, 1.5f);
+  const float* buffer = first.data();
+  x->AccumulateGrad(std::move(first));
+  EXPECT_EQ(x->grad().data(), buffer);  // Took ownership, no copy.
+  x->AccumulateGrad(Tensor::Full(2, 3, 0.25f));
+  EXPECT_EQ(x->grad().data(), buffer);  // Added into the same buffer.
+  EXPECT_TRUE(BitEqual(x->grad(), Tensor::Full(2, 3, 1.75f)));
+
+  Variable y = MakeVariable(Tensor(2, 3), true);
+  const Tensor kept = Tensor::Full(2, 3, 2.0f);
+  y->AccumulateGrad(kept);
+  EXPECT_NE(y->grad().data(), kept.data());  // An lvalue is copied.
+  EXPECT_TRUE(BitEqual(y->grad(), kept));
+  y->mutable_grad().At(0, 0) = 9.0f;
+  EXPECT_EQ(kept.At(0, 0), 2.0f);
+}
+
+/// The five-op Eq. (15) chain SigmoidRowNormalize replaces: its oracle.
+Variable Eq15Chain(const Variable& a, float eps) {
+  Variable sig = ops::Sigmoid(a);
+  Variable normalized = ops::DivRowBroadcast(sig, ops::RowSum(sig));
+  return ops::Relu(ops::AddScalar(normalized, -eps));
+}
+
+TEST(AutogradTest, SigmoidRowNormalizeMatchesChainBitForBit) {
+  struct Case {
+    const char* name;
+    Tensor a;
+    float eps;
+  };
+  Rng rng(21);
+  std::vector<Case> cases;
+  // Several row chunks at width 4, with entries of ±90 so both branches of
+  // σ's sign split run at its extremes.
+  Tensor wide = rng.NormalTensor(700, 96, 0.0f, 2.0f);
+  for (int64_t k = 0; k < wide.size(); k += 37) {
+    wide.data()[k] = (k / 37) % 2 == 0 ? 90.0f : -90.0f;
+  }
+  cases.push_back({"wide", wide, 1e-5f});
+  cases.push_back({"one_column", rng.NormalTensor(300, 1), 1e-5f});
+  // Uniform rows have weight 1/4 < ε, so ε cuts them to zero entirely.
+  Tensor cut = rng.NormalTensor(6, 4);
+  for (int64_t i = 0; i < 6; i += 2) {
+    for (int64_t j = 0; j < 4; ++j) cut.At(i, j) = 0.5f;
+  }
+  cases.push_back({"rows_cut_by_eps", cut, 0.3f});
+
+  const simd::Tier saved_tier = simd::ActiveTier();
+  std::vector<simd::Tier> tiers = {simd::Tier::kScalar};
+  if (simd::Avx2Compiled() && simd::CpuSupportsAvx2Fma()) {
+    tiers.push_back(simd::Tier::kAvx2);
+  }
+  struct Result {
+    Tensor value, grad;
+  };
+  for (const Case& c : cases) {
+    // A random weighted sum, so ∂/∂out has both signs (g·0 keeps g's sign).
+    const Tensor w = rng.NormalTensor(c.a.rows(), c.a.cols());
+    auto run = [&](bool fused) {
+      Variable a = MakeVariable(c.a, true);
+      Variable out = fused ? ops::SigmoidRowNormalize(a, c.eps)
+                           : Eq15Chain(a, c.eps);
+      Backward(ops::SumAll(ops::Mul(out, MakeConstant(w))));
+      return Result{out->value(), a->grad()};
+    };
+    simd::SetTier(simd::Tier::kScalar);
+    ThreadPool::Global().SetNumThreads(1);
+    const Result oracle = run(/*fused=*/false);
+    ASSERT_EQ(oracle.grad.rows(), c.a.rows()) << c.name;
+    for (simd::Tier tier : tiers) {
+      simd::SetTier(tier);
+      for (int width : {1, 2, 4}) {
+        ThreadPool::Global().SetNumThreads(width);
+        const Result chain = run(/*fused=*/false);
+        const Result fused = run(/*fused=*/true);
+        const std::string where = std::string(c.name) + " tier " +
+                                  simd::TierName(tier) + " width " +
+                                  std::to_string(width);
+        EXPECT_TRUE(BitEqual(chain.value, oracle.value)) << where;
+        EXPECT_TRUE(BitEqual(chain.grad, oracle.grad)) << where;
+        EXPECT_TRUE(BitEqual(fused.value, oracle.value)) << where;
+        EXPECT_TRUE(BitEqual(fused.grad, oracle.grad)) << where;
+        // The eager form (MappingMatrix::NormalizedTensor) shares the kernel.
+        EXPECT_TRUE(BitEqual(SigmoidRowNormalize(c.a, c.eps), oracle.value))
+            << where;
+      }
+    }
+  }
+  simd::SetTier(saved_tier);
+  ThreadPool::Global().SetNumThreads(ThreadPool::DefaultNumThreads());
+  // The ε-cut rows really are zero, so their mask branch was exercised.
+  EXPECT_EQ(MaxAbs(SliceRows(SigmoidRowNormalize(cut, 0.3f), 0, 1)), 0.0f);
 }
 
 TEST(AutogradTest, DeepChainGradient) {
