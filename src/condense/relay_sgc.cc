@@ -1,6 +1,7 @@
 #include "condense/relay_sgc.h"
 
 #include "autograd/optimizer.h"
+#include "core/parallel.h"
 #include "core/tensor_ops.h"
 #include "nn/metrics.h"
 
@@ -63,27 +64,48 @@ std::vector<Tensor> RelaySgc::WeightGradientTensorsBlocked(
     const std::vector<std::pair<int64_t, int64_t>>& blocks) const {
   MCOND_CHECK_EQ(propagated.rows(), static_cast<int64_t>(labels.size()));
   const int64_t n = propagated.rows();
-  Tensor g1(in_dim_, hidden_dim_);
-  Tensor g2(hidden_dim_, num_classes_);
   int64_t covered = 0;
   for (const auto& [begin, end] : blocks) {
     MCOND_CHECK(begin == covered && end >= begin && end <= n)
         << "gradient blocks must tile the rows in order";
     covered = end;
-    if (end == begin) continue;
-    const Tensor z_b = SliceRows(propagated, begin, end);
-    const std::vector<int64_t> labels_b(labels.begin() + begin,
-                                        labels.begin() + end);
-    // Per-row state matches the unblocked form exactly (row-sliced GEMM and
-    // softmax are row-local); only the row reductions below reassociate.
-    const Tensor zw1 = MatMul(z_b, w1_->value());
-    const Tensor probs = SoftmaxRows(MatMul(zw1, w2_->value()));
-    const Tensor residual = Sub(probs, OneHot(labels_b, num_classes_));
-    AxpyInPlace(g2, 1.0f, MatMulTransA(zw1, residual));
-    AxpyInPlace(g1, 1.0f,
-                MatMulTransA(z_b, MatMulTransB(residual, w2_->value())));
   }
   MCOND_CHECK_EQ(covered, n) << "gradient blocks must cover every row";
+  // One block per chunk: each block's kernels run inline on its thread
+  // (nested ParallelFor), which gives the same bits as pooled kernels, and
+  // writes its unscaled partials into its own slots.
+  const int64_t num_blocks = static_cast<int64_t>(blocks.size());
+  std::vector<Tensor> g1_parts(blocks.size());
+  std::vector<Tensor> g2_parts(blocks.size());
+  ParallelFor(
+      0, num_blocks, 1,
+      [&](int64_t b0, int64_t b1) {
+        for (int64_t b = b0; b < b1; ++b) {
+          const auto [begin, end] = blocks[static_cast<size_t>(b)];
+          if (end == begin) continue;
+          const Tensor z_b = SliceRows(propagated, begin, end);
+          const std::vector<int64_t> labels_b(labels.begin() + begin,
+                                              labels.begin() + end);
+          // Per-row state matches the unblocked form exactly (row-sliced
+          // GEMM and softmax are row-local); only the row reductions below
+          // reassociate.
+          const Tensor zw1 = MatMul(z_b, w1_->value());
+          const Tensor probs = SoftmaxRows(MatMul(zw1, w2_->value()));
+          const Tensor residual = Sub(probs, OneHot(labels_b, num_classes_));
+          g2_parts[static_cast<size_t>(b)] = MatMulTransA(zw1, residual);
+          g1_parts[static_cast<size_t>(b)] =
+              MatMulTransA(z_b, MatMulTransB(residual, w2_->value()));
+        }
+      },
+      "condense.original_grad_blocks");
+  // Merge in block order, independent of which thread ran which block.
+  Tensor g1(in_dim_, hidden_dim_);
+  Tensor g2(hidden_dim_, num_classes_);
+  for (size_t b = 0; b < blocks.size(); ++b) {
+    if (blocks[b].second == blocks[b].first) continue;
+    AxpyInPlace(g2, 1.0f, g2_parts[b]);
+    AxpyInPlace(g1, 1.0f, g1_parts[b]);
+  }
   const float inv_n = 1.0f / static_cast<float>(n);
   return {Scale(g1, inv_n), Scale(g2, inv_n)};
 }
