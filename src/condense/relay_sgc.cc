@@ -71,14 +71,17 @@ std::vector<Tensor> RelaySgc::WeightGradientTensorsBlocked(
     covered = end;
   }
   MCOND_CHECK_EQ(covered, n) << "gradient blocks must cover every row";
-  // One block per chunk: each block's kernels run inline on its thread
-  // (nested ParallelFor), which gives the same bits as pooled kernels, and
-  // writes its unscaled partials into its own slots.
-  const int64_t num_blocks = static_cast<int64_t>(blocks.size());
-  std::vector<Tensor> g1_parts(blocks.size());
-  std::vector<Tensor> g2_parts(blocks.size());
+  // The relay is linear, so both gradients factor through W = W₁W₂ and
+  // P = Zᵀ R (d×C): per block only logits Z_b W and R_b = softmax − onehot
+  // (rows×C) are formed. One block per chunk: each block's kernels run
+  // inline on its thread (nested ParallelFor), which gives the same bits as
+  // pooled kernels, and write its unscaled P_b into its own slot.
+  const Tensor& w1 = w1_->value();
+  const Tensor& w2 = w2_->value();
+  const Tensor w = MatMul(w1, w2);
+  std::vector<Tensor> p_parts(blocks.size());
   ParallelFor(
-      0, num_blocks, 1,
+      0, static_cast<int64_t>(blocks.size()), 1,
       [&](int64_t b0, int64_t b1) {
         for (int64_t b = b0; b < b1; ++b) {
           const auto [begin, end] = blocks[static_cast<size_t>(b)];
@@ -86,28 +89,20 @@ std::vector<Tensor> RelaySgc::WeightGradientTensorsBlocked(
           const Tensor z_b = SliceRows(propagated, begin, end);
           const std::vector<int64_t> labels_b(labels.begin() + begin,
                                               labels.begin() + end);
-          // Per-row state matches the unblocked form exactly (row-sliced
-          // GEMM and softmax are row-local); only the row reductions below
-          // reassociate.
-          const Tensor zw1 = MatMul(z_b, w1_->value());
-          const Tensor probs = SoftmaxRows(MatMul(zw1, w2_->value()));
-          const Tensor residual = Sub(probs, OneHot(labels_b, num_classes_));
-          g2_parts[static_cast<size_t>(b)] = MatMulTransA(zw1, residual);
-          g1_parts[static_cast<size_t>(b)] =
-              MatMulTransA(z_b, MatMulTransB(residual, w2_->value()));
+          const Tensor residual = Sub(SoftmaxRows(MatMul(z_b, w)),
+                                      OneHot(labels_b, num_classes_));
+          p_parts[static_cast<size_t>(b)] = MatMulTransA(z_b, residual);
         }
       },
       "condense.original_grad_blocks");
   // Merge in block order, independent of which thread ran which block.
-  Tensor g1(in_dim_, hidden_dim_);
-  Tensor g2(hidden_dim_, num_classes_);
-  for (size_t b = 0; b < blocks.size(); ++b) {
-    if (blocks[b].second == blocks[b].first) continue;
-    AxpyInPlace(g2, 1.0f, g2_parts[b]);
-    AxpyInPlace(g1, 1.0f, g1_parts[b]);
+  Tensor p(in_dim_, num_classes_);
+  for (const Tensor& part : p_parts) {
+    if (!part.empty()) AxpyInPlace(p, 1.0f, part);
   }
   const float inv_n = 1.0f / static_cast<float>(n);
-  return {Scale(g1, inv_n), Scale(g2, inv_n)};
+  return {Scale(MatMulTransB(p, w2), inv_n),   // ∇W₁ = P W₂ᵀ / n
+          Scale(MatMulTransA(w1, p), inv_n)};  // ∇W₂ = W₁ᵀ P / n
 }
 
 float RelaySgc::TrainStep(const Tensor& propagated,

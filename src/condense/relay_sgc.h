@@ -45,14 +45,22 @@ class RelaySgc : public Module {
   std::vector<Tensor> WeightGradientTensors(
       const Tensor& propagated, const std::vector<int64_t>& labels) const;
 
-  /// Class-block partitioned variant of WeightGradientTensors: rows of
-  /// `propagated` are processed one [begin, end) block at a time (unscaled
-  /// per-block gradients, merged in block order, scaled by 1/n once at the
-  /// end), so at most one block of forward state is live. The block
-  /// partition is fixed by the caller — independent of thread count and of
-  /// any memory budget — which makes the result deterministic across both;
-  /// the merge reassociates the row reduction, so results differ from the
-  /// unblocked form by float reassociation only (≈1e-6 relative).
+  /// The original-graph side 𝒢ᵀ = {∇_{W₁}, ∇_{W₂}} of mean
+  /// CE(softmax(z W₁ W₂), labels) as plain tensors, its inputs being
+  /// constant. The relay is linear, so both gradients factor through
+  /// W = W₁W₂ (d×C) and P = zᵀ R (d×C), R = softmax(zW) − onehot(Y):
+  ///   ∇_{W₁} = P W₂ᵀ / n,   ∇_{W₂} = W₁ᵀ P / n.
+  /// Rows of `propagated` are processed in [begin, end) blocks, one block
+  /// per ParallelFor chunk: each block copies its rows of z and forms its
+  /// logits and R (rows×C), so up to pool-width blocks of that state are
+  /// live at once. The unscaled per-block P_b are merged in block order and
+  /// scaled by 1/n once at the end. The block partition is fixed by the
+  /// caller — independent of thread count and of any memory budget — and
+  /// each block's kernels run inline on one thread, which the determinism
+  /// contract makes bit-identical to pooled kernels; so the result is
+  /// deterministic across thread counts and budgets. Against the
+  /// unfactored (zW₁)ᵀR and zᵀ(RW₂ᵀ), and across block partitions, results
+  /// differ by float reassociation only.
   std::vector<Tensor> WeightGradientTensorsBlocked(
       const Tensor& propagated, const std::vector<int64_t>& labels,
       const std::vector<std::pair<int64_t, int64_t>>& blocks) const;

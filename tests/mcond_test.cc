@@ -170,10 +170,10 @@ TEST(MCondGoldenTest, TinySimArtifactDigestOnScalarTier) {
   }
   simd::SetTier(saved_tier);
 
-  EXPECT_EQ(BitDigest(r.synthetic_features), 0xfbccec52367da09full);
-  EXPECT_EQ(BitDigest(r.dense_adjacency), 0x3f4c9b771a7767c3ull);
-  EXPECT_EQ(BitDigest(r.dense_mapping), 0x47a68a1ac8b86ff2ull);
-  EXPECT_EQ(BitDigest(r.s_loss_history), 0xe556cadc117f2a35ull);
+  EXPECT_EQ(BitDigest(r.synthetic_features), 0xfc4aadcc42fcc6a1ull);
+  EXPECT_EQ(BitDigest(r.dense_adjacency), 0xc3efee9378655d24ull);
+  EXPECT_EQ(BitDigest(r.dense_mapping), 0xbfb5750b0b4a6a2eull);
+  EXPECT_EQ(BitDigest(r.s_loss_history), 0xb6ea2a5b64303004ull);
 }
 
 TEST(MCondObservabilityTest, CondensePublishesItsFaultsAndSystemTime) {
