@@ -1,6 +1,7 @@
 #include "condense/mcond.h"
 
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "autograd/optimizer.h"
@@ -76,9 +77,10 @@ MCondResult RunAlgorithm1(const CondenseSource& source,
   // --- Constants of the original-graph side. ---
   // The relay is linear, so Â^L X is computed once and reused for every
   // gradient-matching step and every embedding target. Labeled rows are laid
-  // out in class-block order; the gradient-matching loop walks them one
-  // fixed block at a time, so the streamed path never needs more than one
-  // block of forward state and both paths merge in the same order.
+  // out in class-block order; the gradient-matching loop runs one fixed
+  // block per pool thread and merges them in block order, so at most
+  // pool-width blocks of rows×C forward state are live and every path and
+  // thread count gives the same bits.
   const std::vector<int64_t> labeled =
       ClassBlockedLabeledNodes(source.labels());
   MCOND_CHECK(!labeled.empty());
@@ -95,13 +97,17 @@ MCondResult RunAlgorithm1(const CondenseSource& source,
   // propagation skips the final full-size hop.
   Tensor z_orig;
   Tensor z_labeled;
-  if (config.learn_mapping) {
-    z_orig = source.PropagateNormalized(source.features(), config.relay_depth);
-    z_labeled = GatherRows(z_orig, labeled);
-  } else {
-    z_labeled =
-        source.PropagateNormalized(source.features(), config.relay_depth,
-                                   labeled);
+  {
+    MCOND_TRACE_SPAN("condense.setup.propagate");
+    if (config.learn_mapping) {
+      z_orig =
+          source.PropagateNormalized(source.features(), config.relay_depth);
+      z_labeled = GatherRows(z_orig, labeled);
+    } else {
+      z_labeled =
+          source.PropagateNormalized(source.features(), config.relay_depth,
+                                     labeled);
+    }
   }
 
   // Support-side constants for ℒ_ind: the target embeddings H_sup come from
@@ -111,6 +117,7 @@ MCondResult RunAlgorithm1(const CondenseSource& source,
   const int64_t n_sup = support.size();
   Tensor z_sup_on_original;
   if (config.use_inductive_loss && config.learn_mapping) {
+    MCOND_TRACE_SPAN("condense.setup.support_tail");
     z_sup_on_original =
         source.PropagateComposedSupportTail(support, config.relay_depth);
   }
@@ -162,9 +169,12 @@ MCondResult RunAlgorithm1(const CondenseSource& source,
       Variable z_syn = PropagateDense(a_hat, x_syn, config.relay_depth);
 
       // ℒ_gra: constant 𝒢ᵀ vs differentiable 𝒢ˢ.
-      const std::vector<Tensor> grads_orig =
-          relay.WeightGradientTensorsBlocked(z_labeled, labeled_y,
-                                             grad_blocks);
+      std::vector<Tensor> grads_orig;
+      {
+        MCOND_TRACE_SPAN("condense.original_grads");
+        grads_orig = relay.WeightGradientTensorsBlocked(z_labeled, labeled_y,
+                                                        grad_blocks);
+      }
       const std::vector<Variable> grads_syn =
           relay.WeightGradients(z_syn, synthetic_labels);
       Variable loss = GradientMatchingLoss(grads_orig, grads_syn);
@@ -291,6 +301,7 @@ MCondResult RunAlgorithm1(const CondenseSource& source,
   }
 
   // ---- Final artifacts + sparsification (line 16, Eq. 14). ----
+  MCOND_TRACE_SPAN("condense.final_artifacts");
   result.synthetic_features = x_syn->value();
   result.dense_adjacency = generator.Forward(x_syn)->value();
   if (mapping) {
@@ -326,8 +337,11 @@ MCondResult RunMCondOnSource(const CondenseSource& source,
     // MLP_Φ's N'²×h hidden layer, and the n×N' aM blocks of ℒ_ind. Keep
     // their pages resident for the call instead of faulting them back in
     // on every step.
-    internal::ScopedHeapRetention retain_freed_heap;
+    std::optional<internal::ScopedHeapRetention> retain_freed_heap(
+        std::in_place);
     result = RunAlgorithm1(source, support, num_synthetic, config, seed);
+    MCOND_TRACE_SPAN("condense.heap_trim");
+    retain_freed_heap.reset();
   }
   // Process-wide deltas, including the trim at the scope's exit: concurrent
   // condense calls each count the other's faults too.

@@ -46,19 +46,6 @@ std::vector<Variable> RelaySgc::WeightGradients(
   return {g1, g2};
 }
 
-std::vector<Tensor> RelaySgc::WeightGradientTensors(
-    const Tensor& propagated, const std::vector<int64_t>& labels) const {
-  MCOND_CHECK_EQ(propagated.rows(), static_cast<int64_t>(labels.size()));
-  const int64_t n = propagated.rows();
-  const Tensor zw1 = MatMul(propagated, w1_->value());
-  const Tensor probs = SoftmaxRows(MatMul(zw1, w2_->value()));
-  Tensor residual = Sub(probs, OneHot(labels, num_classes_));
-  residual = Scale(residual, 1.0f / static_cast<float>(n));
-  Tensor g2 = MatMulTransA(zw1, residual);
-  Tensor g1 = MatMulTransA(propagated, MatMulTransB(residual, w2_->value()));
-  return {g1, g2};
-}
-
 std::vector<Tensor> RelaySgc::WeightGradientTensorsBlocked(
     const Tensor& propagated, const std::vector<int64_t>& labels,
     const std::vector<std::pair<int64_t, int64_t>>& blocks) const {

@@ -40,11 +40,6 @@ class RelaySgc : public Module {
   std::vector<Variable> WeightGradients(
       const Variable& propagated, const std::vector<int64_t>& labels) const;
 
-  /// Same gradients as plain tensors, for the original-graph side 𝒢ᵀ whose
-  /// inputs are constant.
-  std::vector<Tensor> WeightGradientTensors(
-      const Tensor& propagated, const std::vector<int64_t>& labels) const;
-
   /// The original-graph side 𝒢ᵀ = {∇_{W₁}, ∇_{W₂}} of mean
   /// CE(softmax(z W₁ W₂), labels) as plain tensors, its inputs being
   /// constant. The relay is linear, so both gradients factor through

@@ -18,11 +18,13 @@
 #include "condense/gradient_matching.h"
 #include "condense/mapping.h"
 #include "condense/relay_sgc.h"
+#include "core/parallel.h"
 #include "core/simd.h"
 #include "core/tensor_ops.h"
 #include "data/synthetic.h"
 #include "dense_block_oracle.h"
 #include "gradcheck.h"
+#include "nn/metrics.h"
 
 namespace mcond {
 namespace {
@@ -367,6 +369,24 @@ TEST(RelaySgcTest, LogitsShapeAndLinearity) {
                        1e-4f, 1e-5f));
 }
 
+// Autograd's view of 𝒢ᵀ: SoftmaxCrossEntropy backward into W₁ and W₂.
+std::vector<Tensor> AutogradWeightGradients(
+    const RelaySgc& relay, const Tensor& z,
+    const std::vector<int64_t>& labels) {
+  const std::vector<Variable> params = relay.Parameters();
+  ZeroGradAll(params);
+  Variable logits = ops::MatMul(
+      ops::MatMul(MakeConstant(z), params[0]), params[1]);
+  Backward(ops::SoftmaxCrossEntropy(logits, labels));
+  std::vector<Tensor> grads = {params[0]->grad(), params[1]->grad()};
+  ZeroGradAll(params);
+  return grads;
+}
+
+std::vector<std::pair<int64_t, int64_t>> OneBlock(int64_t n) {
+  return {{0, n}};
+}
+
 TEST(RelaySgcTest, AnalyticGradientsMatchAutogradTraining) {
   // The closed-form weight gradients must equal what backprop through the
   // CE loss computes.
@@ -375,16 +395,11 @@ TEST(RelaySgcTest, AnalyticGradientsMatchAutogradTraining) {
   Tensor z = rng.NormalTensor(6, 4);
   const std::vector<int64_t> labels = {0, 1, 0, 1, 1, 0};
   const std::vector<Tensor> analytic =
-      relay.WeightGradientTensors(z, labels);
-
-  const std::vector<Variable> params = relay.Parameters();
-  ZeroGradAll(params);
-  Variable logits = ops::MatMul(
-      ops::MatMul(MakeConstant(z), params[0]), params[1]);
-  Backward(ops::SoftmaxCrossEntropy(logits, labels));
-  EXPECT_TRUE(AllClose(analytic[0], params[0]->grad(), 1e-4f, 1e-6f));
-  EXPECT_TRUE(AllClose(analytic[1], params[1]->grad(), 1e-4f, 1e-6f));
-  ZeroGradAll(params);
+      relay.WeightGradientTensorsBlocked(z, labels, OneBlock(6));
+  const std::vector<Tensor> autograd =
+      AutogradWeightGradients(relay, z, labels);
+  EXPECT_TRUE(AllClose(analytic[0], autograd[0], 1e-4f, 1e-6f));
+  EXPECT_TRUE(AllClose(analytic[1], autograd[1], 1e-4f, 1e-6f));
 }
 
 TEST(RelaySgcTest, WeightGradientsVariableMatchesTensorPath) {
@@ -394,11 +409,129 @@ TEST(RelaySgcTest, WeightGradientsVariableMatchesTensorPath) {
   const std::vector<int64_t> labels = {1, 0, 1, 0, 1};
   const std::vector<Variable> vars =
       relay.WeightGradients(MakeConstant(z), labels);
-  const std::vector<Tensor> tensors = relay.WeightGradientTensors(z, labels);
+  const std::vector<Tensor> tensors =
+      relay.WeightGradientTensorsBlocked(z, labels, OneBlock(5));
   ASSERT_EQ(vars.size(), tensors.size());
   for (size_t i = 0; i < vars.size(); ++i) {
     EXPECT_TRUE(AllClose(vars[i]->value(), tensors[i], 1e-4f, 1e-6f));
   }
+}
+
+// Labels in contiguous class runs, the ClassBlockedLabeledNodes layout:
+// `runs[c]` rows of class c.
+std::vector<int64_t> ClassRunLabels(const std::vector<int64_t>& runs) {
+  std::vector<int64_t> labels;
+  for (size_t c = 0; c < runs.size(); ++c) {
+    labels.insert(labels.end(), static_cast<size_t>(runs[c]),
+                  static_cast<int64_t>(c));
+  }
+  return labels;
+}
+
+struct BlockCase {
+  const char* name;
+  std::vector<int64_t> runs;
+  std::vector<std::pair<int64_t, int64_t>> blocks;
+};
+
+// One block; uneven class blocks (ClassGradBlocks of uneven runs); and a
+// one-row block, with an empty block beside it.
+std::vector<BlockCase> BlockCases() {
+  return {
+      {"one block", {40, 25, 35}, OneBlock(100)},
+      {"uneven class blocks", {61, 7, 150, 22},
+       {{0, 61}, {61, 68}, {68, 218}, {218, 240}}},
+      {"one-row block", {1, 30, 19}, {{0, 1}, {1, 1}, {1, 31}, {31, 50}}},
+  };
+}
+
+TEST(RelaySgcTest, BlockedGradientsMatchAutograd) {
+  for (const BlockCase& c : BlockCases()) {
+    const std::vector<int64_t> labels = ClassRunLabels(c.runs);
+    const int64_t n = static_cast<int64_t>(labels.size());
+    Rng rng(12 + static_cast<uint64_t>(n));
+    RelaySgc relay(9, 6, static_cast<int64_t>(c.runs.size()), 2, rng);
+    const Tensor z = rng.NormalTensor(n, 9);
+    const std::vector<Tensor> blocked =
+        relay.WeightGradientTensorsBlocked(z, labels, c.blocks);
+    const std::vector<Tensor> autograd =
+        AutogradWeightGradients(relay, z, labels);
+    ASSERT_EQ(blocked.size(), 2u) << c.name;
+    for (size_t i = 0; i < 2; ++i) {
+      ASSERT_EQ(blocked[i].rows(), autograd[i].rows()) << c.name;
+      ASSERT_EQ(blocked[i].cols(), autograd[i].cols()) << c.name;
+      EXPECT_TRUE(AllClose(blocked[i], autograd[i], 1e-4f, 1e-6f))
+          << c.name << " gradient " << i;
+    }
+  }
+}
+
+bool BitEqual(const Tensor& a, const Tensor& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.size()) * sizeof(float)) == 0;
+}
+
+// Serial reference of the blocked form: the same factored per-block
+// kernels, one block after the other, merged in block order.
+std::vector<Tensor> SerialBlockedGradients(
+    const RelaySgc& relay, const Tensor& z,
+    const std::vector<int64_t>& labels,
+    const std::vector<std::pair<int64_t, int64_t>>& blocks) {
+  ScopedInlineParallelRegion width_one;
+  const std::vector<Variable> params = relay.Parameters();
+  const Tensor& w1 = params[0]->value();
+  const Tensor& w2 = params[1]->value();
+  const Tensor w = MatMul(w1, w2);
+  Tensor p(w1.rows(), w2.cols());
+  for (const auto& [begin, end] : blocks) {
+    if (end == begin) continue;
+    const Tensor z_b = SliceRows(z, begin, end);
+    const std::vector<int64_t> labels_b(labels.begin() + begin,
+                                        labels.begin() + end);
+    const Tensor residual = Sub(SoftmaxRows(MatMul(z_b, w)),
+                                OneHot(labels_b, relay.num_classes()));
+    AxpyInPlace(p, 1.0f, MatMulTransA(z_b, residual));
+  }
+  const float inv_n = 1.0f / static_cast<float>(z.rows());
+  return {Scale(MatMulTransB(p, w2), inv_n),
+          Scale(MatMulTransA(w1, p), inv_n)};
+}
+
+TEST(RelaySgcTest, ParallelBlocksBitEqualSerialBlockOrderMerge) {
+  const simd::Tier saved_tier = simd::ActiveTier();
+  std::vector<simd::Tier> tiers{simd::Tier::kScalar};
+  if (simd::Avx2Compiled() && simd::CpuSupportsAvx2Fma()) {
+    tiers.push_back(simd::Tier::kAvx2);
+  }
+  // Blocks large enough that, outside a parallel region, their GEMMs would
+  // be split across the pool.
+  const std::vector<int64_t> runs = {300, 41, 517, 1, 260};
+  const std::vector<int64_t> labels = ClassRunLabels(runs);
+  const int64_t n = static_cast<int64_t>(labels.size());
+  const std::vector<std::pair<int64_t, int64_t>> blocks = {
+      {0, 300}, {300, 341}, {341, 600}, {600, 858}, {858, 859}, {859, n}};
+  Rng rng(13);
+  RelaySgc relay(48, 32, static_cast<int64_t>(runs.size()), 2, rng);
+  const Tensor z = rng.NormalTensor(n, 48);
+  for (const simd::Tier tier : tiers) {
+    simd::SetTier(tier);
+    const std::vector<Tensor> want =
+        SerialBlockedGradients(relay, z, labels, blocks);
+    for (const int width : {1, 2, 4}) {
+      ThreadPool::Global().SetNumThreads(width);
+      const std::vector<Tensor> got =
+          relay.WeightGradientTensorsBlocked(z, labels, blocks);
+      ASSERT_EQ(got.size(), 2u);
+      for (size_t i = 0; i < 2; ++i) {
+        EXPECT_TRUE(BitEqual(got[i], want[i]))
+            << simd::TierName(tier) << " width " << width << " gradient "
+            << i;
+      }
+    }
+  }
+  simd::SetTier(saved_tier);
+  ThreadPool::Global().SetNumThreads(ThreadPool::DefaultNumThreads());
 }
 
 TEST(RelaySgcTest, WeightGradientsDifferentiableWrtPropagated) {
