@@ -165,15 +165,26 @@ CsrMatrix CsrMatrix::Identity(int64_t n) {
   return FromTriplets(n, n, std::move(t));
 }
 
+// A row-major scan emits entries already in CSR order, with no duplicate
+// coordinates, so FromDense and Thresholded append rows directly: the same
+// matrix FromTriplets builds, without the triplet copy and its sort.
 CsrMatrix CsrMatrix::FromDense(const Tensor& dense, float drop_tol) {
-  std::vector<Triplet> t;
-  for (int64_t i = 0; i < dense.rows(); ++i) {
+  CsrMatrix m;
+  m.rows_ = dense.rows();
+  m.cols_ = dense.cols();
+  m.row_ptr_.assign(static_cast<size_t>(m.rows_) + 1, 0);
+  for (int64_t i = 0; i < m.rows_; ++i) {
     const float* row = dense.RowData(i);
-    for (int64_t j = 0; j < dense.cols(); ++j) {
-      if (std::fabs(row[j]) > drop_tol) t.push_back({i, j, row[j]});
+    for (int64_t j = 0; j < m.cols_; ++j) {
+      if (std::fabs(row[j]) > drop_tol) {
+        m.col_idx_.push_back(static_cast<int32_t>(j));
+        m.values_.push_back(row[j]);
+      }
     }
+    m.row_ptr_[static_cast<size_t>(i) + 1] =
+        static_cast<int64_t>(m.col_idx_.size());
   }
-  return FromTriplets(dense.rows(), dense.cols(), std::move(t));
+  return m;
 }
 
 float CsrMatrix::At(int64_t r, int64_t c) const {
@@ -346,17 +357,23 @@ CsrMatrix CsrMatrix::Scaled(float s) const {
 }
 
 CsrMatrix CsrMatrix::Thresholded(float threshold) const {
-  std::vector<Triplet> t;
+  CsrMatrix m;
+  m.rows_ = rows_;
+  m.cols_ = cols_;
+  m.row_ptr_.assign(static_cast<size_t>(rows_) + 1, 0);
   for (int64_t r = 0; r < rows_; ++r) {
     for (int64_t k = row_ptr_[static_cast<size_t>(r)];
          k < row_ptr_[static_cast<size_t>(r) + 1]; ++k) {
       const float v = values_[static_cast<size_t>(k)];
       if (v >= threshold) {
-        t.push_back({r, col_idx_[static_cast<size_t>(k)], v});
+        m.col_idx_.push_back(col_idx_[static_cast<size_t>(k)]);
+        m.values_.push_back(v);
       }
     }
+    m.row_ptr_[static_cast<size_t>(r) + 1] =
+        static_cast<int64_t>(m.col_idx_.size());
   }
-  return FromTriplets(rows_, cols_, std::move(t));
+  return m;
 }
 
 int64_t CsrMatrix::StorageBytes() const {

@@ -1,5 +1,10 @@
 #include "core/csr_matrix.h"
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/rng.h"
@@ -162,6 +167,50 @@ TEST(CsrMatrixTest, FromDenseDropTolerance) {
   Tensor d = Tensor::FromVector(1, 3, {0.0f, 1e-8f, 0.5f});
   EXPECT_EQ(CsrMatrix::FromDense(d, 1e-6f).Nnz(), 1);
   EXPECT_EQ(CsrMatrix::FromDense(d, 0.0f).Nnz(), 2);
+}
+
+TEST(CsrMatrixTest, FromDenseAndThresholdedMatchTripletRoute) {
+  // The triplet route (collect, sort, build) is the oracle for the direct
+  // row-major builds: same row_ptr, col_idx and value bits. Rows 2 and 5 end
+  // up empty, and ±0 entries, negatives and threshold ties all occur.
+  Rng rng(31);
+  Tensor d = rng.NormalTensor(7, 9);
+  for (int64_t j = 0; j < d.cols(); ++j) {
+    d.At(2, j) = 0.0f;
+    d.At(5, j) = -0.25f;
+  }
+  d.At(0, 0) = -0.0f;
+  d.At(1, 3) = 0.0f;
+  d.At(3, 4) = 0.25f;
+  d.At(6, 8) = 0.25f;
+  auto triplet_route = [&](float drop_tol, float threshold) {
+    std::vector<Triplet> t;
+    for (int64_t i = 0; i < d.rows(); ++i) {
+      for (int64_t j = 0; j < d.cols(); ++j) {
+        const float v = d.At(i, j);
+        if (std::fabs(v) > drop_tol && v >= threshold) t.push_back({i, j, v});
+      }
+    }
+    return CsrMatrix::FromTriplets(d.rows(), d.cols(), std::move(t));
+  };
+  auto expect_same = [](const CsrMatrix& got, const CsrMatrix& want) {
+    EXPECT_EQ(got.rows(), want.rows());
+    EXPECT_EQ(got.cols(), want.cols());
+    EXPECT_EQ(got.row_ptr(), want.row_ptr());
+    EXPECT_EQ(got.col_idx(), want.col_idx());
+    ASSERT_EQ(got.values().size(), want.values().size());
+    EXPECT_EQ(0, std::memcmp(got.values().data(), want.values().data(),
+                             got.values().size() * sizeof(float)));
+  };
+  const float kNoThreshold = -std::numeric_limits<float>::infinity();
+  for (const float drop_tol : {0.0f, 0.3f}) {
+    expect_same(CsrMatrix::FromDense(d, drop_tol),
+                triplet_route(drop_tol, kNoThreshold));
+    for (const float threshold : {-0.25f, 0.25f, 10.0f}) {
+      expect_same(CsrMatrix::FromDense(d, drop_tol).Thresholded(threshold),
+                  triplet_route(drop_tol, threshold));
+    }
+  }
 }
 
 TEST(CsrMatrixTest, StorageBytesCountsAllArrays) {
