@@ -79,8 +79,8 @@ MCondResult RunAlgorithm1(const CondenseSource& source,
   // gradient-matching step and every embedding target. Labeled rows are laid
   // out in class-block order; the gradient-matching loop runs one fixed
   // block per pool thread and merges them in block order, so at most
-  // pool-width blocks of rows×C forward state are live and every path and
-  // thread count gives the same bits.
+  // pool-width blocks of forward state (their rows of Z, and rows×C logits)
+  // are live and every path and thread count gives the same bits.
   const std::vector<int64_t> labeled =
       ClassBlockedLabeledNodes(source.labels());
   MCOND_CHECK(!labeled.empty());

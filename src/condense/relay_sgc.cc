@@ -60,9 +60,10 @@ std::vector<Tensor> RelaySgc::WeightGradientTensorsBlocked(
   MCOND_CHECK_EQ(covered, n) << "gradient blocks must cover every row";
   // The relay is linear, so both gradients factor through W = W₁W₂ and
   // P = Zᵀ R (d×C): per block only logits Z_b W and R_b = softmax − onehot
-  // (rows×C) are formed. One block per chunk: each block's kernels run
-  // inline on its thread (nested ParallelFor), which gives the same bits as
-  // pooled kernels, and write its unscaled P_b into its own slot.
+  // (rows×C) are formed. The blocks are spread over the pool; each block's
+  // kernels run inline on its thread (nested ParallelFor), which gives the
+  // same bits as pooled kernels, and write its unscaled P_b into its own
+  // slot.
   const Tensor& w1 = w1_->value();
   const Tensor& w2 = w2_->value();
   const Tensor w = MatMul(w1, w2);

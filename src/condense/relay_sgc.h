@@ -45,11 +45,12 @@ class RelaySgc : public Module {
   /// constant. The relay is linear, so both gradients factor through
   /// W = W₁W₂ (d×C) and P = zᵀ R (d×C), R = softmax(zW) − onehot(Y):
   ///   ∇_{W₁} = P W₂ᵀ / n,   ∇_{W₂} = W₁ᵀ P / n.
-  /// Rows of `propagated` are processed in [begin, end) blocks, one block
-  /// per ParallelFor chunk: each block copies its rows of z and forms its
-  /// logits and R (rows×C), so up to pool-width blocks of that state are
-  /// live at once. The unscaled per-block P_b are merged in block order and
-  /// scaled by 1/n once at the end. The block partition is fixed by the
+  /// Rows of `propagated` are processed in [begin, end) blocks spread over
+  /// the pool (ParallelFor over the block index, grain 1): each block
+  /// copies its rows of z and forms its logits and R (rows×C), so up to
+  /// pool-width blocks of that state are live at once. The unscaled
+  /// per-block P_b are merged in block order and scaled by 1/n once at the
+  /// end. The block partition is fixed by the
   /// caller — independent of thread count and of any memory budget — and
   /// each block's kernels run inline on one thread, which the determinism
   /// contract makes bit-identical to pooled kernels; so the result is
