@@ -277,7 +277,8 @@ BENCHMARK(BM_GemmSimd)->Arg(0)->Arg(1)->ArgNames({"avx2"})
     ->Unit(benchmark::kMillisecond);
 
 void BM_GemmTransBSimd(benchmark::State& state) {
-  // The autograd backward shape (grad · Wᵀ): dot-product form.
+  // The autograd backward shape (grad · Wᵀ): MatMul's kernel on a packed
+  // Bᵀ.
   const simd::Tier saved = simd::ActiveTier();
   if (!EnterTier(state)) return;
   Rng rng(25);
@@ -338,6 +339,49 @@ void BM_GeneratorTransBSimd(benchmark::State& state) {
 BENCHMARK(BM_GeneratorTransBSimd)
     ->ArgsProduct({{0, 1}, {96, 240}, {64}, {96}})
     ->ArgsProduct({{0, 1}, {9216}, {1}, {64}})
+    ->ArgNames({"avx2", "m", "k", "n"})
+    ->Unit(benchmark::kMillisecond);
+
+// The mapping losses' GEMMs on reddit-sim (N = 4800 training nodes,
+// N' = 96, C = 20 classes): ℒ_tra's forward M·H' (NN 4800×96 → 20) and its
+// ∂M = G·H'ᵀ (NT 4800×20 → 96), and ℒ_ind's ∂(aM) (NT 600×96 → 96). The
+// C = 20 products cover the masked column tails. Args: tier, then the m,
+// k, n of the product.
+
+void BM_MappingMatMulSimd(benchmark::State& state) {
+  const simd::Tier saved = simd::ActiveTier();
+  if (!EnterTier(state)) return;
+  const int64_t m = state.range(1), k = state.range(2), n = state.range(3);
+  Rng rng(29);
+  const Tensor a = rng.NormalTensor(m, k);
+  const Tensor b = rng.NormalTensor(k, n);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(MatMul(a, b));
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
+  simd::SetTier(saved);
+}
+BENCHMARK(BM_MappingMatMulSimd)
+    ->ArgsProduct({{0, 1}, {4800}, {96}, {20}})
+    ->ArgNames({"avx2", "m", "k", "n"})
+    ->Unit(benchmark::kMillisecond);
+
+void BM_MappingTransBSimd(benchmark::State& state) {
+  const simd::Tier saved = simd::ActiveTier();
+  if (!EnterTier(state)) return;
+  const int64_t m = state.range(1), k = state.range(2), n = state.range(3);
+  Rng rng(30);
+  const Tensor a = rng.NormalTensor(m, k);
+  const Tensor bt = rng.NormalTensor(n, k);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(MatMulTransB(a, bt));
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
+  simd::SetTier(saved);
+}
+BENCHMARK(BM_MappingTransBSimd)
+    ->ArgsProduct({{0, 1}, {4800}, {20}, {96}})
+    ->ArgsProduct({{0, 1}, {600}, {96}, {96}})
     ->ArgNames({"avx2", "m", "k", "n"})
     ->Unit(benchmark::kMillisecond);
 

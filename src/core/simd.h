@@ -34,12 +34,14 @@
 ///       element accumulation order preserved), so no bits change.
 ///
 ///   MatMul / MatMulTransA / MatMulTransB, SoftmaxRows:
-///       tolerance-bounded. FMA fuses the multiply-add rounding step and
-///       the 8-lane reductions reorder sums, so results differ from the
-///       scalar tier by O(k · eps) relative error (k = reduction length;
-///       observed < 32 ulp for k ≤ 1024 — see docs/performance.md for the
-///       bound and the property tests that enforce it). Within ONE tier
-///       results remain bit-identical at every thread count.
+///       tolerance-bounded. FMA fuses the multiply-add rounding step (each
+///       GEMM element is one ascending fmadd chain from +0, the bits of a
+///       std::fmaf chain), and SoftmaxRows' 8-lane reduction also reorders
+///       its sum, so results differ from the scalar tier by O(k · eps)
+///       relative error (k = reduction length; observed < 32 ulp for
+///       k ≤ 1024 — see docs/performance.md for the bound and the property
+///       tests that enforce it). Within ONE tier results remain
+///       bit-identical at every thread count.
 
 namespace mcond {
 namespace simd {

@@ -20,9 +20,8 @@ namespace simd {
 
 namespace {
 
-/// Sum of the 8 lanes with a fixed reduction tree. Every dot-product
-/// kernel funnels through this one helper so an element's reduction order
-/// never depends on which register block computed it.
+/// Sum of the 8 lanes with a fixed reduction tree: the lane sum of
+/// Avx2SoftmaxRows, the one kernel here that reorders a reduction.
 inline float ReduceAdd8(__m256 v) {
   const __m128 lo = _mm256_castps256_ps128(v);
   const __m128 hi = _mm256_extractf128_ps(v, 1);
@@ -61,145 +60,66 @@ inline __m256 Exp8(__m256 x) {
   return _mm256_mul_ps(y, _mm256_castsi256_ps(n));
 }
 
-/// One C row of A·B: identical j-tiling and k-order to the 4-row block so
-/// a row's bits don't depend on where a chunk boundary fell.
-inline void GemmRow1(const float* arow, const float* b, float* crow,
-                     int64_t k, int64_t n) {
-  int64_t j = 0;
-  for (; j + 16 <= n; j += 16) {
-    __m256 c0 = _mm256_setzero_ps();
-    __m256 c1 = _mm256_setzero_ps();
-    for (int64_t p = 0; p < k; ++p) {
-      const __m256 av = _mm256_broadcast_ss(arow + p);
-      const float* brow = b + p * n + j;
-      c0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow), c0);
-      c1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow + 8), c1);
-    }
-    _mm256_storeu_ps(crow + j, c0);
-    _mm256_storeu_ps(crow + j + 8, c1);
-  }
-  for (; j + 8 <= n; j += 8) {
-    __m256 c0 = _mm256_setzero_ps();
-    for (int64_t p = 0; p < k; ++p) {
-      c0 = _mm256_fmadd_ps(_mm256_broadcast_ss(arow + p),
-                           _mm256_loadu_ps(b + p * n + j), c0);
-    }
-    _mm256_storeu_ps(crow + j, c0);
-  }
-  for (; j < n; ++j) {
-    float acc = 0.0f;
-    for (int64_t p = 0; p < k; ++p) acc = std::fmaf(arow[p], b[p * n + j], acc);
-    crow[j] = acc;
-  }
+/// Lanes [0, live) of a vector, for a partial last group of rows or
+/// columns.
+inline __m256i LiveLanes(int64_t live) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(live)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
 }
 
-/// Four C rows at once: 4×16 accumulator tile (8 registers) held across
-/// the whole k loop, one broadcast per (row, p).
-inline void GemmRow4(const float* a0, const float* a1, const float* a2,
-                     const float* a3, const float* b, float* c0r, float* c1r,
-                     float* c2r, float* c3r, int64_t k, int64_t n) {
-  int64_t j = 0;
-  for (; j + 16 <= n; j += 16) {
-    __m256 c00 = _mm256_setzero_ps(), c01 = _mm256_setzero_ps();
-    __m256 c10 = _mm256_setzero_ps(), c11 = _mm256_setzero_ps();
-    __m256 c20 = _mm256_setzero_ps(), c21 = _mm256_setzero_ps();
-    __m256 c30 = _mm256_setzero_ps(), c31 = _mm256_setzero_ps();
-    for (int64_t p = 0; p < k; ++p) {
-      const float* brow = b + p * n + j;
-      const __m256 b0 = _mm256_loadu_ps(brow);
-      const __m256 b1 = _mm256_loadu_ps(brow + 8);
-      __m256 av = _mm256_broadcast_ss(a0 + p);
-      c00 = _mm256_fmadd_ps(av, b0, c00);
-      c01 = _mm256_fmadd_ps(av, b1, c01);
-      av = _mm256_broadcast_ss(a1 + p);
-      c10 = _mm256_fmadd_ps(av, b0, c10);
-      c11 = _mm256_fmadd_ps(av, b1, c11);
-      av = _mm256_broadcast_ss(a2 + p);
-      c20 = _mm256_fmadd_ps(av, b0, c20);
-      c21 = _mm256_fmadd_ps(av, b1, c21);
-      av = _mm256_broadcast_ss(a3 + p);
-      c30 = _mm256_fmadd_ps(av, b0, c30);
-      c31 = _mm256_fmadd_ps(av, b1, c31);
-    }
-    _mm256_storeu_ps(c0r + j, c00);
-    _mm256_storeu_ps(c0r + j + 8, c01);
-    _mm256_storeu_ps(c1r + j, c10);
-    _mm256_storeu_ps(c1r + j + 8, c11);
-    _mm256_storeu_ps(c2r + j, c20);
-    _mm256_storeu_ps(c2r + j + 8, c21);
-    _mm256_storeu_ps(c3r + j, c30);
-    _mm256_storeu_ps(c3r + j + 8, c31);
-  }
-  for (; j + 8 <= n; j += 8) {
-    __m256 v0 = _mm256_setzero_ps(), v1 = _mm256_setzero_ps();
-    __m256 v2 = _mm256_setzero_ps(), v3 = _mm256_setzero_ps();
-    for (int64_t p = 0; p < k; ++p) {
-      const __m256 bv = _mm256_loadu_ps(b + p * n + j);
-      v0 = _mm256_fmadd_ps(_mm256_broadcast_ss(a0 + p), bv, v0);
-      v1 = _mm256_fmadd_ps(_mm256_broadcast_ss(a1 + p), bv, v1);
-      v2 = _mm256_fmadd_ps(_mm256_broadcast_ss(a2 + p), bv, v2);
-      v3 = _mm256_fmadd_ps(_mm256_broadcast_ss(a3 + p), bv, v3);
-    }
-    _mm256_storeu_ps(c0r + j, v0);
-    _mm256_storeu_ps(c1r + j, v1);
-    _mm256_storeu_ps(c2r + j, v2);
-    _mm256_storeu_ps(c3r + j, v3);
-  }
-  for (; j < n; ++j) {
-    float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
-    for (int64_t p = 0; p < k; ++p) {
-      const float bv = b[p * n + j];
-      s0 = std::fmaf(a0[p], bv, s0);
-      s1 = std::fmaf(a1[p], bv, s1);
-      s2 = std::fmaf(a2[p], bv, s2);
-      s3 = std::fmaf(a3[p], bv, s3);
-    }
-    c0r[j] = s0;
-    c1r[j] = s1;
-    c2r[j] = s2;
-    c3r[j] = s3;
-  }
-}
+/// One product op(A)·B for the register tiles: op(A)(r, i) sits at
+/// a[r·rs + i·is], so (rs, is) is (k, 1) for A·B and (1, k) for Aᵀ·B.
+/// Reduction step i reads B row i, and output row r is C row r (both of
+/// width n).
+struct GemmOperands {
+  const float* a;
+  int64_t rs, is;
+  const float* b;
+  float* c;
+  int64_t n;
+};
 
 /// Reduction rows per block of Avx2GemmTransACols. A block's B rows
 /// (256 × n floats, 64 KiB at n = 64) and the A columns of a task's output
-/// rows stay in L2 while every output tile sweeps them; the vector tier's
-/// counterpart of tensor_ops.cc's kIc.
+/// rows stay in L2 while every output tile sweeps them.
 constexpr int64_t kTransARows = 256;
 
-/// Running sums of one 8-wide C segment at the start of a reduction block:
-/// +0 for the first block, the parked partial sums after it. Parking a
-/// float in C and loading it back is exact, so a blocked sweep keeps the
-/// bits of one unbroken fmadd chain.
-inline __m256 StartSums(const float* c, bool first) {
-  return first ? _mm256_setzero_ps() : _mm256_loadu_ps(c);
-}
-
-/// C rows [p, p+R) × columns [j, j+8V) of Aᵀ·B, advanced over the
-/// reduction rows [i0, i1): R×V accumulators, V B loads and R broadcasts
-/// of A per reduction row.
-template <int R, int V>
-inline void TransATile(const float* a, const float* b, float* c, int64_t k,
-                       int64_t n, int64_t p, int64_t j, int64_t i0,
-                       int64_t i1) {
-  const bool first = i0 == 0;
+/// C rows [r0, r0+R) × columns [j, j+8V) of op(A)·B, advanced over the
+/// reduction steps [i0, i1): R×V accumulators, V B loads and R broadcasts
+/// of op(A) per step. A block after the first (i0 > 0) starts from the
+/// sums parked in C; parking a float in C and loading it back is exact, so
+/// a blocked sweep keeps the bits of one unbroken fmadd chain from +0.
+/// kMask (V = 1) masks off the lanes at and past column n: a masked lane is
+/// never read or written, and a live lane runs the same chain.
+template <int R, int V, bool kMask = false>
+inline void GemmTile(const GemmOperands& g, int64_t r0, int64_t j, int64_t i0,
+                     int64_t i1) {
+  static_assert(!kMask || V == 1, "only a one-vector tile is masked");
+  const float* a = g.a + r0 * g.rs;
+  const int64_t rs = g.rs, is = g.is, n = g.n;
+  float* c = g.c + r0 * n + j;
+  const __m256i live = LiveLanes(kMask ? n - j : 8);
+  const auto load = [&](const float* src) {
+    if constexpr (kMask) return _mm256_maskload_ps(src, live);
+    return _mm256_loadu_ps(src);
+  };
   __m256 acc[R][V];
 #pragma GCC unroll 4
   for (int r = 0; r < R; ++r) {
 #pragma GCC unroll 2
     for (int v = 0; v < V; ++v) {
-      acc[r][v] = StartSums(c + (p + r) * n + j + 8 * v, first);
+      acc[r][v] = i0 == 0 ? _mm256_setzero_ps() : load(c + r * n + 8 * v);
     }
   }
   for (int64_t i = i0; i < i1; ++i) {
-    const float* ai = a + i * k + p;
-    const float* bi = b + i * n + j;
+    const float* ai = a + i * is;
+    const float* bi = g.b + i * n + j;
     __m256 bv[V];
 #pragma GCC unroll 2
-    for (int v = 0; v < V; ++v) bv[v] = _mm256_loadu_ps(bi + 8 * v);
+    for (int v = 0; v < V; ++v) bv[v] = load(bi + 8 * v);
 #pragma GCC unroll 4
     for (int r = 0; r < R; ++r) {
-      const __m256 av = _mm256_broadcast_ss(ai + r);
+      const __m256 av = _mm256_broadcast_ss(ai + r * rs);
 #pragma GCC unroll 2
       for (int v = 0; v < V; ++v) {
         acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);
@@ -210,25 +130,41 @@ inline void TransATile(const float* a, const float* b, float* c, int64_t k,
   for (int r = 0; r < R; ++r) {
 #pragma GCC unroll 2
     for (int v = 0; v < V; ++v) {
-      _mm256_storeu_ps(c + (p + r) * n + j + 8 * v, acc[r][v]);
+      if constexpr (kMask) {
+        _mm256_maskstore_ps(c + r * n, live, acc[r][v]);
+      } else {
+        _mm256_storeu_ps(c + r * n + 8 * v, acc[r][v]);
+      }
     }
   }
 }
 
-/// Columns [0, j1), j1 a multiple of 8, of the R output rows from p.
+/// The R output rows from r0 over the reduction steps [i0, i1): columns in
+/// multiples of 8 as 16- and 8-wide tiles and, with mask_tail, the last
+/// n mod 8 columns as one masked tile.
 template <int R>
-inline void TransARows(const float* a, const float* b, float* c, int64_t k,
-                       int64_t n, int64_t p, int64_t j1, int64_t i0,
-                       int64_t i1) {
+inline void GemmTileRow(const GemmOperands& g, int64_t r0, int64_t i0,
+                        int64_t i1, bool mask_tail) {
+  const int64_t n8 = g.n & ~int64_t{7};
   int64_t j = 0;
-  for (; j + 16 <= j1; j += 16) TransATile<R, 2>(a, b, c, k, n, p, j, i0, i1);
-  if (j < j1) TransATile<R, 1>(a, b, c, k, n, p, j, i0, i1);
+  for (; j + 16 <= n8; j += 16) GemmTile<R, 2>(g, r0, j, i0, i1);
+  if (j < n8) GemmTile<R, 1>(g, r0, j, i0, i1);
+  if (mask_tail && n8 < g.n) GemmTile<R, 1, true>(g, r0, n8, i0, i1);
 }
 
-/// Lanes [0, live) of a vector, for the partial last group of output rows.
-inline __m256i LiveLanes(int64_t live) {
-  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(live)),
-                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+/// Output rows [r0, r1) over the reduction steps [i0, i1): 4-row tiles,
+/// then one tile of the last 1–3 rows. Tile shapes only interleave
+/// independent chains, so they change no bits.
+inline void GemmRowBlock(const GemmOperands& g, int64_t r0, int64_t r1,
+                         int64_t i0, int64_t i1, bool mask_tail) {
+  int64_t r = r0;
+  for (; r + 4 <= r1; r += 4) GemmTileRow<4>(g, r, i0, i1, mask_tail);
+  switch (r1 - r) {
+    case 3: GemmTileRow<3>(g, r, i0, i1, mask_tail); break;
+    case 2: GemmTileRow<2>(g, r, i0, i1, mask_tail); break;
+    case 1: GemmTileRow<1>(g, r, i0, i1, mask_tail); break;
+    default: break;
+  }
 }
 
 /// C column j, rows [p, p+rows) with rows ≤ 8V: lanes run over output
@@ -276,13 +212,9 @@ inline void TransAColumn(const float* a, const float* b, float* c, int64_t k,
 
 void Avx2GemmRows(const float* a, const float* b, float* c, int64_t k,
                   int64_t n, int64_t i0, int64_t i1) {
-  int64_t i = i0;
-  for (; i + 4 <= i1; i += 4) {
-    GemmRow4(a + i * k, a + (i + 1) * k, a + (i + 2) * k, a + (i + 3) * k, b,
-             c + i * n, c + (i + 1) * n, c + (i + 2) * n, c + (i + 3) * n, k,
-             n);
-  }
-  for (; i < i1; ++i) GemmRow1(a + i * k, b, c + i * n, k, n);
+  // c[i][j] = sum_p a[i][p] * b[p][j]: the whole reduction in one block,
+  // so each element is one fmadd chain over ascending p from +0.
+  GemmRowBlock({a, k, 1, b, c, n}, i0, i1, 0, k, /*mask_tail=*/true);
 }
 
 void Avx2GemmTransACols(const float* a, const float* b, float* c, int64_t m,
@@ -291,21 +223,15 @@ void Avx2GemmTransACols(const float* a, const float* b, float* c, int64_t m,
   // ascending i from +0, whatever tile computes it: the tile shapes, the
   // row blocks and the chunk boundaries change the order of independent
   // chains only, so the bits equal an unblocked element-by-element sweep.
-  // Columns in multiples of 8 run 4×16 register tiles (B rows stream
+  // Columns in multiples of 8 run the register tiles (B rows stream
   // 8-wide, A columns broadcast); the last n mod 8 columns run lanes over
   // output rows instead.
+  const GemmOperands g{a, 1, k, b, c, n};
   const int64_t n8 = n & ~int64_t{7};
   int64_t i0 = 0;
   do {  // The first block runs even when m = 0: it writes the +0 sums.
     const int64_t i1 = std::min(m, i0 + kTransARows);
-    int64_t p = p0;
-    for (; p + 4 <= p1; p += 4) TransARows<4>(a, b, c, k, n, p, n8, i0, i1);
-    switch (p1 - p) {
-      case 3: TransARows<3>(a, b, c, k, n, p, n8, i0, i1); break;
-      case 2: TransARows<2>(a, b, c, k, n, p, n8, i0, i1); break;
-      case 1: TransARows<1>(a, b, c, k, n, p, n8, i0, i1); break;
-      default: break;
-    }
+    GemmRowBlock(g, p0, p1, i0, i1, /*mask_tail=*/false);
     for (int64_t j = n8; j < n; ++j) {
       for (int64_t q = p0; q < p1; q += 32) {
         const int64_t rows = std::min<int64_t>(32, p1 - q);
@@ -319,83 +245,6 @@ void Avx2GemmTransACols(const float* a, const float* b, float* c, int64_t m,
     }
     i0 = i1;
   } while (i0 < m);
-}
-
-void Avx2GemmTransBRows(const float* a, const float* b, float* c, int64_t k,
-                        int64_t n, int64_t i0, int64_t i1) {
-  if (k < 8) {
-    // B rows shorter than a vector: lanes run over 8 output columns
-    // instead, each an fmadd chain over ascending p from +0 — the bits of
-    // the dot-product form below, whose lane sums are all +0 at k < 8.
-    const __m256i stride = _mm256_mullo_epi32(
-        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-        _mm256_set1_epi32(static_cast<int>(k)));
-    for (int64_t i = i0; i < i1; ++i) {
-      const float* arow = a + i * k;
-      float* crow = c + i * n;
-      int64_t j = 0;
-      for (; j + 8 <= n; j += 8) {
-        __m256 v = _mm256_setzero_ps();
-        for (int64_t p = 0; p < k; ++p) {
-          v = _mm256_fmadd_ps(_mm256_broadcast_ss(arow + p),
-                              _mm256_i32gather_ps(b + j * k + p, stride, 4),
-                              v);
-        }
-        _mm256_storeu_ps(crow + j, v);
-      }
-      for (; j < n; ++j) {
-        float s = 0.0f;
-        for (int64_t p = 0; p < k; ++p) s = std::fmaf(arow[p], b[j * k + p], s);
-        crow[j] = s;
-      }
-    }
-    return;
-  }
-  const int64_t k8 = k & ~int64_t{7};
-  for (int64_t i = i0; i < i1; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    int64_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const float* b0 = b + j * k;
-      const float* b1 = b0 + k;
-      const float* b2 = b1 + k;
-      const float* b3 = b2 + k;
-      __m256 v0 = _mm256_setzero_ps(), v1 = _mm256_setzero_ps();
-      __m256 v2 = _mm256_setzero_ps(), v3 = _mm256_setzero_ps();
-      for (int64_t p = 0; p < k8; p += 8) {
-        const __m256 av = _mm256_loadu_ps(arow + p);
-        v0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b0 + p), v0);
-        v1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b1 + p), v1);
-        v2 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b2 + p), v2);
-        v3 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b3 + p), v3);
-      }
-      float s0 = ReduceAdd8(v0), s1 = ReduceAdd8(v1);
-      float s2 = ReduceAdd8(v2), s3 = ReduceAdd8(v3);
-      for (int64_t p = k8; p < k; ++p) {
-        const float av = arow[p];
-        s0 = std::fmaf(av, b0[p], s0);
-        s1 = std::fmaf(av, b1[p], s1);
-        s2 = std::fmaf(av, b2[p], s2);
-        s3 = std::fmaf(av, b3[p], s3);
-      }
-      crow[j] = s0;
-      crow[j + 1] = s1;
-      crow[j + 2] = s2;
-      crow[j + 3] = s3;
-    }
-    for (; j < n; ++j) {
-      const float* brow = b + j * k;
-      __m256 v = _mm256_setzero_ps();
-      for (int64_t p = 0; p < k8; p += 8) {
-        v = _mm256_fmadd_ps(_mm256_loadu_ps(arow + p),
-                            _mm256_loadu_ps(brow + p), v);
-      }
-      float s = ReduceAdd8(v);
-      for (int64_t p = k8; p < k; ++p) s = std::fmaf(arow[p], brow[p], s);
-      crow[j] = s;
-    }
-  }
 }
 
 void Avx2SpmmRows(const int64_t* row_ptr, const int32_t* col_idx,
@@ -618,10 +467,6 @@ void Avx2GemmRows(const float*, const float*, float*, int64_t, int64_t,
 }
 void Avx2GemmTransACols(const float*, const float*, float*, int64_t, int64_t,
                         int64_t, int64_t, int64_t) {
-  std::abort();
-}
-void Avx2GemmTransBRows(const float*, const float*, float*, int64_t, int64_t,
-                        int64_t, int64_t) {
   std::abort();
 }
 void Avx2SpmmRows(const int64_t*, const int32_t*, const float*, const float*,

@@ -16,22 +16,26 @@
 /// Exactness (see core/simd.h): the SpMM, elementwise, and normalize
 /// kernels are bit-identical to their scalar counterparts (independent
 /// lanes, multiply-then-add, per-element order preserved — the file is
-/// compiled with -ffp-contract=off so no silent fusion). The GEMM and
-/// softmax kernels use FMA and 8-lane reductions and are tolerance-bounded
-/// instead.
+/// compiled with -ffp-contract=off so no silent fusion). The GEMM kernels
+/// use FMA: each element is one fmadd chain over the ascending reduction
+/// index from +0, whatever tile computes it, so they are tolerance-bounded
+/// against the scalar tier and bit-identical to a std::fmaf chain. Softmax
+/// also reduces 8 lanes and is tolerance-bounded.
 ///
 /// These symbols are only defined when the build compiles AVX2 code
 /// (simd::Avx2Compiled()); callers must gate on simd::UseAvx2(), which
 /// implies both compile-time and runtime support. All loads/stores are
-/// unaligned-tolerant (vmovups); tails shorter than a vector fall back to
-/// scalar loops, except in MatMulTransA, whose narrow columns run lanes
-/// over output rows.
+/// unaligned-tolerant (vmovups). GEMM column tails narrower than a vector
+/// run masked lanes (MatMulTransA's run lanes over output rows instead);
+/// the other kernels' tails fall back to scalar loops.
 
 namespace mcond {
 namespace simd {
 
 /// C rows [i0, i1) of C(m×n) = A(m×k) · B(k×n). Writes every element of
-/// those rows (C may be uninitialized). 4×16 register tiles, FMA.
+/// those rows (C may be uninitialized), +0 when k = 0. 4×16 register
+/// tiles, FMA, one masked tile for the last n mod 8 columns. MatMulTransB
+/// runs it on a packed Bᵀ.
 void Avx2GemmRows(const float* a, const float* b, float* c, int64_t k,
                   int64_t n, int64_t i0, int64_t i1);
 
@@ -41,11 +45,6 @@ void Avx2GemmRows(const float* a, const float* b, float* c, int64_t k,
 /// blocking and the tile shapes change no bits.
 void Avx2GemmTransACols(const float* a, const float* b, float* c, int64_t m,
                         int64_t k, int64_t n, int64_t p0, int64_t p1);
-
-/// C rows [i0, i1) of C(m×n) = A(m×k) · B(n×k)ᵀ (dot-product form of
-/// MatMulTransB). Writes every element of those rows.
-void Avx2GemmTransBRows(const float* a, const float* b, float* c, int64_t k,
-                        int64_t n, int64_t i0, int64_t i1);
 
 /// Y rows [r0, r1) of Y = CSR · X with X dense n×d (row-major, stride d).
 /// Bit-identical to the scalar gather loop: ascending-k accumulation,

@@ -14,38 +14,40 @@ namespace {
 
 using internal::KernelScope;
 
-/// Cache tile sizes. kKc × kJc is the B panel a MatMul task sweeps
-/// (64 × 256 floats = 64 KiB, comfortably L2-resident); kIc is the input
-/// row block MatMulTransA keeps hot while sweeping its output rows.
+/// Cache tile sizes: kKc × kJc is the B panel a scalar GEMM task sweeps
+/// (64 × 256 floats = 64 KiB, comfortably L2-resident).
 constexpr int64_t kKc = 64;
 constexpr int64_t kJc = 256;
-constexpr int64_t kIc = 128;
 
 /// Flat elementwise loops chunk at this many elements per task.
 constexpr int64_t kElemGrain = int64_t{1} << 15;
 
-}  // namespace
+/// The output of a GEMM: the AVX2 microkernel overwrites its rows (register
+/// accumulation over the whole k range), so it takes an uninitialized
+/// tensor; the scalar loop accumulates across k-tiles and needs zeros.
+Tensor GemmOutput(int64_t m, int64_t n, bool use_avx2) {
+  return use_avx2 ? Tensor::Uninitialized(m, n) : Tensor(m, n);
+}
 
-Tensor MatMul(const Tensor& a, const Tensor& b) {
-  MCOND_CHECK_EQ(a.cols(), b.rows()) << "MatMul shape mismatch";
-  const int64_t m = a.rows(), k = a.cols(), n = b.cols();
-  KernelScope scope("core.matmul", "mcond.kernel.matmul_us", 2 * m * k * n);
-  // SIMD tier captured once per call: the AVX2 microkernel overwrites its
-  // rows (register accumulation over the whole k range), so it takes an
-  // uninitialized output; the scalar path accumulates across k-tiles and
-  // needs zeros.
-  const bool use_avx2 = simd::UseAvx2();
-  Tensor c = use_avx2 ? Tensor::Uninitialized(m, n) : Tensor(m, n);
+/// C = A · B into `c` from GemmOutput, row-parallel: the one body of all
+/// three GEMM products, which pass a packed transpose where they need one.
+/// Callers allocate `c` before packing: in the other order the bits are the
+/// same, but the `condense` benchmark's peak RSS read about 2 MB higher.
+/// Opens no KernelScope: each product counts itself once.
+void GemmInto(const Tensor& a, const Tensor& b, Tensor& c, bool use_avx2,
+              const char* trace_name) {
+  const int64_t k = a.cols(), n = b.cols();
   ParallelFor(
-      0, m, GrainFromCost(2 * k * n),
+      0, a.rows(), GrainFromCost(2 * k * n),
       [&](int64_t i0, int64_t i1) {
         if (use_avx2) {
           simd::Avx2GemmRows(a.data(), b.data(), c.data(), k, n, i0, i1);
           return;
         }
         // k-tiles ascend in the outermost loop so every element still
-        // accumulates its products in ascending-k order (bit-exact with
-        // serial::MatMul); the j-tile keeps the B panel L2-resident.
+        // accumulates its products in ascending-k order from +0 (bit-exact
+        // with all three serial:: products); the j-tile keeps the B panel
+        // L2-resident.
         for (int64_t kt = 0; kt < k; kt += kKc) {
           const int64_t kt_end = std::min(k, kt + kKc);
           for (int64_t jt = 0; jt < n; jt += kJc) {
@@ -62,7 +64,19 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
           }
         }
       },
-      "core.matmul");
+      trace_name);
+}
+
+}  // namespace
+
+Tensor MatMul(const Tensor& a, const Tensor& b) {
+  MCOND_CHECK_EQ(a.cols(), b.rows()) << "MatMul shape mismatch";
+  const int64_t m = a.rows(), k = a.cols(), n = b.cols();
+  KernelScope scope("core.matmul", "mcond.kernel.matmul_us", 2 * m * k * n);
+  // SIMD tier captured once per call, outside the parallel loop.
+  const bool use_avx2 = simd::UseAvx2();
+  Tensor c = GemmOutput(m, n, use_avx2);
+  GemmInto(a, b, c, use_avx2, "core.matmul");
   return c;
 }
 
@@ -72,34 +86,21 @@ Tensor MatMulTransA(const Tensor& a, const Tensor& b) {
   KernelScope scope("core.matmul_ta", "mcond.kernel.matmul_ta_us",
                     2 * m * k * n);
   const bool use_avx2 = simd::UseAvx2();
-  Tensor c = use_avx2 ? Tensor::Uninitialized(k, n)
-                      : Tensor(k, n);  // Scalar accumulates across i-tiles.
-  // c[p][j] += a[i][p] * b[i][j]. The serial scatter form writes all
+  Tensor c = GemmOutput(k, n, use_avx2);
+  if (!use_avx2) {
+    GemmInto(Transpose(a), b, c, use_avx2, "core.matmul_ta");
+    return c;
+  }
+  // c[p][j] = sum_i a[i][p] * b[i][j]. The serial scatter form writes all
   // output rows while walking input rows, so parallelism goes over output
   // rows p instead: no write races, and each element keeps the serial
-  // ascending-i accumulation order at any thread count / chunking.
+  // ascending-i order at any thread count / chunking. Packing Aᵀ would
+  // cost O(mk) against O(mkn) work at the narrow n = 1 and C products.
   ParallelFor(
       0, k, GrainFromCost(2 * m * n),
       [&](int64_t p0, int64_t p1) {
-        if (use_avx2) {
-          simd::Avx2GemmTransACols(a.data(), b.data(), c.data(), m, k, n, p0,
-                                   p1);
-          return;
-        }
-        for (int64_t it = 0; it < m; it += kIc) {
-          const int64_t it_end = std::min(m, it + kIc);
-          for (int64_t jt = 0; jt < n; jt += kJc) {
-            const int64_t jlen = std::min(n, jt + kJc) - jt;
-            for (int64_t p = p0; p < p1; ++p) {
-              float* crow = c.RowData(p) + jt;
-              for (int64_t i = it; i < it_end; ++i) {
-                const float av = a.RowData(i)[p];
-                const float* brow = b.RowData(i) + jt;
-                for (int64_t j = 0; j < jlen; ++j) crow[j] += av * brow[j];
-              }
-            }
-          }
-        }
+        simd::Avx2GemmTransACols(a.data(), b.data(), c.data(), m, k, n, p0,
+                                 p1);
       },
       "core.matmul_ta");
   return c;
@@ -110,31 +111,10 @@ Tensor MatMulTransB(const Tensor& a, const Tensor& b) {
   const int64_t m = a.rows(), k = a.cols(), n = b.rows();
   KernelScope scope("core.matmul_tb", "mcond.kernel.matmul_tb_us",
                     2 * m * k * n);
-  Tensor c = Tensor::Uninitialized(m, n);  // Every element written once.
   const bool use_avx2 = simd::UseAvx2();
-  ParallelFor(
-      0, m, GrainFromCost(2 * k * n),
-      [&](int64_t i0, int64_t i1) {
-        if (use_avx2) {
-          simd::Avx2GemmTransBRows(a.data(), b.data(), c.data(), k, n, i0,
-                                   i1);
-          return;
-        }
-        for (int64_t jt = 0; jt < n; jt += kKc) {
-          const int64_t jt_end = std::min(n, jt + kKc);
-          for (int64_t i = i0; i < i1; ++i) {
-            const float* arow = a.RowData(i);
-            float* crow = c.RowData(i);
-            for (int64_t j = jt; j < jt_end; ++j) {
-              const float* brow = b.RowData(j);
-              float acc = 0.0f;
-              for (int64_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
-              crow[j] = acc;
-            }
-          }
-        }
-      },
-      "core.matmul_tb");
+  Tensor c = GemmOutput(m, n, use_avx2);
+  // The packed Bᵀ (k×n) is the size of B: O(nk) against O(mnk) work.
+  GemmInto(a, Transpose(b), c, use_avx2, "core.matmul_tb");
   return c;
 }
 

@@ -15,10 +15,14 @@ namespace mcond {
 ///
 /// Kernels dispatch through the runtime SIMD tier (core/simd.h). On the
 /// scalar tier every parallel kernel is bit-identical to its serial::
-/// reference; on the AVX2 tier the GEMM family and SoftmaxRows are
-/// tolerance-bounded instead (FMA + lane reductions), while all
+/// reference; on the AVX2 tier the GEMM family (FMA) and SoftmaxRows (FMA
+/// and a lane reduction) are tolerance-bounded instead, while all
 /// elementwise ops stay bit-identical. Within any one tier, results are
 /// bit-identical at every thread count.
+///
+/// The three GEMM products share one per-element order: on the scalar tier
+/// an ascending sum of rounded products from +0, on the AVX2 tier one
+/// ascending fmadd chain from +0.
 
 /// C = A · B. Cache-blocked (depth × column tiles) and row-parallel on the
 /// global thread pool. Bit-identical to serial::MatMul at every thread
@@ -26,15 +30,15 @@ namespace mcond {
 /// chunk and every element accumulates its k-products in ascending order.
 Tensor MatMul(const Tensor& a, const Tensor& b);
 
-/// C = Aᵀ · B without materializing the transpose. Parallel over OUTPUT
-/// rows (columns of A) with input-row tiling — the scatter formulation
-/// writes output rows across input rows and would race under naive
-/// row-parallelism. Bit-identical to serial::MatMulTransA on the scalar
-/// tier.
+/// C = Aᵀ · B. On the AVX2 tier without materializing the transpose:
+/// parallel over OUTPUT rows (columns of A), blocked over input rows — the
+/// scatter formulation writes output rows across input rows and would race
+/// under naive row-parallelism. On the scalar tier MatMul's body runs on a
+/// packed Aᵀ. Bit-identical to serial::MatMulTransA on the scalar tier.
 Tensor MatMulTransA(const Tensor& a, const Tensor& b);
 
-/// C = A · Bᵀ without materializing the transpose. Row-parallel, blocked
-/// over B rows. Bit-identical to serial::MatMulTransB on the scalar tier.
+/// C = A · Bᵀ: MatMul's body on a packed Bᵀ (k×n, the size of B).
+/// Bit-identical to serial::MatMulTransB on the scalar tier.
 Tensor MatMulTransB(const Tensor& a, const Tensor& b);
 
 /// Retained single-threaded reference kernels — the exactness oracle. The

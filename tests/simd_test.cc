@@ -8,8 +8,9 @@
 //  - tolerance kernels (GEMM, softmax): vector-tier divergence bounded by
 //    O(k·eps) relative error, across odd shapes (K not a multiple of the
 //    vector width, single-row, empty);
-//  - within the vector tier, MatMulTransA (and MatMulTransB at k < 8) is
-//    exactly one fmaf chain per element, and the GEMM family is
+//  - within the vector tier, every element of MatMul, MatMulTransA and
+//    MatMulTransB is exactly one fmaf chain over the ascending reduction
+//    index from +0 (one oracle, FmaChain), and the GEMM family is
 //    bit-identical across pool widths.
 #include <gtest/gtest.h>
 
@@ -315,7 +316,7 @@ const GemmShape kOddShapes[] = {{1, 1, 1},  {1, 7, 1},   {3, 129, 5},
                                 {1, 64, 1}, {17, 7, 23}, {5, 0, 4},
                                 {2, 8, 16}, {64, 100, 48}};
 
-/// FMA + 8-lane reduction reorder at most O(k) roundings of eps each;
+/// FMA changes at most O(k) roundings of eps each;
 /// 64·eps·k is a comfortably safe envelope that still catches real bugs
 /// (a wrong element is off by O(1), ~1e7 times this bound for small k).
 float GemmTolerance(int64_t k) {
@@ -368,33 +369,20 @@ TEST_F(SimdTest, SoftmaxToleranceBoundedAcrossOddShapes) {
 }
 
 // ---------------------------------------------------------------------------
-// The AVX2 MatMulTransA tiles, row blocks and column tails reorder only
-// independent fmadd chains: each output element is exactly one fmaf chain
-// over ascending i from +0. Likewise each MatMulTransB element at k < 8.
+// The AVX2 GEMM tiles, reduction blocks, masked column tails and
+// lanes-over-rows columns reorder only independent fmadd chains: each
+// element of all three products is exactly one fmaf chain over the
+// ascending reduction index from +0.
 
-/// c[p][j] = fmaf chain over i of at[i][p] * b[i][j], from +0.
-Tensor TransAFmaChain(const Tensor& at, const Tensor& b) {
-  Tensor c(at.cols(), b.cols());
-  for (int64_t p = 0; p < c.rows(); ++p) {
-    for (int64_t j = 0; j < c.cols(); ++j) {
-      float s = 0.0f;
-      for (int64_t i = 0; i < at.rows(); ++i) {
-        s = std::fmaf(at.RowData(i)[p], b.RowData(i)[j], s);
-      }
-      c.RowData(p)[j] = s;
-    }
-  }
-  return c;
-}
-
-/// c[i][j] = fmaf chain over p of a[i][p] * bt[j][p], from +0.
-Tensor TransBFmaChain(const Tensor& a, const Tensor& bt) {
-  Tensor c(a.rows(), bt.rows());
+/// c[i][j] = fmaf chain over p of a[i][p] * b[p][j], from +0. The transposed
+/// products are checked against it on Transpose of their operand.
+Tensor FmaChain(const Tensor& a, const Tensor& b) {
+  Tensor c(a.rows(), b.cols());
   for (int64_t i = 0; i < c.rows(); ++i) {
     for (int64_t j = 0; j < c.cols(); ++j) {
       float s = 0.0f;
       for (int64_t p = 0; p < a.cols(); ++p) {
-        s = std::fmaf(a.RowData(i)[p], bt.RowData(j)[p], s);
+        s = std::fmaf(a.RowData(i)[p], b.RowData(p)[j], s);
       }
       c.RowData(i)[j] = s;
     }
@@ -402,35 +390,51 @@ Tensor TransBFmaChain(const Tensor& a, const Tensor& bt) {
   return c;
 }
 
-TEST_F(SimdTest, TransAEqualsAscendingFmaChainOnVectorTier) {
+TEST_F(SimdTest, GemmFamilyEqualsAscendingFmaChainOnVectorTier) {
   if (!Avx2TierAvailable()) GTEST_SKIP() << "AVX2 tier unavailable";
   simd::SetTier(simd::Tier::kAvx2);
-  Rng rng(707);
-  // m crosses the 256-row reduction block; k covers the 4-row tiles and
-  // their 1–3-row tails; n covers the 16- and 8-wide column tiles and the
-  // lanes-over-rows tail columns.
-  for (int64_t m : {0, 1, 255, 256, 257, 1000}) {
-    for (int64_t k : {1, 3, 4, 5, 192}) {
-      for (int64_t n : {1, 7, 8, 15, 16, 17, 64}) {
-        const Tensor at = rng.NormalTensor(m, k);
-        const Tensor b = rng.NormalTensor(m, n);
-        EXPECT_TRUE(BitEqual(MatMulTransA(at, b), TransAFmaChain(at, b)))
-            << m << "x" << k << "x" << n;
+  Rng rng(808);
+  // C(m×n) = A(m×k)·B(k×n), with MatMulTransA on Aᵀ and MatMulTransB on Bᵀ.
+  // m covers the 4-row tiles and their 1–3-row tails; k covers the vector
+  // width and MatMulTransA's 256-row reduction block; n covers the 16- and
+  // 8-wide column tiles, every masked tail width and the class count 20.
+  for (int64_t m : {1, 2, 3, 4, 5, 11, 257}) {
+    for (int64_t k : {0, 1, 7, 8, 9, 64, 257}) {
+      for (int64_t n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 20, 64}) {
+        const Tensor a = rng.NormalTensor(m, k);
+        const Tensor b = rng.NormalTensor(k, n);
+        const Tensor at = Transpose(a);
+        const Tensor bt = Transpose(b);
+        const Tensor want = FmaChain(a, b);
+        for (int width : {1, 2, 4}) {
+          ThreadPool::Global().SetNumThreads(width);
+          EXPECT_TRUE(BitEqual(MatMul(a, b), want))
+              << "NN " << m << "x" << k << "x" << n << " width " << width;
+          EXPECT_TRUE(BitEqual(MatMulTransA(at, b), want))
+              << "TN " << m << "x" << k << "x" << n << " width " << width;
+          EXPECT_TRUE(BitEqual(MatMulTransB(a, bt), want))
+              << "NT " << m << "x" << k << "x" << n << " width " << width;
+        }
       }
     }
   }
 }
 
-TEST_F(SimdTest, NarrowTransBEqualsAscendingFmaChainOnVectorTier) {
+TEST_F(SimdTest, TransAEqualsAscendingFmaChainOnVectorTier) {
   if (!Avx2TierAvailable()) GTEST_SKIP() << "AVX2 tier unavailable";
   simd::SetTier(simd::Tier::kAvx2);
-  Rng rng(808);
-  for (int64_t k : {0, 1, 2, 7}) {
-    for (int64_t n : {1, 7, 8, 17, 64}) {
-      const Tensor a = rng.NormalTensor(33, k);
-      const Tensor bt = rng.NormalTensor(n, k);
-      EXPECT_TRUE(BitEqual(MatMulTransB(a, bt), TransBFmaChain(a, bt)))
-          << "k " << k << " n " << n;
+  Rng rng(707);
+  // m crosses the 256-row reduction block more than once; k covers the
+  // 4-row tiles and their 1–3-row tails; n covers the 16- and 8-wide column
+  // tiles and the lanes-over-rows tail columns.
+  for (int64_t m : {0, 1, 255, 256, 257, 1000}) {
+    for (int64_t k : {1, 3, 4, 5, 192}) {
+      for (int64_t n : {1, 7, 8, 15, 16, 17, 64}) {
+        const Tensor at = rng.NormalTensor(m, k);
+        const Tensor b = rng.NormalTensor(m, n);
+        EXPECT_TRUE(BitEqual(MatMulTransA(at, b), FmaChain(Transpose(at), b)))
+            << m << "x" << k << "x" << n;
+      }
     }
   }
 }
@@ -449,6 +453,11 @@ TEST_F(SimdTest, GemmFamilyBitIdenticalAcrossPoolWidthsOnVectorTier) {
   const Tensor hidden = rng.NormalTensor(2304, 64);
   const Tensor score = rng.NormalTensor(2304, 1);
   const Tensor w2 = rng.NormalTensor(64, 1);
+  // The transductive loss at C = 20 classes, scaled down: the forward
+  // M·H' into 20 columns and its ∂M = G·H'ᵀ at k = 20.
+  const Tensor mapping = rng.NormalTensor(1200, 96);
+  const Tensor logits_w = rng.NormalTensor(96, 20);
+  const Tensor logits_g = rng.NormalTensor(1200, 20);
   std::vector<Tensor> ref;
   for (int width : {1, 2, 8}) {
     ThreadPool::Global().SetNumThreads(width);
@@ -459,6 +468,8 @@ TEST_F(SimdTest, GemmFamilyBitIdenticalAcrossPoolWidthsOnVectorTier) {
         MatMulTransA(pairs, hidden),
         MatMulTransA(hidden, score),
         MatMulTransB(score, w2),
+        MatMul(mapping, logits_w),
+        MatMulTransB(logits_g, logits_w),
     };
     if (ref.empty()) {
       ref = out;

@@ -1,10 +1,13 @@
 #include "core/tensor_ops.h"
 
+#include <array>
 #include <cmath>
 
 #include <gtest/gtest.h>
 
 #include "core/rng.h"
+#include "core/simd.h"
+#include "obs/metrics.h"
 
 namespace mcond {
 namespace {
@@ -55,6 +58,42 @@ TEST(TensorOpsTest, MatMulTransBEqualsExplicitTranspose) {
   Tensor a = rng.NormalTensor(4, 3);
   Tensor b = rng.NormalTensor(2, 3);
   EXPECT_TRUE(AllClose(MatMulTransB(a, b), MatMul(a, Transpose(b))));
+}
+
+// The three products share one GEMM body and pack their transposed operand;
+// each call still records exactly one sample, under its own kernel only.
+TEST(TensorOpsTest, GemmProductsCountOnceUnderTheirOwnKernel) {
+  const simd::Tier saved = simd::ActiveTier();
+  Rng rng(5);
+  // 2·128·64·32 = 2^19 flops, above the kernel-stats floor.
+  const Tensor a = rng.NormalTensor(128, 64);
+  const Tensor b = rng.NormalTensor(64, 32);
+  const Tensor at = Transpose(a);
+  const Tensor bt = Transpose(b);
+  const auto counts = [] {
+    return std::array<int64_t, 3>{
+        obs::GetHistogram("mcond.kernel.matmul_us").Count(),
+        obs::GetHistogram("mcond.kernel.matmul_ta_us").Count(),
+        obs::GetHistogram("mcond.kernel.matmul_tb_us").Count()};
+  };
+  const auto delta = [&](const std::array<int64_t, 3>& before) {
+    const std::array<int64_t, 3> now = counts();
+    return std::array<int64_t, 3>{now[0] - before[0], now[1] - before[1],
+                                  now[2] - before[2]};
+  };
+  for (simd::Tier tier : {simd::Tier::kScalar, saved}) {
+    simd::SetTier(tier);
+    std::array<int64_t, 3> before = counts();
+    MatMul(a, b);
+    EXPECT_EQ(delta(before), (std::array<int64_t, 3>{1, 0, 0}));
+    before = counts();
+    MatMulTransA(at, b);
+    EXPECT_EQ(delta(before), (std::array<int64_t, 3>{0, 1, 0}));
+    before = counts();
+    MatMulTransB(a, bt);
+    EXPECT_EQ(delta(before), (std::array<int64_t, 3>{0, 0, 1}));
+  }
+  simd::SetTier(saved);
 }
 
 TEST(TensorOpsTest, MatMulShapeMismatchDies) {
