@@ -88,7 +88,7 @@ Tensor MatMulTransA(const Tensor& a, const Tensor& b) {
   const bool use_avx2 = simd::UseAvx2();
   Tensor c = GemmOutput(k, n, use_avx2);
   if (!use_avx2) {
-    GemmInto(Transpose(a), b, c, use_avx2, "core.matmul_ta");
+    GemmInto(Transpose(a), b, c, /*use_avx2=*/false, "core.matmul_ta");
     return c;
   }
   // c[p][j] = sum_i a[i][p] * b[i][j]. The serial scatter form writes all

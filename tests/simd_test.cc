@@ -396,10 +396,11 @@ TEST_F(SimdTest, GemmFamilyEqualsAscendingFmaChainOnVectorTier) {
   Rng rng(808);
   // C(m×n) = A(m×k)·B(k×n), with MatMulTransA on Aᵀ and MatMulTransB on Bᵀ.
   // m covers the 4-row tiles and their 1–3-row tails; k covers the vector
-  // width and MatMulTransA's 256-row reduction block; n covers the 16- and
-  // 8-wide column tiles, every masked tail width and the class count 20.
+  // width and MatMulTransA's 256-row reduction blocks; n covers the 16- and
+  // 8-wide column tiles, every tail width (masked, or lanes over rows) and
+  // the class count 20.
   for (int64_t m : {1, 2, 3, 4, 5, 11, 257}) {
-    for (int64_t k : {0, 1, 7, 8, 9, 64, 257}) {
+    for (int64_t k : {0, 1, 7, 8, 9, 64, 256, 257, 1000}) {
       for (int64_t n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 20, 64}) {
         const Tensor a = rng.NormalTensor(m, k);
         const Tensor b = rng.NormalTensor(k, n);
@@ -415,25 +416,6 @@ TEST_F(SimdTest, GemmFamilyEqualsAscendingFmaChainOnVectorTier) {
           EXPECT_TRUE(BitEqual(MatMulTransB(a, bt), want))
               << "NT " << m << "x" << k << "x" << n << " width " << width;
         }
-      }
-    }
-  }
-}
-
-TEST_F(SimdTest, TransAEqualsAscendingFmaChainOnVectorTier) {
-  if (!Avx2TierAvailable()) GTEST_SKIP() << "AVX2 tier unavailable";
-  simd::SetTier(simd::Tier::kAvx2);
-  Rng rng(707);
-  // m crosses the 256-row reduction block more than once; k covers the
-  // 4-row tiles and their 1–3-row tails; n covers the 16- and 8-wide column
-  // tiles and the lanes-over-rows tail columns.
-  for (int64_t m : {0, 1, 255, 256, 257, 1000}) {
-    for (int64_t k : {1, 3, 4, 5, 192}) {
-      for (int64_t n : {1, 7, 8, 15, 16, 17, 64}) {
-        const Tensor at = rng.NormalTensor(m, k);
-        const Tensor b = rng.NormalTensor(m, n);
-        EXPECT_TRUE(BitEqual(MatMulTransA(at, b), FmaChain(Transpose(at), b)))
-            << m << "x" << k << "x" << n;
       }
     }
   }
