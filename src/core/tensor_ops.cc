@@ -55,10 +55,25 @@ void GemmInto(const Tensor& a, const Tensor& b, Tensor& c, bool use_avx2,
             for (int64_t i = i0; i < i1; ++i) {
               const float* arow = a.RowData(i);
               float* crow = c.RowData(i) + jt;
-              for (int64_t p = kt; p < kt_end; ++p) {
-                const float av = arow[p];
-                const float* brow = b.RowData(p) + jt;
-                for (int64_t j = 0; j < jlen; ++j) crow[j] += av * brow[j];
+              // Eight running sums stay in registers across the k-tile, so
+              // C is read and written once per tile rather than per step.
+              int64_t j = 0;
+              for (; j + 8 <= jlen; j += 8) {
+                float acc[8];
+                std::copy(crow + j, crow + j + 8, acc);
+                for (int64_t p = kt; p < kt_end; ++p) {
+                  const float av = arow[p];
+                  const float* brow = b.RowData(p) + jt + j;
+                  for (int q = 0; q < 8; ++q) acc[q] += av * brow[q];
+                }
+                std::copy(acc, acc + 8, crow + j);
+              }
+              for (; j < jlen; ++j) {
+                float acc = crow[j];
+                for (int64_t p = kt; p < kt_end; ++p) {
+                  acc += arow[p] * b.RowData(p)[jt + j];
+                }
+                crow[j] = acc;
               }
             }
           }

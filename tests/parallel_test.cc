@@ -48,9 +48,9 @@ namespace {
 ///
 /// Pins the scalar SIMD tier for the duration: these tests compare the
 /// parallel kernels against the single-threaded serial:: oracles, and that
-/// comparison is only bit-exact on the scalar tier (the AVX2 GEMM/softmax
-/// kernels use FMA and lane reductions — tolerance-bounded, covered by
-/// simd_test). Cross-THREAD-count bit-identity within the AVX2 tier is
+/// comparison is only bit-exact on the scalar tier (the AVX2 GEMM kernels
+/// use FMA and softmax also a lane reduction — tolerance-bounded, covered
+/// by simd_test). Cross-THREAD-count bit-identity within the AVX2 tier is
 /// exercised separately below in SimdTierThreadCountsAgree.
 class ParallelTest : public ::testing::Test {
  protected:
