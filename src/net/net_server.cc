@@ -35,19 +35,27 @@ bool SetNonBlocking(int fd) {
 
 }  // namespace
 
-/// Per-connection state, owned by the IO thread. The read buffer always
-/// holds the current frame at offset 0 (ProcessFrames erases each consumed
-/// frame), which is what guarantees the 8-byte body alignment the
-/// zero-copy parse requires — vector storage is 16-byte aligned and the
-/// frame header is 16 bytes.
+/// Per-connection state, owned by the IO thread. `rbuf[0, rlen)` holds the
+/// received bytes not yet consumed; the vector's size is only its
+/// zero-filled capacity, grown when a read needs room. ProcessFrames
+/// handles a frame only at an 8-byte-aligned offset, which is what
+/// guarantees the 8-byte body alignment the zero-copy parse requires —
+/// vector storage is 16-byte aligned and the frame header is 16 bytes.
 struct NetServer::Connection {
   uint64_t id = 0;
   int fd = -1;
   std::vector<uint8_t> rbuf;
+  size_t rlen = 0;
   std::vector<uint8_t> wbuf;
   size_t wbuf_off = 0;
 
   bool HasPendingWrite() const { return wbuf_off < wbuf.size(); }
+  /// Drops the first `n` received bytes, moving the rest to offset 0.
+  void Consume(size_t n) {
+    if (n == 0) return;
+    std::memmove(rbuf.data(), rbuf.data() + n, rlen - n);
+    rlen -= n;
+  }
 };
 
 /// One in-flight request: the materialized batch the tenant server reads,
@@ -258,19 +266,18 @@ void NetServer::AcceptConnections() {
 }
 
 bool NetServer::HandleReadable(Connection* conn) {
-  const size_t old_size = conn->rbuf.size();
-  conn->rbuf.resize(old_size + kReadChunk);
-  const ssize_t got = recv(conn->fd, conn->rbuf.data() + old_size,
-                           kReadChunk, 0);
+  // The buffer grows (and zero-fills) only when less than one chunk is
+  // free; steady traffic reads into the same bytes every time.
+  if (conn->rbuf.size() < conn->rlen + kReadChunk) {
+    conn->rbuf.resize(conn->rlen + kReadChunk);
+  }
+  const ssize_t got = recv(conn->fd, conn->rbuf.data() + conn->rlen,
+                           conn->rbuf.size() - conn->rlen, 0);
   if (got < 0) {
-    conn->rbuf.resize(old_size);
     return errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR;
   }
-  if (got == 0) {
-    conn->rbuf.resize(old_size);
-    return false;  // peer closed
-  }
-  conn->rbuf.resize(old_size + static_cast<size_t>(got));
+  if (got == 0) return false;  // peer closed
+  conn->rlen += static_cast<size_t>(got);
   bytes_rx_.Increment(got);
   if (!ProcessFrames(conn)) return false;
   // Level-triggered poll re-fires while the socket holds more data, so one
@@ -279,10 +286,12 @@ bool NetServer::HandleReadable(Connection* conn) {
 }
 
 bool NetServer::ProcessFrames(Connection* conn) {
+  size_t off = 0;  // start of the next unconsumed frame
   for (;;) {
-    if (conn->rbuf.size() < kFrameHeaderBytes) return true;
+    const size_t avail = conn->rlen - off;
+    if (avail < kFrameHeaderBytes) break;
     FrameHeader header;
-    Status s = ParseFrameHeader(conn->rbuf.data(), conn->rbuf.size(),
+    Status s = ParseFrameHeader(conn->rbuf.data() + off, avail,
                                 options_.max_frame_bytes, &header);
     if (!s.ok()) {
       frame_errors_.Increment();
@@ -298,17 +307,22 @@ bool NetServer::ProcessFrames(Connection* conn) {
     }
     const size_t total =
         kFrameHeaderBytes + static_cast<size_t>(header.body_len);
-    if (conn->rbuf.size() < total) {
-      conn->rbuf.reserve(total);
-      return true;
+    if (avail < total) break;
+    if (off % 8 != 0) {
+      // The previous body's length was not a multiple of 8: move this
+      // frame to offset 0 so its body lands 8-byte aligned.
+      conn->Consume(off);
+      off = 0;
     }
-    HandleRequestFrame(conn, header, conn->rbuf.data() + kFrameHeaderBytes);
-    // Compact the remainder to offset 0: the next frame's body must land
-    // 8-byte aligned for the zero-copy parse.
-    conn->rbuf.erase(conn->rbuf.begin(),
-                     conn->rbuf.begin() + static_cast<ptrdiff_t>(total));
+    HandleRequestFrame(conn, header,
+                       conn->rbuf.data() + off + kFrameHeaderBytes);
+    off += total;
     if (!FlushWrites(conn)) return false;
   }
+  // Once per read: the unconsumed tail (a partial frame, if any) moves to
+  // offset 0.
+  conn->Consume(off);
+  return true;
 }
 
 void NetServer::HandleRequestFrame(Connection* conn,

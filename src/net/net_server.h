@@ -92,7 +92,8 @@ class NetServer {
   void AcceptConnections();
   /// False when the connection died and was closed.
   bool HandleReadable(Connection* conn);
-  /// Processes every complete frame at the front of the read buffer.
+  /// Processes every complete frame in the read buffer, then moves the
+  /// unconsumed tail to its front.
   /// False → protocol violation, connection closed.
   bool ProcessFrames(Connection* conn);
   void HandleRequestFrame(Connection* conn, const FrameHeader& header,

@@ -21,6 +21,10 @@ class Cheby : public GnnModel {
   Variable Forward(const GraphOperators& g, const Variable& x, bool training,
                    Rng& rng) override;
 
+  OperatorKind operator_kind() const override {
+    return OperatorKind::kSymNoLoop;
+  }
+
   std::vector<Variable> Parameters() const override;
   void ResetParameters(Rng& rng) override;
 

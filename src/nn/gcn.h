@@ -15,6 +15,10 @@ class Gcn : public GnnModel {
   Variable Forward(const GraphOperators& g, const Variable& x, bool training,
                    Rng& rng) override;
 
+  OperatorKind operator_kind() const override {
+    return OperatorKind::kGcnNorm;
+  }
+
   std::vector<Variable> Parameters() const override;
   void ResetParameters(Rng& rng) override;
 

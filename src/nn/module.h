@@ -52,9 +52,10 @@ struct GraphOperators {
   static GraphOperators FromGraph(const Graph& g) {
     return FromAdjacency(g.adjacency());
   }
-
-  int64_t NumNodes() const { return gcn_norm.rows(); }
 };
+
+/// Names one member of GraphOperators.
+enum class OperatorKind { kGcnNorm, kRowNorm, kSymNoLoop };
 
 /// A node-level GNN: maps (graph operators, features) to per-node logits.
 class GnnModel : public Module {
@@ -63,6 +64,10 @@ class GnnModel : public Module {
   /// `rng`.
   virtual Variable Forward(const GraphOperators& g, const Variable& x,
                            bool training, Rng& rng) = 0;
+
+  /// The one GraphOperators member Forward reads. A ServingSession composes
+  /// only that operator per request and leaves the other two empty.
+  virtual OperatorKind operator_kind() const = 0;
 
   /// Inference convenience: constant features, no dropout.
   Tensor Predict(const GraphOperators& g, const Tensor& x, Rng& rng) {

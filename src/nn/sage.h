@@ -16,6 +16,10 @@ class GraphSage : public GnnModel {
   Variable Forward(const GraphOperators& g, const Variable& x, bool training,
                    Rng& rng) override;
 
+  OperatorKind operator_kind() const override {
+    return OperatorKind::kRowNorm;
+  }
+
   std::vector<Variable> Parameters() const override;
   void ResetParameters(Rng& rng) override;
 

@@ -1,6 +1,7 @@
 #include "serve/serving_session.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -32,7 +33,8 @@ namespace mcond {
 //    structure and is routed to FallbackCompose instead.
 //  - CsrMatrix::Multiply accumulates acc[c] += av*bv in (ka asc, kb asc)
 //    order from an exact 0.0f, then emits each row's touched columns in
-//    ascending order. ConvertLinks reproduces exactly that.
+//    ascending order, zero sums included. ConvertLinks reproduces exactly
+//    that.
 //
 // The build-time caches live in a shared, immutable SessionBase (see
 // session_base.h) so replica pools pay them once; this file only reads them.
@@ -52,6 +54,40 @@ int64_t VecBytes(const std::vector<T>& v) {
 
 int64_t CsrStorageBytes(const CsrMatrix& m) {
   return VecBytes(m.row_ptr()) + VecBytes(m.col_idx()) + VecBytes(m.values());
+}
+
+/// SymNormalize's 1/sqrt(deg) (0 for deg <= 0) or RowNormalize's 1/deg; a
+/// row_norm degree of 0 never gets here (it takes the fallback).
+float Normalizer(float deg, bool symmetric) {
+  if (!symmetric) return 1.0f / deg;
+  return deg > 0.0f ? 1.0f / std::sqrt(deg) : 0.0f;
+}
+
+/// An entry of the composed operator: (v·dr)·dc, left to right, or v·dr.
+float Entry(float v, float dr, float dc, bool symmetric) {
+  return symmetric ? v * dr * dc : v * dr;
+}
+
+/// Visits batch row i's entries after its link columns, in composed storage
+/// order: its inter-edges, with the self-loop merged in at its sorted
+/// position when the operator has self-loops and the row stores no
+/// diagonal of its own.
+template <typename Fn>
+void ForEachTail(const CsrMatrix* inter, int64_t i, bool self_loops,
+                 Fn&& fn) {
+  bool saw_diag = !self_loops;
+  if (inter != nullptr) {
+    for (int64_t k = inter->row_ptr()[static_cast<size_t>(i)];
+         k < inter->row_ptr()[static_cast<size_t>(i) + 1]; ++k) {
+      const int32_t j = inter->col_idx()[static_cast<size_t>(k)];
+      if (!saw_diag && j >= i) {
+        if (j > i) fn(static_cast<int32_t>(i), 1.0f);
+        saw_diag = true;
+      }
+      fn(j, inter->values()[static_cast<size_t>(k)]);
+    }
+  }
+  if (!saw_diag) fn(static_cast<int32_t>(i), 1.0f);
 }
 
 }  // namespace
@@ -74,22 +110,40 @@ ServingSession::ServingSession(std::shared_ptr<const SessionBase> base,
       forward_hist_(obs::GetHistogram("mcond.serve.session_forward_us")),
       total_hist_(obs::GetHistogram("mcond.serve.session_total_us")) {
   MCOND_CHECK(base_ != nullptr);
-  n_base_ = base_->n_base;
-  feat_dim_ = base_->feat_dim;
+  const SessionBase& sb = *base_;
+  switch (model_.operator_kind()) {
+    case OperatorKind::kGcnNorm:
+      op_ = {&GraphOperators::gcn_norm, &sb.base_loops,
+             sb.base_graph.normalized_adjacency().values().data(),
+             &sb.deg_loop_acc, &sb.dinv_gcn, &sb.csc_loops,
+             /*self_loops=*/true, /*symmetric=*/true};
+      break;
+    case OperatorKind::kRowNorm:
+      op_ = {&GraphOperators::row_norm, &sb.base_loops,
+             sb.base_graph.row_normalized_adjacency().values().data(),
+             &sb.deg_loop_acc, &sb.inv_row, /*csc=*/nullptr,
+             /*self_loops=*/true, /*symmetric=*/false};
+      break;
+    case OperatorKind::kSymNoLoop:
+      op_ = {&GraphOperators::sym_no_loop, &sb.base_graph.adjacency(),
+             sb.sym_base.values().data(), &sb.deg_noloop_acc,
+             &sb.dinv_noloop, &sb.csc_noloop,
+             /*self_loops=*/false, /*symmetric=*/true};
+      break;
+  }
+  MCOND_CHECK(op_.member != nullptr) << "unknown operator kind";
+  n_base_ = sb.n_base;
+  feat_dim_ = sb.feat_dim;
   const size_t n = static_cast<size_t>(n_base_);
   changed_stamp_.assign(n, 0);
   changed_.reserve(n);
   extra_.resize(n);
-  new_acc_loop_.resize(n);
-  new_acc_noloop_.resize(n);
-  new_dinv_gcn_.resize(n);
-  new_inv_row_.resize(n);
-  new_dinv_noloop_.resize(n);
-  cursor_loop_.resize(n);
-  cursor_noloop_.resize(n);
-  if (base_->mapping != nullptr) {
+  new_acc_.resize(n);
+  new_norm_.resize(n);
+  cursor_.resize(n);
+  if (sb.mapping != nullptr) {
     conv_acc_.assign(n, 0.0f);
-    conv_stamp_.assign(n, 0);
+    conv_bits_.assign((n + 63) / 64, 0);
   }
 }
 
@@ -108,55 +162,43 @@ void ServingSession::EnsureBatchShape(int64_t n) {
       },
       "serve.session.base_features");
   const size_t ns = static_cast<size_t>(n);
-  b_dinv_gcn_.resize(ns);
-  b_inv_row_.resize(ns);
-  b_dinv_noloop_.resize(ns);
+  b_norm_.resize(ns);
   conv_rp_.resize(ns + 1);
   cur_n_ = n;
-}
-
-void ServingSession::BumpEpoch() {
-  ++epoch_;
-  if (epoch_ == 0) {  // wrapped: stamps from 4B requests ago could collide
-    std::fill(changed_stamp_.begin(), changed_stamp_.end(), 0u);
-    epoch_ = 1;
-  }
 }
 
 ServingSession::LinksView ServingSession::ConvertLinks(
     const CsrMatrix& links) {
   const CsrMatrix& m = *base_->mapping;
   const int64_t n = links.rows();
+  float* acc = conv_acc_.data();
+  uint64_t* bits = conv_bits_.data();
   conv_ci_.clear();
   conv_v_.clear();
   conv_rp_[0] = 0;
   for (int64_t i = 0; i < n; ++i) {
-    ++conv_epoch_;
-    if (conv_epoch_ == 0) {
-      std::fill(conv_stamp_.begin(), conv_stamp_.end(), 0u);
-      conv_epoch_ = 1;
-    }
-    conv_touched_.clear();
     for (int64_t ka = links.row_ptr()[static_cast<size_t>(i)];
          ka < links.row_ptr()[static_cast<size_t>(i) + 1]; ++ka) {
       const float av = links.values()[static_cast<size_t>(ka)];
       const int32_t mid = links.col_idx()[static_cast<size_t>(ka)];
       for (int64_t kb = m.row_ptr()[static_cast<size_t>(mid)];
            kb < m.row_ptr()[static_cast<size_t>(mid) + 1]; ++kb) {
-        const int32_t c = m.col_idx()[static_cast<size_t>(kb)];
-        if (conv_stamp_[static_cast<size_t>(c)] != conv_epoch_) {
-          conv_stamp_[static_cast<size_t>(c)] = conv_epoch_;
-          conv_acc_[static_cast<size_t>(c)] = 0.0f;  // exact fresh start
-          conv_touched_.push_back(c);
-        }
-        conv_acc_[static_cast<size_t>(c)] +=
-            av * m.values()[static_cast<size_t>(kb)];
+        const size_t c =
+            static_cast<size_t>(m.col_idx()[static_cast<size_t>(kb)]);
+        bits[c / 64] |= uint64_t{1} << (c % 64);
+        acc[c] += av * m.values()[static_cast<size_t>(kb)];
       }
     }
-    std::sort(conv_touched_.begin(), conv_touched_.end());
-    for (const int32_t c : conv_touched_) {
-      conv_ci_.push_back(c);
-      conv_v_.push_back(conv_acc_[static_cast<size_t>(c)]);
+    // Ascending emission of every touched column, zero sums included; each
+    // emitted accumulator goes back to +0.0f for the next row.
+    for (size_t w = 0; w < conv_bits_.size(); ++w) {
+      for (uint64_t word = bits[w]; word != 0; word &= word - 1) {
+        const size_t c = w * 64 + static_cast<size_t>(std::countr_zero(word));
+        conv_ci_.push_back(static_cast<int32_t>(c));
+        conv_v_.push_back(acc[c]);
+        acc[c] = 0.0f;
+      }
+      bits[w] = 0;
     }
     conv_rp_[static_cast<size_t>(i) + 1] =
         static_cast<int64_t>(conv_ci_.size());
@@ -167,7 +209,6 @@ ServingSession::LinksView ServingSession::ConvertLinks(
 
 bool ServingSession::ComputeDegrees(const LinksView& lv,
                                     const CsrMatrix* inter, int64_t n) {
-  const SessionBase& sb = *base_;
   changed_.clear();
   // Pass 1: which base rows gain a link, and their updated exact degree
   // accumulators. Iterating batch rows in ascending order appends each
@@ -181,132 +222,78 @@ bool ServingSession::ComputeDegrees(const LinksView& lv,
         changed_stamp_[cs] = epoch_;
         changed_.push_back(c);
         extra_[cs] = 0;
-        new_acc_loop_[cs] = sb.deg_loop_acc[cs];
-        new_acc_noloop_[cs] = sb.deg_noloop_acc[cs];
+        new_acc_[cs] = (*op_.deg_acc)[cs];
       }
       ++extra_[cs];
-      const float v = lv.values[k];
-      new_acc_loop_[cs] += v;
-      new_acc_noloop_[cs] += v;
+      new_acc_[cs] += lv.values[k];
     }
   }
   for (const int32_t c : changed_) {
     const size_t cs = static_cast<size_t>(c);
-    const float deg = static_cast<float>(new_acc_loop_[cs]);
-    // A changed base row always has stored entries (its self-loop at
+    const float deg = static_cast<float>(new_acc_[cs]);
+    // A changed row of Ã always has stored entries (its self-loop at
     // least), so degree 0 means RowNormalize would drop its entries.
-    if (deg == 0.0f) return false;
-    new_dinv_gcn_[cs] = deg > 0.0f ? 1.0f / std::sqrt(deg) : 0.0f;
-    new_inv_row_[cs] = 1.0f / deg;
-    const float deg_nl = static_cast<float>(new_acc_noloop_[cs]);
-    new_dinv_noloop_[cs] = deg_nl > 0.0f ? 1.0f / std::sqrt(deg_nl) : 0.0f;
+    if (op_.self_loops && deg == 0.0f) return false;
+    new_norm_[cs] = Normalizer(deg, op_.symmetric);
   }
   // Pass 2: batch-row degrees, accumulated in composed storage order —
   // link entries first, then the merged (inter, self-loop) tail.
   for (int64_t i = 0; i < n; ++i) {
-    double acc_l = 0.0;
-    double acc_nl = 0.0;
+    double acc = 0.0;
     for (int64_t k = lv.row_ptr[i]; k < lv.row_ptr[i + 1]; ++k) {
-      acc_l += lv.values[k];
-      acc_nl += lv.values[k];
+      acc += lv.values[k];
     }
-    if (inter != nullptr) {
-      bool saw_diag = false;
-      for (int64_t k = inter->row_ptr()[static_cast<size_t>(i)];
-           k < inter->row_ptr()[static_cast<size_t>(i) + 1]; ++k) {
-        const int32_t j = inter->col_idx()[static_cast<size_t>(k)];
-        if (!saw_diag && j > i) {
-          acc_l += 1.0;  // implicit self-loop sorts before this entry
-          saw_diag = true;
-        }
-        if (j == i) saw_diag = true;
-        acc_l += inter->values()[static_cast<size_t>(k)];
-        acc_nl += inter->values()[static_cast<size_t>(k)];
-      }
-      if (!saw_diag) acc_l += 1.0;
-    } else {
-      acc_l += 1.0;  // node-batch: the self-loop is the only tail entry
-    }
-    const float deg = static_cast<float>(acc_l);
-    if (deg == 0.0f) return false;  // row has entries; RowNormalize drops
-    const size_t is = static_cast<size_t>(i);
-    b_dinv_gcn_[is] = deg > 0.0f ? 1.0f / std::sqrt(deg) : 0.0f;
-    b_inv_row_[is] = 1.0f / deg;
-    const float deg_nl = static_cast<float>(acc_nl);
-    b_dinv_noloop_[is] = deg_nl > 0.0f ? 1.0f / std::sqrt(deg_nl) : 0.0f;
+    ForEachTail(inter, i, op_.self_loops,
+                [&](int32_t, float v) { acc += v; });
+    const float deg = static_cast<float>(acc);
+    if (op_.self_loops && deg == 0.0f) return false;  // as above
+    b_norm_[static_cast<size_t>(i)] = Normalizer(deg, op_.symmetric);
   }
   return true;
 }
 
 void ServingSession::BuildComposed(const LinksView& lv,
                                    const CsrMatrix* inter, int64_t n) {
-  const SessionBase& sb = *base_;
+  const CsrMatrix& s = *op_.structure;
+  const std::vector<float>& base_norm = *op_.norm;
+  const bool sym = op_.symmetric;
   const int64_t total = n_base_ + n;
-  const CsrMatrix& raw = sb.base_graph.adjacency();
-  const CsrMatrix& base_loops = sb.base_loops;
 
-  // Row extents. Batch loop-rows carry an extra self-loop entry unless the
+  // Row extents. Batch rows of Ã carry an extra self-loop entry unless the
   // inter row already stores its diagonal.
-  gcn_rp_.resize(static_cast<size_t>(total) + 1);
-  sym_rp_.resize(static_cast<size_t>(total) + 1);
-  gcn_rp_[0] = 0;
-  sym_rp_[0] = 0;
+  rp_.resize(static_cast<size_t>(total) + 1);
+  rp_[0] = 0;
   for (int64_t r = 0; r < n_base_; ++r) {
     const size_t rs = static_cast<size_t>(r);
     const int64_t ext = changed_stamp_[rs] == epoch_ ? extra_[rs] : 0;
-    gcn_rp_[rs + 1] = gcn_rp_[rs] + base_loops.RowNnz(r) + ext;
-    sym_rp_[rs + 1] = sym_rp_[rs] + raw.RowNnz(r) + ext;
+    rp_[rs + 1] = rp_[rs] + s.RowNnz(r) + ext;
   }
   for (int64_t i = 0; i < n; ++i) {
     const size_t rs = static_cast<size_t>(n_base_ + i);
-    const int64_t nl = lv.row_ptr[i + 1] - lv.row_ptr[i];
-    int64_t tail_loop = 1;  // the self-loop
-    int64_t tail_sym = 0;
-    if (inter != nullptr) {
-      tail_sym = inter->RowNnz(i);
-      tail_loop = tail_sym + (inter->HasEntry(i, i) ? 0 : 1);
-    }
-    gcn_rp_[rs + 1] = gcn_rp_[rs] + nl + tail_loop;
-    sym_rp_[rs + 1] = sym_rp_[rs] + nl + tail_sym;
+    const bool has_diag = inter != nullptr && inter->HasEntry(i, i);
+    const int64_t tail = (inter != nullptr ? inter->RowNnz(i) : 0) +
+                         (op_.self_loops && !has_diag ? 1 : 0);
+    rp_[rs + 1] = rp_[rs] + (lv.row_ptr[i + 1] - lv.row_ptr[i]) + tail;
   }
-  const int64_t nnz_loop = gcn_rp_[static_cast<size_t>(total)];
-  const int64_t nnz_sym = sym_rp_[static_cast<size_t>(total)];
-  gcn_ci_.resize(static_cast<size_t>(nnz_loop));
-  gcn_v_.resize(static_cast<size_t>(nnz_loop));
-  row_v_.resize(static_cast<size_t>(nnz_loop));
-  sym_ci_.resize(static_cast<size_t>(nnz_sym));
-  sym_v_.resize(static_cast<size_t>(nnz_sym));
+  const size_t nnz = static_cast<size_t>(rp_[static_cast<size_t>(total)]);
+  ci_.resize(nnz);
+  v_.resize(nnz);
 
   // Base rows: copy structure + cached normalized values in parallel.
   // Changed rows get their values overwritten by the patch phases below.
-  const float* gcn_base_v = sb.base_graph.normalized_adjacency().values().data();
-  const float* row_base_v =
-      sb.base_graph.row_normalized_adjacency().values().data();
-  const float* sym_base_v = sb.sym_base.values().data();
   ParallelFor(
-      0, n_base_, RowGrain(base_loops.Nnz() + raw.Nnz(), n_base_),
+      0, n_base_, RowGrain(s.Nnz(), n_base_),
       [&](int64_t r0, int64_t r1) {
         for (int64_t r = r0; r < r1; ++r) {
           const size_t rs = static_cast<size_t>(r);
-          const int64_t src = base_loops.row_ptr()[rs];
-          const int64_t nb = base_loops.RowNnz(r);
-          const int64_t dst = gcn_rp_[rs];
-          std::memcpy(gcn_ci_.data() + dst, base_loops.col_idx().data() + src,
-                      static_cast<size_t>(nb) * sizeof(int32_t));
-          std::memcpy(gcn_v_.data() + dst, gcn_base_v + src,
-                      static_cast<size_t>(nb) * sizeof(float));
-          std::memcpy(row_v_.data() + dst, row_base_v + src,
-                      static_cast<size_t>(nb) * sizeof(float));
-          cursor_loop_[rs] = dst + nb;
-          const int64_t src_nl = raw.row_ptr()[rs];
-          const int64_t nb_nl = raw.RowNnz(r);
-          const int64_t dst_nl = sym_rp_[rs];
+          const int64_t src = s.row_ptr()[rs];
+          const int64_t nb = s.RowNnz(r);
+          const int64_t dst = rp_[rs];
           // copy_n, not memcpy: an edgeless base graph has null buffers
           // here, and memcpy from null is undefined even for zero bytes.
-          std::copy_n(raw.col_idx().data() + src_nl, nb_nl,
-                      sym_ci_.data() + dst_nl);
-          std::copy_n(sym_base_v + src_nl, nb_nl, sym_v_.data() + dst_nl);
-          cursor_noloop_[rs] = dst_nl + nb_nl;
+          std::copy_n(s.col_idx().data() + src, nb, ci_.data() + dst);
+          std::copy_n(op_.base_values + src, nb, v_.data() + dst);
+          cursor_[rs] = dst + nb;
         }
       },
       "serve.session.base_rows");
@@ -317,18 +304,12 @@ void ServingSession::BuildComposed(const LinksView& lv,
   // normalizers.
   for (int64_t i = 0; i < n; ++i) {
     const int32_t col = static_cast<int32_t>(n_base_ + i);
-    const float di_g = b_dinv_gcn_[static_cast<size_t>(i)];
-    const float di_s = b_dinv_noloop_[static_cast<size_t>(i)];
+    const float dc = b_norm_[static_cast<size_t>(i)];
     for (int64_t k = lv.row_ptr[i]; k < lv.row_ptr[i + 1]; ++k) {
       const size_t cs = static_cast<size_t>(lv.col_idx[k]);
-      const float v = lv.values[k];
-      const int64_t pos = cursor_loop_[cs]++;
-      gcn_ci_[static_cast<size_t>(pos)] = col;
-      gcn_v_[static_cast<size_t>(pos)] = v * new_dinv_gcn_[cs] * di_g;
-      row_v_[static_cast<size_t>(pos)] = v * new_inv_row_[cs];
-      const int64_t pos_s = cursor_noloop_[cs]++;
-      sym_ci_[static_cast<size_t>(pos_s)] = col;
-      sym_v_[static_cast<size_t>(pos_s)] = v * new_dinv_noloop_[cs] * di_s;
+      const size_t pos = static_cast<size_t>(cursor_[cs]++);
+      ci_[pos] = col;
+      v_[pos] = Entry(lv.values[k], new_norm_[cs], dc, sym);
     }
   }
 
@@ -337,55 +318,21 @@ void ServingSession::BuildComposed(const LinksView& lv,
       0, n, RowGrain(lv.nnz + (inter ? inter->Nnz() : 0) + n, n),
       [&](int64_t i0, int64_t i1) {
         for (int64_t i = i0; i < i1; ++i) {
-          const size_t is = static_cast<size_t>(i);
-          const float di_g = b_dinv_gcn_[is];
-          const float di_r = b_inv_row_[is];
-          const float di_s = b_dinv_noloop_[is];
-          int64_t dst = gcn_rp_[static_cast<size_t>(n_base_ + i)];
-          int64_t dst_s = sym_rp_[static_cast<size_t>(n_base_ + i)];
+          const float dr = b_norm_[static_cast<size_t>(i)];
+          size_t dst =
+              static_cast<size_t>(rp_[static_cast<size_t>(n_base_ + i)]);
           for (int64_t k = lv.row_ptr[i]; k < lv.row_ptr[i + 1]; ++k) {
             const int32_t c = lv.col_idx[k];
-            const size_t cs = static_cast<size_t>(c);
-            const float v = lv.values[k];
-            gcn_ci_[static_cast<size_t>(dst)] = c;
-            gcn_v_[static_cast<size_t>(dst)] = v * di_g * new_dinv_gcn_[cs];
-            row_v_[static_cast<size_t>(dst)] = v * di_r;
+            ci_[dst] = c;
+            v_[dst] = Entry(lv.values[k], dr,
+                            new_norm_[static_cast<size_t>(c)], sym);
             ++dst;
-            sym_ci_[static_cast<size_t>(dst_s)] = c;
-            sym_v_[static_cast<size_t>(dst_s)] =
-                v * di_s * new_dinv_noloop_[cs];
-            ++dst_s;
           }
-          auto emit_loop = [&](int32_t j, float v) {
-            const float dj = b_dinv_gcn_[static_cast<size_t>(j)];
-            gcn_ci_[static_cast<size_t>(dst)] =
-                static_cast<int32_t>(n_base_ + j);
-            gcn_v_[static_cast<size_t>(dst)] = v * di_g * dj;
-            row_v_[static_cast<size_t>(dst)] = v * di_r;
+          ForEachTail(inter, i, op_.self_loops, [&](int32_t j, float v) {
+            ci_[dst] = static_cast<int32_t>(n_base_ + j);
+            v_[dst] = Entry(v, dr, b_norm_[static_cast<size_t>(j)], sym);
             ++dst;
-          };
-          if (inter != nullptr) {
-            bool saw_diag = false;
-            for (int64_t k = inter->row_ptr()[is];
-                 k < inter->row_ptr()[is + 1]; ++k) {
-              const int32_t j = inter->col_idx()[static_cast<size_t>(k)];
-              const float v = inter->values()[static_cast<size_t>(k)];
-              if (!saw_diag && j > i) {
-                emit_loop(static_cast<int32_t>(i), 1.0f);
-                saw_diag = true;
-              }
-              if (j == i) saw_diag = true;
-              emit_loop(j, v);
-              sym_ci_[static_cast<size_t>(dst_s)] =
-                  static_cast<int32_t>(n_base_ + j);
-              sym_v_[static_cast<size_t>(dst_s)] =
-                  v * di_s * b_dinv_noloop_[static_cast<size_t>(j)];
-              ++dst_s;
-            }
-            if (!saw_diag) emit_loop(static_cast<int32_t>(i), 1.0f);
-          } else {
-            emit_loop(static_cast<int32_t>(i), 1.0f);
-          }
+          });
         }
       },
       "serve.session.batch_rows");
@@ -394,7 +341,7 @@ void ServingSession::BuildComposed(const LinksView& lv,
   // with the fresh row normalizer (columns may be old or new).
   const int64_t changed_n = static_cast<int64_t>(changed_.size());
   const int64_t patch_grain = RowGrain(
-      changed_n * (base_loops.Nnz() / std::max<int64_t>(n_base_, 1) + 1),
+      changed_n * (s.Nnz() / std::max<int64_t>(n_base_, 1) + 1),
       std::max<int64_t>(changed_n, 1));
   ParallelFor(
       0, changed_n, patch_grain,
@@ -402,33 +349,17 @@ void ServingSession::BuildComposed(const LinksView& lv,
         for (int64_t idx = i0; idx < i1; ++idx) {
           const size_t rs = static_cast<size_t>(changed_[
               static_cast<size_t>(idx)]);
-          const float dr_g = new_dinv_gcn_[rs];
-          const float ir = new_inv_row_[rs];
-          const int64_t src = base_loops.row_ptr()[rs];
-          const int64_t dst = gcn_rp_[rs];
-          const int64_t nb = base_loops.row_ptr()[rs + 1] - src;
+          const float dr = new_norm_[rs];
+          const int64_t src = s.row_ptr()[rs];
+          const int64_t dst = rp_[rs];
+          const int64_t nb = s.row_ptr()[rs + 1] - src;
           for (int64_t k = 0; k < nb; ++k) {
             const size_t cs = static_cast<size_t>(
-                base_loops.col_idx()[static_cast<size_t>(src + k)]);
-            const float dc = changed_stamp_[cs] == epoch_
-                                 ? new_dinv_gcn_[cs]
-                                 : sb.dinv_gcn[cs];
-            const float v = base_loops.values()[static_cast<size_t>(src + k)];
-            gcn_v_[static_cast<size_t>(dst + k)] = v * dr_g * dc;
-            row_v_[static_cast<size_t>(dst + k)] = v * ir;
-          }
-          const float dr_s = new_dinv_noloop_[rs];
-          const int64_t src_s = raw.row_ptr()[rs];
-          const int64_t dst_s = sym_rp_[rs];
-          const int64_t nb_s = raw.row_ptr()[rs + 1] - src_s;
-          for (int64_t k = 0; k < nb_s; ++k) {
-            const size_t cs = static_cast<size_t>(
-                raw.col_idx()[static_cast<size_t>(src_s + k)]);
-            const float dc = changed_stamp_[cs] == epoch_
-                                 ? new_dinv_noloop_[cs]
-                                 : sb.dinv_noloop[cs];
-            sym_v_[static_cast<size_t>(dst_s + k)] =
-                raw.values()[static_cast<size_t>(src_s + k)] * dr_s * dc;
+                s.col_idx()[static_cast<size_t>(src + k)]);
+            const float dc =
+                changed_stamp_[cs] == epoch_ ? new_norm_[cs] : base_norm[cs];
+            v_[static_cast<size_t>(dst + k)] = Entry(
+                s.values()[static_cast<size_t>(src + k)], dr, dc, sym);
           }
         }
       },
@@ -437,56 +368,32 @@ void ServingSession::BuildComposed(const LinksView& lv,
   // Patch phase B: changed *columns* in unchanged rows, via the CSC index.
   // Rows already rewritten in phase A are skipped, so writes stay disjoint.
   // row_norm values only depend on the row degree — no column phase.
-  ParallelFor(
-      0, changed_n, patch_grain,
-      [&](int64_t i0, int64_t i1) {
-        for (int64_t idx = i0; idx < i1; ++idx) {
-          const size_t cs = static_cast<size_t>(changed_[
-              static_cast<size_t>(idx)]);
-          const float dc_g = new_dinv_gcn_[cs];
-          for (int64_t t = sb.csc_loops.col_ptr[cs];
-               t < sb.csc_loops.col_ptr[cs + 1]; ++t) {
-            const size_t rs = static_cast<size_t>(
-                sb.csc_loops.row[static_cast<size_t>(t)]);
-            if (changed_stamp_[rs] == epoch_) continue;
-            const int64_t k = sb.csc_loops.val_idx[static_cast<size_t>(t)];
-            const int64_t pos =
-                gcn_rp_[rs] + (k - base_loops.row_ptr()[rs]);
-            gcn_v_[static_cast<size_t>(pos)] =
-                base_loops.values()[static_cast<size_t>(k)] *
-                sb.dinv_gcn[rs] * dc_g;
+  if (op_.csc != nullptr) {
+    const SessionBase::CscIndex& csc = *op_.csc;
+    ParallelFor(
+        0, changed_n, patch_grain,
+        [&](int64_t i0, int64_t i1) {
+          for (int64_t idx = i0; idx < i1; ++idx) {
+            const size_t cs = static_cast<size_t>(changed_[
+                static_cast<size_t>(idx)]);
+            const float dc = new_norm_[cs];
+            for (int64_t t = csc.col_ptr[cs]; t < csc.col_ptr[cs + 1]; ++t) {
+              const size_t rs =
+                  static_cast<size_t>(csc.row[static_cast<size_t>(t)]);
+              if (changed_stamp_[rs] == epoch_) continue;
+              const int64_t k = csc.val_idx[static_cast<size_t>(t)];
+              const int64_t pos = rp_[rs] + (k - s.row_ptr()[rs]);
+              v_[static_cast<size_t>(pos)] =
+                  s.values()[static_cast<size_t>(k)] * base_norm[rs] * dc;
+            }
           }
-          const float dc_s = new_dinv_noloop_[cs];
-          for (int64_t t = sb.csc_noloop.col_ptr[cs];
-               t < sb.csc_noloop.col_ptr[cs + 1]; ++t) {
-            const size_t rs = static_cast<size_t>(
-                sb.csc_noloop.row[static_cast<size_t>(t)]);
-            if (changed_stamp_[rs] == epoch_) continue;
-            const int64_t k = sb.csc_noloop.val_idx[static_cast<size_t>(t)];
-            const int64_t pos =
-                sym_rp_[rs] + (k - raw.row_ptr()[rs]);
-            sym_v_[static_cast<size_t>(pos)] =
-                raw.values()[static_cast<size_t>(k)] * sb.dinv_noloop[rs] *
-                dc_s;
-          }
-        }
-      },
-      "serve.session.patch_cols");
+        },
+        "serve.session.patch_cols");
+  }
 
-  // row_norm shares the with-loop structure; copy (capacity-reusing) so
-  // each matrix owns its arrays, then hand everything to ops_.
-  row_rp_ = gcn_rp_;
-  row_ci_ = gcn_ci_;
-  ops_.gcn_norm = CsrMatrix::FromParts(total, total, std::move(gcn_rp_),
-                                       std::move(gcn_ci_), std::move(gcn_v_),
-                                       /*validate=*/false);
-  ops_.row_norm = CsrMatrix::FromParts(total, total, std::move(row_rp_),
-                                       std::move(row_ci_), std::move(row_v_),
-                                       /*validate=*/false);
-  ops_.sym_no_loop = CsrMatrix::FromParts(total, total, std::move(sym_rp_),
-                                          std::move(sym_ci_),
-                                          std::move(sym_v_),
-                                          /*validate=*/false);
+  ops_.*op_.member =
+      CsrMatrix::FromParts(total, total, std::move(rp_), std::move(ci_),
+                           std::move(v_), /*validate=*/false);
 }
 
 void ServingSession::FallbackCompose(const HeldOutBatch& batch,
@@ -509,7 +416,9 @@ void ServingSession::FallbackCompose(const HeldOutBatch& batch,
     composed = ComposeBlockAdjacency(base_->base_graph.adjacency(), *links,
                                      CsrMatrix::FromTriplets(n, n, {}));
   }
-  ops_ = GraphOperators::FromAdjacency(composed);
+  // The oracle's own operator code; only the declared operator is kept.
+  GraphOperators all = GraphOperators::FromAdjacency(composed);
+  ops_.*op_.member = std::move(all.*op_.member);
 }
 
 void ServingSession::StackBatchFeatures(const Tensor& batch_features) {
@@ -548,10 +457,11 @@ const Tensor& ServingSession::Serve(const HeldOutBatch& batch,
   requests_.Increment();
   EnsureBatchShape(n);
   // Reclaim the CSR buffers the previous request moved into ops_.
-  ops_.gcn_norm.TakeParts(&gcn_rp_, &gcn_ci_, &gcn_v_);
-  ops_.row_norm.TakeParts(&row_rp_, &row_ci_, &row_v_);
-  ops_.sym_no_loop.TakeParts(&sym_rp_, &sym_ci_, &sym_v_);
-  BumpEpoch();
+  (ops_.*op_.member).TakeParts(&rp_, &ci_, &v_);
+  if (++epoch_ == 0) {  // wrapped: stamps from 4B requests ago could collide
+    std::fill(changed_stamp_.begin(), changed_stamp_.end(), 0u);
+    epoch_ = 1;
+  }
   arena_.Reset();
 
   int64_t links_nnz = 0;
@@ -609,21 +519,14 @@ const Tensor& ServingSession::Serve(const HeldOutBatch& batch,
 
 int64_t ServingSession::workspace_bytes() const {
   int64_t bytes =
-      VecBytes(conv_acc_) + VecBytes(conv_stamp_) + VecBytes(conv_touched_) +
-      VecBytes(conv_rp_) + VecBytes(conv_ci_) + VecBytes(conv_v_) +
-      VecBytes(changed_stamp_) + VecBytes(changed_) + VecBytes(extra_) +
-      VecBytes(new_acc_loop_) + VecBytes(new_acc_noloop_) +
-      VecBytes(new_dinv_gcn_) + VecBytes(new_inv_row_) +
-      VecBytes(new_dinv_noloop_) + VecBytes(b_dinv_gcn_) +
-      VecBytes(b_inv_row_) + VecBytes(b_dinv_noloop_) + VecBytes(gcn_rp_) +
-      VecBytes(row_rp_) + VecBytes(sym_rp_) + VecBytes(gcn_ci_) +
-      VecBytes(row_ci_) + VecBytes(sym_ci_) + VecBytes(gcn_v_) +
-      VecBytes(row_v_) + VecBytes(sym_v_) + VecBytes(cursor_loop_) +
-      VecBytes(cursor_noloop_);
+      VecBytes(conv_acc_) + VecBytes(conv_bits_) + VecBytes(conv_rp_) +
+      VecBytes(conv_ci_) + VecBytes(conv_v_) + VecBytes(changed_stamp_) +
+      VecBytes(changed_) + VecBytes(extra_) + VecBytes(new_acc_) +
+      VecBytes(new_norm_) + VecBytes(b_norm_) + VecBytes(rp_) +
+      VecBytes(ci_) + VecBytes(v_) + VecBytes(cursor_);
   // Composed CSR storage currently parked inside ops_ (the scratch vectors
   // above are empty right after a serve moved them there — no double count).
-  bytes += CsrStorageBytes(ops_.gcn_norm) + CsrStorageBytes(ops_.row_norm) +
-           CsrStorageBytes(ops_.sym_no_loop);
+  bytes += CsrStorageBytes(ops_.*op_.member);
   bytes += (features_.size() + out_logits_.size()) *
            static_cast<int64_t>(sizeof(float));
   bytes += static_cast<int64_t>(arena_.bytes_reserved());

@@ -28,17 +28,13 @@ namespace mcond {
 /// rows, although >95% of that work is identical between requests. The
 /// session amortizes the static part:
 ///
-/// Cached at build time (in a SessionBase, shareable across sessions)
-///  - the base adjacency with self-loops (Ã = A + I) and its raw form;
-///  - exact per-row degree accumulators (the double-precision partial sums
-///    `RowSums` would produce), so a batch's contribution can be appended
-///    without reordering a single float addition;
-///  - the base blocks of all three normalized operators (GCN, row-norm,
-///    sym-no-loop), i.e. the values that are reused verbatim for rows whose
-///    degree does not change;
-///  - CSC patch indexes of the base block, mapping each column to the
-///    (row, value-index) pairs that reference it, so a degree change in
-///    column c touches only the entries that actually contain c.
+/// Cached at build time in a SessionBase (session_base.h; shareable across
+/// sessions): the base adjacency with self-loops (Ã = A + I) and raw, exact
+/// per-row degree accumulators (the double-precision partial sums `RowSums`
+/// would produce, so a batch's contribution is appended without reordering
+/// a float addition), the normalized base blocks of the three operators
+/// (reused verbatim for rows whose degree does not change), and CSC patch
+/// indexes (column → referencing entries).
 /// Owned per session (the replica workspace)
 ///  - preallocated workspaces: composed CSR buffers, the stacked feature
 ///    matrix, output logits, SpGEMM scratch for the aM conversion, and a
@@ -51,8 +47,9 @@ namespace mcond {
 /// Per request (`Serve`)
 ///  - links are converted through the mapping (aM) into preallocated
 ///    buffers, replicating `CsrMatrix::Multiply`'s accumulation order;
-///  - the composed structure is rebuilt into the cached buffers (parallel
-///    row copies of the base block + appended link columns);
+///  - only the operator the model reads (GnnModel::operator_kind) is
+///    rebuilt into the cached buffers (parallel row copies of the base
+///    block + appended link columns); the other two stay empty;
 ///  - ONLY rows whose degree changed — the n batch rows plus the base rows
 ///    gaining a link — are renormalized; everything else is patched from
 ///    the cached operator values (a column pass fixes entries whose
@@ -64,11 +61,11 @@ namespace mcond {
 ///
 /// Exactness: results are bit-identical to `ComposeDeployment` + Predict at
 /// every thread count — the same float expressions are evaluated in the
-/// same order; tests enforce memcmp equality. The one semantic corner that
-/// cannot be patched incrementally — `RowNormalize` *dropping* rows whose
-/// degree is exactly 0 — is detected (at build for base rows, per request for
-/// changed/batch rows) and routed to an exact full-recompose fallback;
-/// `fallback_serves()` counts how often that happened (0 on real graphs).
+/// same order; tests enforce memcmp equality. `RowNormalize` *dropping* the
+/// entries of a degree-0 row of Ã cannot be patched incrementally; it is
+/// detected (at build for base rows, per request for the Ã rows gcn_norm and
+/// row_norm sessions renormalize) and routed to an exact full-recompose
+/// fallback; `fallback_serves()` counts these (0 on real graphs).
 ///
 /// Allocation contract: after one warm-up serve per batch shape,
 /// steady-state `Serve` performs zero tensor-heap allocations
@@ -144,16 +141,28 @@ class ServingSession {
     int64_t nnz = 0;
   };
 
+  /// The composed operator as the base caches describe it (the constructor
+  /// fills it per OperatorKind).
+  struct OperatorSpec {
+    CsrMatrix GraphOperators::*member;
+    const CsrMatrix* structure;
+    const float* base_values;
+    const std::vector<double>* deg_acc;
+    const std::vector<float>* norm;
+    const SessionBase::CscIndex* csc;
+    bool self_loops;
+    bool symmetric;  // (v·dr)·dc with 1/sqrt(deg), else v·dr with 1/deg
+  };
+
   void EnsureBatchShape(int64_t n);
-  void BumpEpoch();
   /// aM SpGEMM into conv_* buffers; bit-identical to CsrMatrix::Multiply.
   LinksView ConvertLinks(const CsrMatrix& links);
-  /// Computes composed degrees / normalizers for changed base rows and
-  /// batch rows. Returns false if a degree-0 row would trigger
-  /// RowNormalize's entry-dropping path (take the fallback).
+  /// Computes the operator's composed degrees / normalizers for changed
+  /// base rows and batch rows. Returns false if a degree-0 row of Ã would
+  /// trigger RowNormalize's entry-dropping path (take the fallback).
   bool ComputeDegrees(const LinksView& lv, const CsrMatrix* inter, int64_t n);
-  /// Builds the composed CSR structures + values into the cached buffers
-  /// and assembles ops_ from them.
+  /// Builds the operator's composed CSR structure + values into the cached
+  /// buffers and moves them into ops_.
   void BuildComposed(const LinksView& lv, const CsrMatrix* inter, int64_t n);
   /// Exact slow path: full compose + FromAdjacency (same code as
   /// ComposeDeployment).
@@ -164,17 +173,16 @@ class ServingSession {
   // ---- build-time caches, immutable and shareable across replicas ----
   std::shared_ptr<const SessionBase> base_;
   GnnModel& model_;
+  OperatorSpec op_{};
 
   int64_t n_base_ = 0;   // N (or N'), mirrors base_->n_base
   int64_t feat_dim_ = 0;  // mirrors base_->feat_dim
 
   // ---- per-request scratch (persistent, capacity-stable) ----
   uint32_t epoch_ = 0;
-  uint32_t conv_epoch_ = 0;
-  // aM conversion (condensed sessions): dense accumulator over base nodes.
+  // aM conversion (condensed sessions): accumulator + occupancy bitmap.
   std::vector<float> conv_acc_;
-  std::vector<uint32_t> conv_stamp_;
-  std::vector<int32_t> conv_touched_;
+  std::vector<uint64_t> conv_bits_;
   std::vector<int64_t> conv_rp_;
   std::vector<int32_t> conv_ci_;
   std::vector<float> conv_v_;
@@ -182,23 +190,14 @@ class ServingSession {
   std::vector<uint32_t> changed_stamp_;
   std::vector<int32_t> changed_;
   std::vector<int64_t> extra_;  // appended links per changed base row
-  std::vector<double> new_acc_loop_;
-  std::vector<double> new_acc_noloop_;
-  std::vector<float> new_dinv_gcn_;
-  std::vector<float> new_inv_row_;
-  std::vector<float> new_dinv_noloop_;
-  // Batch-row normalizers.
-  std::vector<float> b_dinv_gcn_;
-  std::vector<float> b_inv_row_;
-  std::vector<float> b_dinv_noloop_;
-  // Composed CSR buffers. The with-self-loop structure (gcn_rp_/gcn_ci_) is
-  // shared by gcn_norm and row_norm (copied into row_rp_/row_ci_ so each
-  // CsrMatrix owns its arrays); sym_no_loop has its own raw structure.
-  std::vector<int64_t> gcn_rp_, row_rp_, sym_rp_;
-  std::vector<int32_t> gcn_ci_, row_ci_, sym_ci_;
-  std::vector<float> gcn_v_, row_v_, sym_v_;
-  std::vector<int64_t> cursor_loop_;
-  std::vector<int64_t> cursor_noloop_;
+  std::vector<double> new_acc_;
+  std::vector<float> new_norm_;
+  std::vector<float> b_norm_;  // batch-row normalizers
+  // The composed operator's CSR buffers (moved into ops_ per request).
+  std::vector<int64_t> rp_;
+  std::vector<int32_t> ci_;
+  std::vector<float> v_;
+  std::vector<int64_t> cursor_;
 
   // ---- persistent outputs ----
   GraphOperators ops_;

@@ -3,20 +3,25 @@
 // and end-to-end loopback serving — logits over the socket bit-identical to
 // in-process ConcurrentServer calls on the same tenants, queue-full and
 // quota-exceeded surfacing as protocol-level REJECTED replies (never a
-// dropped connection), unknown tenants as NOT_FOUND, and hostile framing
-// closing the connection. Also built under the tsan preset, which checks
-// the IO-thread / worker-callback handoff.
+// dropped connection), unknown tenants as NOT_FOUND, hostile framing
+// closing the connection, and frames coalesced into one read or split
+// across reads (with unaligned body lengths) each getting its reply. Also
+// built under the tsan preset, which checks the IO-thread / worker-callback
+// handoff.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "coreset/coreset.h"
@@ -60,6 +65,55 @@ HeldOutBatch MakeBatch() {
 std::vector<uint8_t> BodyOf(const std::vector<uint8_t>& frame) {
   return std::vector<uint8_t>(frame.begin() + kFrameHeaderBytes,
                               frame.end());
+}
+
+/// A raw client socket connected to a loopback server; -1 on failure.
+int ConnectRaw(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  if (::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr) != 1 ||
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool SendAll(int fd, const uint8_t* data, size_t len) {
+  for (size_t sent = 0; sent < len;) {
+    const ssize_t w = ::send(fd, data + sent, len - sent, 0);
+    if (w <= 0) return false;
+    sent += static_cast<size_t>(w);
+  }
+  return true;
+}
+
+bool RecvAll(int fd, uint8_t* data, size_t len) {
+  for (size_t got = 0; got < len;) {
+    const ssize_t r = ::recv(fd, data + got, len - got, 0);
+    if (r <= 0) return false;
+    got += static_cast<size_t>(r);
+  }
+  return true;
+}
+
+/// Reads one response frame and leaves its body in `body` (vector storage,
+/// so aligned for ParseResponseBody).
+bool RecvResponse(int fd, std::vector<uint8_t>* body) {
+  uint8_t header_bytes[kFrameHeaderBytes];
+  FrameHeader header;
+  if (!RecvAll(fd, header_bytes, sizeof(header_bytes)) ||
+      !ParseFrameHeader(header_bytes, sizeof(header_bytes),
+                        kDefaultMaxBodyBytes, &header)
+           .ok() ||
+      header.type != FrameType::kResponse) {
+    return false;
+  }
+  body->resize(header.body_len);
+  return RecvAll(fd, body->data(), body->size());
 }
 
 TEST(WireTest, FrameHeaderRoundTrip) {
@@ -416,43 +470,14 @@ TEST_F(NetServerTest, CorruptCsrGetsInvalidReplyNotDisconnect) {
     std::memcpy(&frame[col0], &huge, sizeof(huge));
   }
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ConnectRaw(server.port());
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(server.port()));
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  size_t sent = 0;
-  while (sent < frame.size()) {
-    const ssize_t w = ::send(fd, frame.data() + sent, frame.size() - sent, 0);
-    ASSERT_GT(w, 0);
-    sent += static_cast<size_t>(w);
-  }
+  ASSERT_TRUE(SendAll(fd, frame.data(), frame.size()));
 
   // The reply is a well-formed INVALID_ARGUMENT response frame addressed to
   // our request id — not a disconnect.
-  uint8_t header_bytes[kFrameHeaderBytes];
-  size_t got = 0;
-  while (got < sizeof(header_bytes)) {
-    const ssize_t r =
-        ::recv(fd, header_bytes + got, sizeof(header_bytes) - got, 0);
-    ASSERT_GT(r, 0);
-    got += static_cast<size_t>(r);
-  }
-  FrameHeader header;
-  ASSERT_TRUE(ParseFrameHeader(header_bytes, sizeof(header_bytes),
-                               kDefaultMaxBodyBytes, &header)
-                  .ok());
-  ASSERT_EQ(header.type, FrameType::kResponse);
-  std::vector<uint8_t> body(header.body_len);
-  got = 0;
-  while (got < body.size()) {
-    const ssize_t r = ::recv(fd, body.data() + got, body.size() - got, 0);
-    ASSERT_GT(r, 0);
-    got += static_cast<size_t>(r);
-  }
+  std::vector<uint8_t> body;
+  ASSERT_TRUE(RecvResponse(fd, &body));
   ResponseView view;
   ASSERT_TRUE(ParseResponseBody(body.data(), body.size(), &view).ok());
   EXPECT_EQ(view.request_id, 31u);
@@ -466,6 +491,87 @@ TEST_F(NetServerTest, CorruptCsrGetsInvalidReplyNotDisconnect) {
   NetResponse resp;
   ASSERT_TRUE(client.Call("alpha", (*batches_)[0], true, &resp).ok());
   EXPECT_EQ(resp.status, WireStatus::kOk) << resp.message;
+  server.Stop();
+}
+
+TEST_F(NetServerTest, CoalescedAndSplitFramesWithUnalignedBodiesAllServed) {
+  // With n·d odd a request body is 4 bytes past an 8-byte boundary, so in a
+  // burst read at once every other frame starts unaligned. A 15-feature
+  // tenant (tiny-sim has 16) and batches of 7 and 3 nodes give exactly that.
+  constexpr int64_t kDim = 15;
+  const auto truncate = [](const Tensor& x) {
+    Tensor out = Tensor::Uninitialized(x.rows(), kDim);
+    for (int64_t r = 0; r < x.rows(); ++r) {
+      std::memcpy(out.RowData(r), x.RowData(r), kDim * sizeof(float));
+    }
+    return out;
+  };
+  Rng rng(42);
+  CondensedGraph cg = BuildCoresetGraph(
+      data_->train_graph,
+      SelectCoreset(CoresetMethod::kRandom, data_->train_graph,
+                    data_->train_graph.features(), /*num_select=*/24, rng));
+  cg.graph = Graph(cg.graph.adjacency(), truncate(cg.graph.features()),
+                   cg.graph.labels(), cg.graph.num_classes());
+  ModelRegistry registry(UntrainedSgcFactory());
+  ASSERT_TRUE(registry.AddTenant("odd", std::move(cg), TenantConfig()).ok());
+  Tenant* tenant = registry.Find("odd");
+  ASSERT_NE(tenant, nullptr);
+  NetServer server(registry, NetServerOptions());
+  ASSERT_TRUE(server.Start().ok());
+
+  std::vector<HeldOutBatch> batches = SplitIntoBatches(data_->test, 7);
+  std::map<uint64_t, Tensor> expected;
+  std::vector<uint8_t> burst;  // every frame but the last
+  std::vector<uint8_t> last;
+  for (size_t b = 0; b < batches.size(); ++b) {
+    HeldOutBatch& batch = batches[b];
+    batch.features = truncate(batch.features);
+    const bool graph_batch = b % 2 == 0;
+    const uint64_t id = 100 + b;
+    ASSERT_TRUE(
+        tenant->server->ServeSync(batch, graph_batch, &expected[id]).ok());
+    std::vector<uint8_t>& out = b + 1 < batches.size() ? burst : last;
+    const size_t begin = out.size();
+    EncodeRequestFrame(id, "odd", batch, graph_batch, &out);
+    ASSERT_EQ((out.size() - begin - kFrameHeaderBytes) % 8, 4u);
+  }
+
+  const int fd = ConnectRaw(server.port());
+  ASSERT_GE(fd, 0);
+  const int one = 1;
+  ASSERT_EQ(::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)), 0);
+  ASSERT_EQ(::send(fd, burst.data(), burst.size(), 0),
+            static_cast<ssize_t>(burst.size()));
+  // The last frame in three pieces, cut mid-header and mid-body, with
+  // pauses so the server reads them separately.
+  const size_t mid_body =
+      kFrameHeaderBytes + (last.size() - kFrameHeaderBytes) / 2;
+  const size_t cuts[] = {0, kFrameHeaderBytes / 2, mid_body, last.size()};
+  for (int p = 0; p < 3; ++p) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    ASSERT_TRUE(SendAll(fd, last.data() + cuts[p], cuts[p + 1] - cuts[p]));
+  }
+
+  std::vector<uint8_t> body;
+  for (size_t r = 0; r < batches.size(); ++r) {
+    ASSERT_TRUE(RecvResponse(fd, &body));
+    ResponseView view;
+    ASSERT_TRUE(ParseResponseBody(body.data(), body.size(), &view).ok());
+    ASSERT_EQ(view.status, WireStatus::kOk) << view.message;
+    const auto it = expected.find(view.request_id);
+    ASSERT_NE(it, expected.end()) << "unexpected id " << view.request_id;
+    const Tensor& want = it->second;
+    ASSERT_EQ(view.n, want.rows());
+    ASSERT_EQ(view.num_classes, want.cols());
+    EXPECT_EQ(std::memcmp(view.logits, want.data(),
+                          static_cast<size_t>(want.size()) * sizeof(float)),
+              0)
+        << "request " << view.request_id;
+    expected.erase(it);
+  }
+  EXPECT_TRUE(expected.empty());
+  ::close(fd);
   server.Stop();
 }
 
@@ -541,14 +647,8 @@ TEST_F(NetServerTest, MalformedFramingClosesConnection) {
   NetServer server(*registry, NetServerOptions());
   ASSERT_TRUE(server.Start().ok());
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ConnectRaw(server.port());
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(server.port()));
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
 
   uint8_t garbage[kFrameHeaderBytes];
   std::memset(garbage, 0xAB, sizeof(garbage));  // wrong magic

@@ -2,8 +2,8 @@
 // ServeOnCondensed / ServeOnOriginal helpers built on it: bit-identical
 // logits vs the from-scratch ComposeDeployment oracle across architectures,
 // batch modes, and thread widths; the paper's memory model; buffer reuse
-// across a batch stream; and the steady-state zero-tensor-heap-allocation
-// contract.
+// across a batch stream; the aM conversion across occupancy-bitmap words;
+// and the steady-state zero-tensor-heap-allocation contract.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -141,31 +141,38 @@ TEST_F(ServingSessionTest, StreamedBatchesMatchPerRequestIncludingResize) {
 
 TEST_F(ServingSessionTest, RepeatedServesAreStable) {
   // Serving the same batch twice through one session must give the same
-  // bits: the epoch-stamped scratch fully resets between requests.
-  std::unique_ptr<GnnModel> model = MakeModel(GnnArch::kSgc);
-  ServingSession session(*condensed_, *model);
-  Rng rng(9);
-  const Tensor first = session.Serve(data_->test, /*graph_batch=*/true, rng);
-  const Tensor& second =
-      session.Serve(data_->test, /*graph_batch=*/true, rng);
-  ExpectBitEqual(first, second);
+  // bits: the epoch-stamped scratch fully resets between requests. Every
+  // architecture, so each of the three operator build paths is covered.
+  for (const GnnArch arch : kAllArchs) {
+    std::unique_ptr<GnnModel> model = MakeModel(arch);
+    ServingSession session(*condensed_, *model);
+    Rng rng(9);
+    const Tensor first =
+        session.Serve(data_->test, /*graph_batch=*/true, rng);
+    const Tensor& second =
+        session.Serve(data_->test, /*graph_batch=*/true, rng);
+    ExpectBitEqual(first, second);
+  }
 }
 
 TEST_F(ServingSessionTest, SteadyStateServesDoNotTouchTensorHeap) {
-  std::unique_ptr<GnnModel> model = MakeModel(GnnArch::kSgc);
-  ServingSession session(*condensed_, *model);
-  Rng rng(9);
-  // Two warm-up serves: the first sizes every workspace, the second lets
-  // the arena settle into its final page set.
-  session.Serve(data_->test, /*graph_batch=*/true, rng);
-  session.Serve(data_->test, /*graph_batch=*/true, rng);
-  const int64_t warm = internal::TensorHeapAllocCount();
-  for (int i = 0; i < 3; ++i) {
+  for (const GnnArch arch : kAllArchs) {
+    std::unique_ptr<GnnModel> model = MakeModel(arch);
+    ServingSession session(*condensed_, *model);
+    Rng rng(9);
+    // Two warm-up serves: the first sizes every workspace, the second lets
+    // the arena settle into its final page set.
     session.Serve(data_->test, /*graph_batch=*/true, rng);
+    session.Serve(data_->test, /*graph_batch=*/true, rng);
+    const int64_t warm = internal::TensorHeapAllocCount();
+    for (int i = 0; i < 3; ++i) {
+      session.Serve(data_->test, /*graph_batch=*/true, rng);
+    }
+    EXPECT_EQ(internal::TensorHeapAllocCount(), warm)
+        << GnnArchName(arch)
+        << ": steady-state Serve must not allocate tensor memory on the heap";
+    EXPECT_EQ(session.fallback_serves(), 0);
   }
-  EXPECT_EQ(internal::TensorHeapAllocCount(), warm)
-      << "steady-state Serve must not allocate tensor memory on the heap";
-  EXPECT_EQ(session.fallback_serves(), 0);
 }
 
 TEST_F(ServingSessionTest, ServeOnHelpersMatchOracleEndToEnd) {
@@ -235,6 +242,113 @@ TEST_F(ServingSessionTest, CondensedSessionRequiresMapping) {
   CondensedGraph no_mapping;
   no_mapping.graph = condensed_->graph;
   EXPECT_DEATH(ServingSession(no_mapping, *model), "mapping");
+}
+
+/// A condensed deployment whose N' = 100 base nodes span two occupancy
+/// bitmap words, the second one partial, under a dense mapping: every batch
+/// row touches every base node, and batch row 0's sums at columns 5 and 70
+/// (one in each word) cancel to exactly 0.0f.
+class WideMappingServingTest : public ::testing::Test {
+ protected:
+  static constexpr int64_t kSyn = 100;  // N' > 64, N' mod 64 != 0
+  static constexpr int64_t kOrig = 30;
+  static constexpr int64_t kBatch = 6;
+  static constexpr int64_t kDim = 8;
+  static constexpr int64_t kClasses = 3;
+  static constexpr int64_t kZeroCols[2] = {5, 70};
+
+  static void SetUpTestSuite() {
+    Rng rng(5);
+    std::vector<Triplet> adj;
+    for (int64_t i = 0; i < kSyn; ++i) {
+      for (const int64_t step : {1, 7}) {
+        const int64_t j = (i + step) % kSyn;
+        const float w = rng.Uniform(0.5f, 1.5f);
+        adj.push_back({i, j, w});
+        adj.push_back({j, i, w});
+      }
+    }
+    std::vector<int64_t> labels(static_cast<size_t>(kSyn));
+    for (int64_t i = 0; i < kSyn; ++i) {
+      labels[static_cast<size_t>(i)] = i % kClasses;
+    }
+    condensed_ = new CondensedGraph();
+    condensed_->graph =
+        Graph(CsrMatrix::FromTriplets(kSyn, kSyn, std::move(adj)),
+              rng.NormalTensor(kSyn, kDim), std::move(labels), kClasses);
+    std::vector<Triplet> map;
+    for (int64_t o = 0; o < kOrig; ++o) {
+      for (int64_t c = 0; c < kSyn; ++c) {
+        float v = rng.Uniform(0.05f, 1.0f);
+        if (o < 2 && (c == kZeroCols[0] || c == kZeroCols[1])) {
+          v = o == 0 ? 0.25f : -0.25f;
+        }
+        map.push_back({o, c, v});
+      }
+    }
+    condensed_->mapping = CsrMatrix::FromTriplets(kOrig, kSyn, std::move(map));
+
+    batch_ = new HeldOutBatch();
+    std::vector<Triplet> links = {{0, 0, 1.0f}, {0, 1, 1.0f}};
+    for (int64_t i = 1; i < kBatch; ++i) {
+      for (int64_t t = 0; t < 3; ++t) {
+        links.push_back({i, (5 * i + 7 * t) % kOrig, rng.Uniform(0.5f, 1.5f)});
+      }
+    }
+    batch_->links = CsrMatrix::FromTriplets(kBatch, kOrig, std::move(links));
+    // Row 4 stores its own diagonal, so it gets no extra self-loop.
+    batch_->inter = CsrMatrix::FromTriplets(
+        kBatch, kBatch,
+        {{0, 1, 1.0f}, {1, 0, 1.0f}, {1, 5, 0.5f}, {5, 1, 0.5f},
+         {2, 3, 1.0f}, {3, 2, 1.0f}, {4, 4, 2.0f}});
+    batch_->features = rng.NormalTensor(kBatch, kDim);
+    batch_->labels.assign(static_cast<size_t>(kBatch), 0);
+  }
+  static void TearDownTestSuite() {
+    delete batch_;
+    delete condensed_;
+  }
+
+  static CondensedGraph* condensed_;
+  static HeldOutBatch* batch_;
+};
+
+CondensedGraph* WideMappingServingTest::condensed_ = nullptr;
+HeldOutBatch* WideMappingServingTest::batch_ = nullptr;
+
+TEST_F(WideMappingServingTest, ConversionAcrossBitmapWordsMatchesOracle) {
+  // The fixture holds what it promises: every converted row covers all N'
+  // columns, and row 0 stores an explicit 0.0f in each bitmap word.
+  const CsrMatrix converted =
+      CsrMatrix::Multiply(batch_->links, condensed_->mapping);
+  for (int64_t i = 0; i < kBatch; ++i) ASSERT_EQ(converted.RowNnz(i), kSyn);
+  for (const int64_t c : kZeroCols) ASSERT_EQ(converted.At(0, c), 0.0f);
+
+  for (const GnnArch arch : kAllArchs) {
+    Rng mrng(7);
+    std::unique_ptr<GnnModel> model =
+        MakeGnn(arch, kDim, kClasses, GnnConfig(), mrng);
+    for (const bool graph_batch : {true, false}) {
+      const Deployment dep =
+          ComposeDeployment(*condensed_, *batch_, graph_batch);
+      Rng oracle_rng(9);
+      const Tensor expect =
+          SliceRows(model->Predict(dep.operators, dep.features, oracle_rng),
+                    dep.num_base, dep.num_base + dep.batch_size);
+      ServingSession session(*condensed_, *model);
+      // Twice through one session: the accumulator and the bitmap must be
+      // clean again after every row.
+      for (int rep = 0; rep < 2; ++rep) {
+        Rng rng(9);
+        ExpectBitEqual(expect, session.Serve(*batch_, graph_batch, rng));
+        // A zero sum left out of the conversion need not move a logit bit,
+        // but it does change the composed adjacency.
+        EXPECT_EQ(session.composed_csr_bytes(), dep.adjacency.StorageBytes())
+            << GnnArchName(arch);
+      }
+      EXPECT_EQ(session.fallback_serves(), 0);
+    }
+  }
 }
 
 }  // namespace
