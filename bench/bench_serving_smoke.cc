@@ -107,7 +107,8 @@ uint64_t ConcurrentDigestSum(const CondensedGraph& condensed,
   cfg.num_replicas = replicas;
   cfg.queue_capacity = 32;
   cfg.micro_batch = micro_batch;
-  ConcurrentServer server(SessionBase::Build(condensed), model, cfg);
+  ConcurrentServer server(
+      SessionBase::Build(condensed, model.operator_kind()), model, cfg);
   std::atomic<uint64_t> sum{0};
   std::vector<std::thread> clients;
   for (int c = 0; c < 4; ++c) {

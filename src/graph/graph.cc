@@ -201,7 +201,6 @@ Graph::Graph(CsrMatrix adjacency, Tensor features,
     MCOND_CHECK(y >= -1 && y < num_classes_) << "label " << y;
   }
   normalized_ = SymNormalize(adjacency_);
-  row_normalized_ = RowNormalize(AddSelfLoops(adjacency_));
 }
 
 int64_t Graph::StorageBytes() const {

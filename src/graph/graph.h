@@ -48,8 +48,11 @@ std::vector<int64_t> ClassCounts(const std::vector<int64_t>& labels,
                                  int64_t num_classes);
 
 /// An attributed, labeled graph: the T = {A, X, Y} (or S = {A', X', Y'}) of
-/// the paper. Holds the raw adjacency plus its cached GCN-normalized form so
-/// repeated forward passes don't recompute degrees.
+/// the paper. Holds the raw adjacency plus one cached operator, its
+/// GCN-normalized form, so repeated forward passes don't recompute degrees.
+/// Other operators (RowNormalize(AddSelfLoops(A)), SymNormalize(A, false))
+/// are built by whoever reads them: GraphOperators::FromAdjacency for
+/// training, SessionBase for serving.
 class Graph {
  public:
   Graph() : num_classes_(0) {}
@@ -66,8 +69,6 @@ class Graph {
 
   const CsrMatrix& adjacency() const { return adjacency_; }
   const CsrMatrix& normalized_adjacency() const { return normalized_; }
-  /// Row-normalized (A + I); used by GraphSAGE-style mean aggregation.
-  const CsrMatrix& row_normalized_adjacency() const { return row_normalized_; }
   const Tensor& features() const { return features_; }
   const std::vector<int64_t>& labels() const { return labels_; }
 
@@ -85,7 +86,6 @@ class Graph {
  private:
   CsrMatrix adjacency_;
   CsrMatrix normalized_;
-  CsrMatrix row_normalized_;
   Tensor features_;
   std::vector<int64_t> labels_;
   int64_t num_classes_;

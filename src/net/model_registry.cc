@@ -136,7 +136,8 @@ Status ModelRegistry::Deploy(const std::string& name,
   tenant->name = name;
   tenant->artifact = std::move(artifact);
   tenant->model = std::move(model).value();
-  tenant->base = SessionBase::Build(*tenant->artifact);
+  tenant->base =
+      SessionBase::Build(*tenant->artifact, tenant->model->operator_kind());
   tenant->num_classes = tenant->artifact->graph.num_classes();
   tenant->feat_dim = tenant->artifact->graph.FeatureDim();
   tenant->quota = TokenBucket(config.quota_rps, config.quota_burst);

@@ -54,7 +54,7 @@ struct GraphOperators {
   }
 };
 
-/// Names one member of GraphOperators.
+/// Names one member of GraphOperators, in member order.
 enum class OperatorKind { kGcnNorm, kRowNorm, kSymNoLoop };
 
 /// A node-level GNN: maps (graph operators, features) to per-node logits.

@@ -39,11 +39,12 @@ struct ServeTiming {
 };
 
 /// K ServingSession replicas over one shared SessionBase: the immutable
-/// build-time caches (self-looped base, degree accumulators, normalized
-/// base operator blocks, CSC patch indexes) are paid once, and only the
-/// per-replica workspaces/arenas scale with K. The replicas share one
-/// GnnModel — Predict is read-only for every bundled architecture, so
-/// concurrent forward passes from distinct threads are safe.
+/// build-time caches of the model's operator (base structure, degree
+/// accumulators, normalized base block, CSC patch index) are paid once,
+/// and only the per-replica workspaces/arenas scale with K. The replicas
+/// share one GnnModel — Predict is read-only for every bundled
+/// architecture, so concurrent forward passes from distinct threads are
+/// safe. The base must be built for `model.operator_kind()` (checked).
 class ReplicaPool {
  public:
   ReplicaPool(std::shared_ptr<const SessionBase> base, GnnModel& model,

@@ -56,6 +56,15 @@ int64_t CsrStorageBytes(const CsrMatrix& m) {
   return VecBytes(m.row_ptr()) + VecBytes(m.col_idx()) + VecBytes(m.values());
 }
 
+/// The GraphOperators member `kind` names (OperatorKind lists them in
+/// member order).
+CsrMatrix GraphOperators::*Member(OperatorKind kind) {
+  static constexpr CsrMatrix GraphOperators::*kMembers[] = {
+      &GraphOperators::gcn_norm, &GraphOperators::row_norm,
+      &GraphOperators::sym_no_loop};
+  return kMembers[static_cast<int>(kind)];
+}
+
 /// SymNormalize's 1/sqrt(deg) (0 for deg <= 0) or RowNormalize's 1/deg; a
 /// row_norm degree of 0 never gets here (it takes the fallback).
 float Normalizer(float deg, bool symmetric) {
@@ -93,11 +102,12 @@ void ForEachTail(const CsrMatrix* inter, int64_t i, bool self_loops,
 }  // namespace
 
 ServingSession::ServingSession(const Graph& base, GnnModel& model)
-    : ServingSession(SessionBase::Build(base), model) {}
+    : ServingSession(SessionBase::Build(base, model.operator_kind()), model) {}
 
 ServingSession::ServingSession(const CondensedGraph& condensed,
                                GnnModel& model)
-    : ServingSession(SessionBase::Build(condensed), model) {}
+    : ServingSession(SessionBase::Build(condensed, model.operator_kind()),
+                     model) {}
 
 ServingSession::ServingSession(std::shared_ptr<const SessionBase> base,
                                GnnModel& model)
@@ -110,38 +120,17 @@ ServingSession::ServingSession(std::shared_ptr<const SessionBase> base,
       forward_hist_(obs::GetHistogram("mcond.serve.session_forward_us")),
       total_hist_(obs::GetHistogram("mcond.serve.session_total_us")) {
   MCOND_CHECK(base_ != nullptr);
-  const SessionBase& sb = *base_;
-  switch (model_.operator_kind()) {
-    case OperatorKind::kGcnNorm:
-      op_ = {&GraphOperators::gcn_norm, &sb.base_loops,
-             sb.base_graph.normalized_adjacency().values().data(),
-             &sb.deg_loop_acc, &sb.dinv_gcn, &sb.csc_loops,
-             /*self_loops=*/true, /*symmetric=*/true};
-      break;
-    case OperatorKind::kRowNorm:
-      op_ = {&GraphOperators::row_norm, &sb.base_loops,
-             sb.base_graph.row_normalized_adjacency().values().data(),
-             &sb.deg_loop_acc, &sb.inv_row, /*csc=*/nullptr,
-             /*self_loops=*/true, /*symmetric=*/false};
-      break;
-    case OperatorKind::kSymNoLoop:
-      op_ = {&GraphOperators::sym_no_loop, &sb.base_graph.adjacency(),
-             sb.sym_base.values().data(), &sb.deg_noloop_acc,
-             &sb.dinv_noloop, &sb.csc_noloop,
-             /*self_loops=*/false, /*symmetric=*/true};
-      break;
-  }
-  MCOND_CHECK(op_.member != nullptr) << "unknown operator kind";
-  n_base_ = sb.n_base;
-  feat_dim_ = sb.feat_dim;
-  const size_t n = static_cast<size_t>(n_base_);
+  MCOND_CHECK(base_->kind == model_.operator_kind())
+      << "the session base was built for another operator than the model "
+         "reads";
+  const size_t n = static_cast<size_t>(base_->n_base);
   changed_stamp_.assign(n, 0);
   changed_.reserve(n);
   extra_.resize(n);
   new_acc_.resize(n);
   new_norm_.resize(n);
   cursor_.resize(n);
-  if (sb.mapping != nullptr) {
+  if (base_->mapping != nullptr) {
     conv_acc_.assign(n, 0.0f);
     conv_bits_.assign((n + 63) / 64, 0);
   }
@@ -151,14 +140,15 @@ void ServingSession::EnsureBatchShape(int64_t n) {
   if (n == cur_n_) return;
   // The only allocating path once a shape is warm. Runs with no arena
   // installed, so these tensors live on the heap and persist.
-  features_ = Tensor::Uninitialized(n_base_ + n, feat_dim_);
+  const int64_t n_base = base_->n_base;
+  const int64_t d = base_->feat_dim;
+  features_ = Tensor::Uninitialized(n_base + n, d);
   const float* src = base_->base_graph.features().data();
   ParallelFor(
-      0, n_base_, RowGrain(n_base_ * feat_dim_, n_base_),
+      0, n_base, RowGrain(n_base * d, n_base),
       [&](int64_t r0, int64_t r1) {
-        std::memcpy(features_.RowData(r0), src + r0 * feat_dim_,
-                    static_cast<size_t>((r1 - r0) * feat_dim_) *
-                        sizeof(float));
+        std::memcpy(features_.RowData(r0), src + r0 * d,
+                    static_cast<size_t>((r1 - r0) * d) * sizeof(float));
       },
       "serve.session.base_features");
   const size_t ns = static_cast<size_t>(n);
@@ -209,6 +199,7 @@ ServingSession::LinksView ServingSession::ConvertLinks(
 
 bool ServingSession::ComputeDegrees(const LinksView& lv,
                                     const CsrMatrix* inter, int64_t n) {
+  const SessionBase& sb = *base_;
   changed_.clear();
   // Pass 1: which base rows gain a link, and their updated exact degree
   // accumulators. Iterating batch rows in ascending order appends each
@@ -222,7 +213,7 @@ bool ServingSession::ComputeDegrees(const LinksView& lv,
         changed_stamp_[cs] = epoch_;
         changed_.push_back(c);
         extra_[cs] = 0;
-        new_acc_[cs] = (*op_.deg_acc)[cs];
+        new_acc_[cs] = sb.deg_acc[cs];
       }
       ++extra_[cs];
       new_acc_[cs] += lv.values[k];
@@ -233,8 +224,8 @@ bool ServingSession::ComputeDegrees(const LinksView& lv,
     const float deg = static_cast<float>(new_acc_[cs]);
     // A changed row of Ã always has stored entries (its self-loop at
     // least), so degree 0 means RowNormalize would drop its entries.
-    if (op_.self_loops && deg == 0.0f) return false;
-    new_norm_[cs] = Normalizer(deg, op_.symmetric);
+    if (sb.self_loops && deg == 0.0f) return false;
+    new_norm_[cs] = Normalizer(deg, sb.symmetric);
   }
   // Pass 2: batch-row degrees, accumulated in composed storage order —
   // link entries first, then the merged (inter, self-loop) tail.
@@ -243,36 +234,39 @@ bool ServingSession::ComputeDegrees(const LinksView& lv,
     for (int64_t k = lv.row_ptr[i]; k < lv.row_ptr[i + 1]; ++k) {
       acc += lv.values[k];
     }
-    ForEachTail(inter, i, op_.self_loops,
+    ForEachTail(inter, i, sb.self_loops,
                 [&](int32_t, float v) { acc += v; });
     const float deg = static_cast<float>(acc);
-    if (op_.self_loops && deg == 0.0f) return false;  // as above
-    b_norm_[static_cast<size_t>(i)] = Normalizer(deg, op_.symmetric);
+    if (sb.self_loops && deg == 0.0f) return false;  // as above
+    b_norm_[static_cast<size_t>(i)] = Normalizer(deg, sb.symmetric);
   }
   return true;
 }
 
 void ServingSession::BuildComposed(const LinksView& lv,
                                    const CsrMatrix* inter, int64_t n) {
-  const CsrMatrix& s = *op_.structure;
-  const std::vector<float>& base_norm = *op_.norm;
-  const bool sym = op_.symmetric;
-  const int64_t total = n_base_ + n;
+  const SessionBase& sb = *base_;
+  const CsrMatrix& s = sb.structure();
+  const float* base_values = sb.base_values();
+  const std::vector<float>& base_norm = sb.norm;
+  const bool sym = sb.symmetric;
+  const int64_t n_base = sb.n_base;
+  const int64_t total = n_base + n;
 
   // Row extents. Batch rows of Ã carry an extra self-loop entry unless the
   // inter row already stores its diagonal.
   rp_.resize(static_cast<size_t>(total) + 1);
   rp_[0] = 0;
-  for (int64_t r = 0; r < n_base_; ++r) {
+  for (int64_t r = 0; r < n_base; ++r) {
     const size_t rs = static_cast<size_t>(r);
     const int64_t ext = changed_stamp_[rs] == epoch_ ? extra_[rs] : 0;
     rp_[rs + 1] = rp_[rs] + s.RowNnz(r) + ext;
   }
   for (int64_t i = 0; i < n; ++i) {
-    const size_t rs = static_cast<size_t>(n_base_ + i);
+    const size_t rs = static_cast<size_t>(n_base + i);
     const bool has_diag = inter != nullptr && inter->HasEntry(i, i);
     const int64_t tail = (inter != nullptr ? inter->RowNnz(i) : 0) +
-                         (op_.self_loops && !has_diag ? 1 : 0);
+                         (sb.self_loops && !has_diag ? 1 : 0);
     rp_[rs + 1] = rp_[rs] + (lv.row_ptr[i + 1] - lv.row_ptr[i]) + tail;
   }
   const size_t nnz = static_cast<size_t>(rp_[static_cast<size_t>(total)]);
@@ -282,7 +276,7 @@ void ServingSession::BuildComposed(const LinksView& lv,
   // Base rows: copy structure + cached normalized values in parallel.
   // Changed rows get their values overwritten by the patch phases below.
   ParallelFor(
-      0, n_base_, RowGrain(s.Nnz(), n_base_),
+      0, n_base, RowGrain(s.Nnz(), n_base),
       [&](int64_t r0, int64_t r1) {
         for (int64_t r = r0; r < r1; ++r) {
           const size_t rs = static_cast<size_t>(r);
@@ -292,7 +286,7 @@ void ServingSession::BuildComposed(const LinksView& lv,
           // copy_n, not memcpy: an edgeless base graph has null buffers
           // here, and memcpy from null is undefined even for zero bytes.
           std::copy_n(s.col_idx().data() + src, nb, ci_.data() + dst);
-          std::copy_n(op_.base_values + src, nb, v_.data() + dst);
+          std::copy_n(base_values + src, nb, v_.data() + dst);
           cursor_[rs] = dst + nb;
         }
       },
@@ -303,7 +297,7 @@ void ServingSession::BuildComposed(const LinksView& lv,
   // appended entry changed degree this request, so values use the fresh
   // normalizers.
   for (int64_t i = 0; i < n; ++i) {
-    const int32_t col = static_cast<int32_t>(n_base_ + i);
+    const int32_t col = static_cast<int32_t>(n_base + i);
     const float dc = b_norm_[static_cast<size_t>(i)];
     for (int64_t k = lv.row_ptr[i]; k < lv.row_ptr[i + 1]; ++k) {
       const size_t cs = static_cast<size_t>(lv.col_idx[k]);
@@ -320,7 +314,7 @@ void ServingSession::BuildComposed(const LinksView& lv,
         for (int64_t i = i0; i < i1; ++i) {
           const float dr = b_norm_[static_cast<size_t>(i)];
           size_t dst =
-              static_cast<size_t>(rp_[static_cast<size_t>(n_base_ + i)]);
+              static_cast<size_t>(rp_[static_cast<size_t>(n_base + i)]);
           for (int64_t k = lv.row_ptr[i]; k < lv.row_ptr[i + 1]; ++k) {
             const int32_t c = lv.col_idx[k];
             ci_[dst] = c;
@@ -328,8 +322,8 @@ void ServingSession::BuildComposed(const LinksView& lv,
                             new_norm_[static_cast<size_t>(c)], sym);
             ++dst;
           }
-          ForEachTail(inter, i, op_.self_loops, [&](int32_t j, float v) {
-            ci_[dst] = static_cast<int32_t>(n_base_ + j);
+          ForEachTail(inter, i, sb.self_loops, [&](int32_t j, float v) {
+            ci_[dst] = static_cast<int32_t>(n_base + j);
             v_[dst] = Entry(v, dr, b_norm_[static_cast<size_t>(j)], sym);
             ++dst;
           });
@@ -341,7 +335,7 @@ void ServingSession::BuildComposed(const LinksView& lv,
   // with the fresh row normalizer (columns may be old or new).
   const int64_t changed_n = static_cast<int64_t>(changed_.size());
   const int64_t patch_grain = RowGrain(
-      changed_n * (s.Nnz() / std::max<int64_t>(n_base_, 1) + 1),
+      changed_n * (s.Nnz() / std::max<int64_t>(n_base, 1) + 1),
       std::max<int64_t>(changed_n, 1));
   ParallelFor(
       0, changed_n, patch_grain,
@@ -368,8 +362,8 @@ void ServingSession::BuildComposed(const LinksView& lv,
   // Patch phase B: changed *columns* in unchanged rows, via the CSC index.
   // Rows already rewritten in phase A are skipped, so writes stay disjoint.
   // row_norm values only depend on the row degree — no column phase.
-  if (op_.csc != nullptr) {
-    const SessionBase::CscIndex& csc = *op_.csc;
+  if (sym) {
+    const SessionBase::CscIndex& csc = sb.csc;
     ParallelFor(
         0, changed_n, patch_grain,
         [&](int64_t i0, int64_t i1) {
@@ -391,7 +385,7 @@ void ServingSession::BuildComposed(const LinksView& lv,
         "serve.session.patch_cols");
   }
 
-  ops_.*op_.member =
+  ops_.*Member(sb.kind) =
       CsrMatrix::FromParts(total, total, std::move(rp_), std::move(ci_),
                            std::move(v_), /*validate=*/false);
 }
@@ -404,8 +398,8 @@ void ServingSession::FallbackCompose(const HeldOutBatch& batch,
   const CsrMatrix* links = &batch.links;
   if (base_->mapping != nullptr) {
     std::vector<int64_t> rp(conv_rp_.begin(), conv_rp_.begin() + n + 1);
-    owned_links = CsrMatrix::FromParts(
-        n, n_base_, std::move(rp), conv_ci_, conv_v_, /*validate=*/false);
+    owned_links = CsrMatrix::FromParts(n, base_->n_base, std::move(rp),
+                                       conv_ci_, conv_v_, /*validate=*/false);
     links = &owned_links;
   }
   CsrMatrix composed;
@@ -418,18 +412,18 @@ void ServingSession::FallbackCompose(const HeldOutBatch& batch,
   }
   // The oracle's own operator code; only the declared operator is kept.
   GraphOperators all = GraphOperators::FromAdjacency(composed);
-  ops_.*op_.member = std::move(all.*op_.member);
+  ops_.*Member(base_->kind) = std::move(all.*Member(base_->kind));
 }
 
 void ServingSession::StackBatchFeatures(const Tensor& batch_features) {
   const int64_t n = batch_features.rows();
+  const int64_t d = base_->feat_dim;
   ParallelFor(
-      0, n, RowGrain(n * feat_dim_, std::max<int64_t>(n, 1)),
+      0, n, RowGrain(n * d, std::max<int64_t>(n, 1)),
       [&](int64_t i0, int64_t i1) {
-        std::memcpy(features_.RowData(n_base_ + i0),
+        std::memcpy(features_.RowData(base_->n_base + i0),
                     batch_features.RowData(i0),
-                    static_cast<size_t>((i1 - i0) * feat_dim_) *
-                        sizeof(float));
+                    static_cast<size_t>((i1 - i0) * d) * sizeof(float));
       },
       "serve.session.batch_features");
 }
@@ -440,13 +434,13 @@ const Tensor& ServingSession::Serve(const HeldOutBatch& batch,
   const SessionBase& sb = *base_;
   const int64_t n = batch.size();
   MCOND_CHECK_GT(n, 0) << "cannot serve an empty batch";
-  MCOND_CHECK_LE(n_base_ + n, std::numeric_limits<int32_t>::max());
-  MCOND_CHECK_EQ(batch.features.cols(), feat_dim_);
+  MCOND_CHECK_LE(sb.n_base + n, std::numeric_limits<int32_t>::max());
+  MCOND_CHECK_EQ(batch.features.cols(), sb.feat_dim);
   MCOND_CHECK_EQ(batch.links.rows(), n);
   if (sb.mapping != nullptr) {
     MCOND_CHECK_EQ(batch.links.cols(), sb.mapping->rows());
   } else {
-    MCOND_CHECK_EQ(batch.links.cols(), n_base_);
+    MCOND_CHECK_EQ(batch.links.cols(), sb.n_base);
   }
   const CsrMatrix* inter = nullptr;
   if (graph_batch) {
@@ -457,7 +451,7 @@ const Tensor& ServingSession::Serve(const HeldOutBatch& batch,
   requests_.Increment();
   EnsureBatchShape(n);
   // Reclaim the CSR buffers the previous request moved into ops_.
-  (ops_.*op_.member).TakeParts(&rp_, &ci_, &v_);
+  (ops_.*Member(sb.kind)).TakeParts(&rp_, &ci_, &v_);
   if (++epoch_ == 0) {  // wrapped: stamps from 4B requests ago could collide
     std::fill(changed_stamp_.begin(), changed_stamp_.end(), 0u);
     epoch_ = 1;
@@ -504,14 +498,14 @@ const Tensor& ServingSession::Serve(const HeldOutBatch& batch,
                           (inter != nullptr ? inter->Nnz() : 0);
   composed_csr_bytes_ =
       raw_nnz * static_cast<int64_t>(sizeof(float) + sizeof(int32_t)) +
-      (n_base_ + n + 1) * static_cast<int64_t>(sizeof(int64_t));
+      (sb.n_base + n + 1) * static_cast<int64_t>(sizeof(int64_t));
   memory_bytes_ = composed_csr_bytes_ +
                   features_.size() * static_cast<int64_t>(sizeof(float));
 
   if (out_logits_.rows() != n || out_logits_.cols() != logits.cols()) {
     out_logits_ = Tensor::Uninitialized(n, logits.cols());  // heap: no arena
   }
-  std::memcpy(out_logits_.data(), logits.RowData(n_base_),
+  std::memcpy(out_logits_.data(), logits.RowData(sb.n_base),
               static_cast<size_t>(n * logits.cols()) * sizeof(float));
   total_hist_.Record(total_span.ElapsedMicros());
   return out_logits_;
@@ -526,7 +520,7 @@ int64_t ServingSession::workspace_bytes() const {
       VecBytes(ci_) + VecBytes(v_) + VecBytes(cursor_);
   // Composed CSR storage currently parked inside ops_ (the scratch vectors
   // above are empty right after a serve moved them there — no double count).
-  bytes += CsrStorageBytes(ops_.*op_.member);
+  bytes += CsrStorageBytes(ops_.*Member(base_->kind));
   bytes += (features_.size() + out_logits_.size()) *
            static_cast<int64_t>(sizeof(float));
   bytes += static_cast<int64_t>(arena_.bytes_reserved());

@@ -29,12 +29,13 @@ namespace mcond {
 /// session amortizes the static part:
 ///
 /// Cached at build time in a SessionBase (session_base.h; shareable across
-/// sessions): the base adjacency with self-loops (Ã = A + I) and raw, exact
-/// per-row degree accumulators (the double-precision partial sums `RowSums`
-/// would produce, so a batch's contribution is appended without reordering
-/// a float addition), the normalized base blocks of the three operators
-/// (reused verbatim for rows whose degree does not change), and CSC patch
-/// indexes (column → referencing entries).
+/// sessions), for the one operator the model reads
+/// (GnnModel::operator_kind): its base structure (Ã = A + I, or the raw A
+/// for sym_no_loop), exact per-row degree accumulators (the double-precision
+/// partial sums `RowSums` would produce, so a batch's contribution is
+/// appended without reordering a float addition), its normalized base block
+/// (reused verbatim for rows whose degree does not change), and its CSC
+/// patch index (column → referencing entries; none for row_norm).
 /// Owned per session (the replica workspace)
 ///  - preallocated workspaces: composed CSR buffers, the stacked feature
 ///    matrix, output logits, SpGEMM scratch for the aM conversion, and a
@@ -47,9 +48,9 @@ namespace mcond {
 /// Per request (`Serve`)
 ///  - links are converted through the mapping (aM) into preallocated
 ///    buffers, replicating `CsrMatrix::Multiply`'s accumulation order;
-///  - only the operator the model reads (GnnModel::operator_kind) is
-///    rebuilt into the cached buffers (parallel row copies of the base
-///    block + appended link columns); the other two stay empty;
+///  - only the base's operator is rebuilt into the cached buffers
+///    (parallel row copies of the base block + appended link columns); the
+///    other two GraphOperators members stay empty;
 ///  - ONLY rows whose degree changed — the n batch rows plus the base rows
 ///    gaining a link — are renormalized; everything else is patched from
 ///    the cached operator values (a column pass fixes entries whose
@@ -65,7 +66,8 @@ namespace mcond {
 /// entries of a degree-0 row of Ã cannot be patched incrementally; it is
 /// detected (at build for base rows, per request for the Ã rows gcn_norm and
 /// row_norm sessions renormalize) and routed to an exact full-recompose
-/// fallback; `fallback_serves()` counts these (0 on real graphs).
+/// fallback; `fallback_serves()` counts these (0 on real graphs). sym_no_loop
+/// has no such corner and always serves incrementally.
 ///
 /// Allocation contract: after one warm-up serve per batch shape,
 /// steady-state `Serve` performs zero tensor-heap allocations
@@ -88,14 +90,16 @@ namespace mcond {
 /// spans `serve.session[.convert|.compose|.forward]`.
 class ServingSession {
  public:
-  /// Session over the original graph (Eq. 3): links attach directly.
+  /// Session over the original graph (Eq. 3): links attach directly. Builds
+  /// a private SessionBase for `model.operator_kind()`.
   ServingSession(const Graph& base, GnnModel& model);
   /// Session over a condensed artifact (Eq. 11): links are converted
   /// through `condensed.mapping` on every request. The mapping must be
-  /// non-empty.
+  /// non-empty. Builds a private SessionBase for `model.operator_kind()`.
   ServingSession(const CondensedGraph& condensed, GnnModel& model);
   /// Replica over a prebuilt shared base (see SessionBase / ReplicaPool):
-  /// only the per-session workspaces are allocated.
+  /// only the per-session workspaces are allocated. The base must have
+  /// been built for `model.operator_kind()` (checked).
   ServingSession(std::shared_ptr<const SessionBase> base, GnnModel& model);
 
   ServingSession(const ServingSession&) = delete;
@@ -117,7 +121,7 @@ class ServingSession {
   /// structural corner); 0 in healthy deployments.
   int64_t fallback_serves() const { return fallback_serves_; }
 
-  int64_t num_base_nodes() const { return n_base_; }
+  int64_t num_base_nodes() const { return base_->n_base; }
 
   /// The immutable build-time state this session serves from (shared with
   /// sibling replicas when built through a ReplicaPool).
@@ -141,19 +145,6 @@ class ServingSession {
     int64_t nnz = 0;
   };
 
-  /// The composed operator as the base caches describe it (the constructor
-  /// fills it per OperatorKind).
-  struct OperatorSpec {
-    CsrMatrix GraphOperators::*member;
-    const CsrMatrix* structure;
-    const float* base_values;
-    const std::vector<double>* deg_acc;
-    const std::vector<float>* norm;
-    const SessionBase::CscIndex* csc;
-    bool self_loops;
-    bool symmetric;  // (v·dr)·dc with 1/sqrt(deg), else v·dr with 1/deg
-  };
-
   void EnsureBatchShape(int64_t n);
   /// aM SpGEMM into conv_* buffers; bit-identical to CsrMatrix::Multiply.
   LinksView ConvertLinks(const CsrMatrix& links);
@@ -173,10 +164,6 @@ class ServingSession {
   // ---- build-time caches, immutable and shareable across replicas ----
   std::shared_ptr<const SessionBase> base_;
   GnnModel& model_;
-  OperatorSpec op_{};
-
-  int64_t n_base_ = 0;   // N (or N'), mirrors base_->n_base
-  int64_t feat_dim_ = 0;  // mirrors base_->feat_dim
 
   // ---- per-request scratch (persistent, capacity-stable) ----
   uint32_t epoch_ = 0;

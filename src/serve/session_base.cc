@@ -20,15 +20,22 @@ int64_t CsrBytes(const CsrMatrix& m) {
 
 }  // namespace
 
-std::shared_ptr<const SessionBase> SessionBase::Build(const Graph& base) {
-  std::shared_ptr<SessionBase> sb(new SessionBase(base));
+SessionBase::SessionBase(const Graph& g, OperatorKind k)
+    : base_graph(g),
+      kind(k),
+      self_loops(k != OperatorKind::kSymNoLoop),
+      symmetric(k != OperatorKind::kRowNorm) {}
+
+std::shared_ptr<const SessionBase> SessionBase::Build(const Graph& base,
+                                                      OperatorKind kind) {
+  std::shared_ptr<SessionBase> sb(new SessionBase(base, kind));
   sb->BuildCaches();
   return sb;
 }
 
 std::shared_ptr<const SessionBase> SessionBase::Build(
-    const CondensedGraph& condensed) {
-  std::shared_ptr<SessionBase> sb(new SessionBase(condensed.graph));
+    const CondensedGraph& condensed, OperatorKind kind) {
+  std::shared_ptr<SessionBase> sb(new SessionBase(condensed.graph, kind));
   sb->mapping = &condensed.mapping;
   MCOND_CHECK_GT(sb->mapping->Nnz(), 0)
       << "condensed artifact has no mapping; cannot build a serving session";
@@ -43,50 +50,48 @@ void SessionBase::BuildCaches() {
   n_base = raw.rows();
   feat_dim = base_graph.FeatureDim();
 
-  base_loops = AddSelfLoops(raw);
-  sym_base = SymNormalize(raw, /*add_self_loops=*/false);
-  // The Graph's cached normalized forms must share structure with what we
-  // rebuilt — they come from the same deterministic AddSelfLoops.
-  MCOND_CHECK_EQ(base_graph.normalized_adjacency().Nnz(), base_loops.Nnz());
-  if (base_graph.row_normalized_adjacency().Nnz() != base_loops.Nnz()) {
-    // RowNormalize dropped entries at graph construction (a degree-0 base
-    // row with stored entries). Incremental patching cannot reproduce a
-    // structural drop, so sessions on this base always take the fallback.
-    fallback_only = true;
+  // The normalized base block comes from graph.h's own normalizers, so it
+  // holds the bits GraphOperators::FromAdjacency computes for the base.
+  switch (kind) {
+    case OperatorKind::kGcnNorm:
+      loops = AddSelfLoops(raw);
+      // The Graph's cached SymNormalize(A) shares Ã's structure — both come
+      // from the same deterministic AddSelfLoops.
+      MCOND_CHECK_EQ(base_graph.normalized_adjacency().Nnz(), loops.Nnz());
+      break;
+    case OperatorKind::kRowNorm:
+      loops = AddSelfLoops(raw);
+      normalized = RowNormalize(loops);
+      break;
+    case OperatorKind::kSymNoLoop:
+      normalized = SymNormalize(raw, /*add_self_loops=*/false);
+      break;
   }
 
+  const CsrMatrix& s = structure();
   const size_t n = static_cast<size_t>(n_base);
-  deg_loop_acc.resize(n);
-  deg_noloop_acc.resize(n);
-  dinv_gcn.resize(n);
-  inv_row.resize(n);
-  dinv_noloop.resize(n);
+  deg_acc.resize(n);
+  norm.resize(n);
   for (int64_t r = 0; r < n_base; ++r) {
     double acc = 0.0;
-    for (int64_t k = base_loops.row_ptr()[static_cast<size_t>(r)];
-         k < base_loops.row_ptr()[static_cast<size_t>(r) + 1]; ++k) {
-      acc += base_loops.values()[static_cast<size_t>(k)];
+    for (int64_t k = s.row_ptr()[static_cast<size_t>(r)];
+         k < s.row_ptr()[static_cast<size_t>(r) + 1]; ++k) {
+      acc += s.values()[static_cast<size_t>(k)];
     }
-    deg_loop_acc[static_cast<size_t>(r)] = acc;
+    deg_acc[static_cast<size_t>(r)] = acc;
     const float deg = static_cast<float>(acc);
-    dinv_gcn[static_cast<size_t>(r)] =
-        deg > 0.0f ? 1.0f / std::sqrt(deg) : 0.0f;
-    inv_row[static_cast<size_t>(r)] = deg != 0.0f ? 1.0f / deg : 0.0f;
-    if (deg == 0.0f && base_loops.RowNnz(r) > 0) fallback_only = true;
-
-    double acc_nl = 0.0;
-    for (int64_t k = raw.row_ptr()[static_cast<size_t>(r)];
-         k < raw.row_ptr()[static_cast<size_t>(r) + 1]; ++k) {
-      acc_nl += raw.values()[static_cast<size_t>(k)];
+    float& inv = norm[static_cast<size_t>(r)];
+    if (symmetric) {
+      inv = deg > 0.0f ? 1.0f / std::sqrt(deg) : 0.0f;
+    } else {
+      inv = deg != 0.0f ? 1.0f / deg : 0.0f;
     }
-    deg_noloop_acc[static_cast<size_t>(r)] = acc_nl;
-    const float deg_nl = static_cast<float>(acc_nl);
-    dinv_noloop[static_cast<size_t>(r)] =
-        deg_nl > 0.0f ? 1.0f / std::sqrt(deg_nl) : 0.0f;
+    // Every row of Ã stores its self-loop, so a zero sum is the
+    // entry-dropping corner.
+    if (self_loops && deg == 0.0f) fallback_only = true;
   }
 
-  BuildCsc(base_loops, &csc_loops);
-  BuildCsc(raw, &csc_noloop);
+  if (symmetric) BuildCsc(s, &csc);
 }
 
 void SessionBase::BuildCsc(const CsrMatrix& m, CscIndex* out) {
@@ -114,13 +119,9 @@ void SessionBase::BuildCsc(const CsrMatrix& m, CscIndex* out) {
 }
 
 int64_t SessionBase::memory_bytes() const {
-  const auto csc_bytes = [](const CscIndex& c) {
-    return VecBytes(c.col_ptr) + VecBytes(c.row) + VecBytes(c.val_idx);
-  };
-  return CsrBytes(base_loops) + CsrBytes(sym_base) + VecBytes(deg_loop_acc) +
-         VecBytes(deg_noloop_acc) + VecBytes(dinv_gcn) + VecBytes(inv_row) +
-         VecBytes(dinv_noloop) + csc_bytes(csc_loops) +
-         csc_bytes(csc_noloop);
+  return CsrBytes(loops) + CsrBytes(normalized) + VecBytes(deg_acc) +
+         VecBytes(norm) + VecBytes(csc.col_ptr) + VecBytes(csc.row) +
+         VecBytes(csc.val_idx);
 }
 
 }  // namespace mcond

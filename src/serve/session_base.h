@@ -8,19 +8,21 @@
 #include "condense/condensed.h"
 #include "core/csr_matrix.h"
 #include "graph/graph.h"
+#include "nn/module.h"
 
 namespace mcond {
 
 /// The immutable build-time state of a serving deployment: everything a
 /// ServingSession derives from the base graph (synthetic A' of Eq. 11, or
-/// the original A of Eq. 3) that no request ever mutates.
+/// the original A of Eq. 3) for the one operator its model reads
+/// (GnnModel::operator_kind()), and that no request ever mutates.
 ///
 /// Splitting this out of ServingSession lets a ReplicaPool of K sessions
-/// over the same deployment share one copy — the base adjacency forms, the
-/// exact degree accumulators, and the CSC patch indexes are paid once, and
-/// only the per-replica workspaces/arenas cost K times. Built once via
-/// Build(); exposed as shared_ptr<const SessionBase>, so concurrent readers
-/// need no synchronization.
+/// over the same deployment share one copy — the operator's base structure
+/// and normalized values, exact degree accumulators and CSC patch index are
+/// paid once, and only the per-replica workspaces/arenas cost K times.
+/// Built once via Build(); exposed as shared_ptr<const SessionBase>, so
+/// concurrent readers need no synchronization.
 ///
 /// Lifetime: the SessionBase stores references — the base graph (or the
 /// condensed artifact whose graph/mapping it points into) must outlive it
@@ -35,39 +37,48 @@ struct SessionBase {
   };
 
   /// Base over the original graph: request links attach directly.
-  static std::shared_ptr<const SessionBase> Build(const Graph& base);
+  static std::shared_ptr<const SessionBase> Build(const Graph& base,
+                                                  OperatorKind kind);
   /// Base over a condensed artifact: request links are converted through
   /// `condensed.mapping` (which must be non-empty) on every request.
   static std::shared_ptr<const SessionBase> Build(
-      const CondensedGraph& condensed);
+      const CondensedGraph& condensed, OperatorKind kind);
 
-  /// Bytes of the caches this object owns (CSR forms, accumulators,
-  /// normalizers, CSC indexes). The borrowed base graph / mapping are not
-  /// counted — they exist independently of serving.
+  /// Bytes of the caches this object owns. The borrowed base graph (with
+  /// its GCN-normalized form) and mapping are not counted — they exist
+  /// independently of serving.
   int64_t memory_bytes() const;
+
+  /// The operator's base structure and its normalized values (indexed alike).
+  const CsrMatrix& structure() const {
+    return self_loops ? loops : base_graph.adjacency();
+  }
+  const float* base_values() const {
+    const CsrMatrix& v = kind == OperatorKind::kGcnNorm
+                             ? base_graph.normalized_adjacency()
+                             : normalized;
+    return v.values().data();
+  }
 
   const Graph& base_graph;
   const CsrMatrix* mapping = nullptr;  // null for original-graph bases
+  const OperatorKind kind;
+  const bool self_loops;  // structure Ã = A + I, else the raw A (sym_no_loop)
+  const bool symmetric;   // (v·dr)·dc with 1/sqrt(deg), else v·dr with 1/deg
   int64_t n_base = 0;   // N (or N')
   int64_t feat_dim = 0;
 
-  CsrMatrix base_loops;  // Ã = A + I (structure + raw values)
-  CsrMatrix sym_base;    // SymNormalize(A, /*add_self_loops=*/false)
-  // Exact double partial sums RowSums would produce for Ã and A rows.
-  std::vector<double> deg_loop_acc;
-  std::vector<double> deg_noloop_acc;
-  // Base-only normalizers derived from the partials.
-  std::vector<float> dinv_gcn;     // 1/sqrt(deg(Ã))
-  std::vector<float> inv_row;      // 1/deg(Ã)
-  std::vector<float> dinv_noloop;  // 1/sqrt(deg(A))
-  CscIndex csc_loops;
-  CscIndex csc_noloop;
-  // The base itself hits the RowNormalize entry-dropping corner; every
-  // session on this base must take the exact full-recompose fallback.
+  CsrMatrix loops;       // Ã; empty for sym_no_loop
+  CsrMatrix normalized;  // base block; empty for gcn_norm (the Graph's)
+  std::vector<double> deg_acc;  // exact RowSums partials of structure() rows
+  std::vector<float> norm;      // 1/sqrt(deg) if symmetric, else 1/deg
+  CscIndex csc;                 // empty for row_norm (row degree only)
+  // A row of Ã sums to 0, so RowNormalize drops its entries; no patch can
+  // reproduce that, and every session on this base takes the fallback.
   bool fallback_only = false;
 
  private:
-  explicit SessionBase(const Graph& g) : base_graph(g) {}
+  SessionBase(const Graph& g, OperatorKind k);
   void BuildCaches();
   static void BuildCsc(const CsrMatrix& m, CscIndex* out);
 };

@@ -74,6 +74,11 @@ class ConcurrentServerTest : public ::testing::Test {
     return MakeGnn(GnnArch::kSgc, g.FeatureDim(), g.num_classes(), gc, rng);
   }
 
+  /// The shared base of the fixture's SGC deployment.
+  static std::shared_ptr<const SessionBase> BuildBase() {
+    return SessionBase::Build(*condensed_, model_->operator_kind());
+  }
+
   static InductiveDataset* data_;
   static CondensedGraph* condensed_;
   static GnnModel* model_;
@@ -88,7 +93,7 @@ std::vector<HeldOutBatch>* ConcurrentServerTest::batches_ = nullptr;
 std::vector<Tensor>* ConcurrentServerTest::solo_ = nullptr;
 
 TEST_F(ConcurrentServerTest, BitIdenticalToSoloAcrossReplicasAndBatching) {
-  std::shared_ptr<const SessionBase> base = SessionBase::Build(*condensed_);
+  std::shared_ptr<const SessionBase> base = BuildBase();
   for (const int replicas : {1, 2, 8}) {
     for (const int micro_batch : {1, 4}) {
       ConcurrentServer::Config cfg;
@@ -119,7 +124,7 @@ TEST_F(ConcurrentServerTest, BitIdenticalToSoloAcrossReplicasAndBatching) {
 }
 
 TEST_F(ConcurrentServerTest, RejectsWhenQueueFullAndNotBlocking) {
-  std::shared_ptr<const SessionBase> base = SessionBase::Build(*condensed_);
+  std::shared_ptr<const SessionBase> base = BuildBase();
   ConcurrentServer::Config cfg;
   cfg.num_replicas = 1;
   cfg.queue_capacity = 2;
@@ -153,7 +158,7 @@ TEST_F(ConcurrentServerTest, RejectsWhenQueueFullAndNotBlocking) {
 }
 
 TEST_F(ConcurrentServerTest, BlocksWhenQueueFullUntilSpaceFrees) {
-  std::shared_ptr<const SessionBase> base = SessionBase::Build(*condensed_);
+  std::shared_ptr<const SessionBase> base = BuildBase();
   ConcurrentServer::Config cfg;
   cfg.num_replicas = 1;
   cfg.queue_capacity = 1;
@@ -188,7 +193,7 @@ TEST_F(ConcurrentServerTest, BlocksWhenQueueFullUntilSpaceFrees) {
 }
 
 TEST_F(ConcurrentServerTest, SubmitValidatesBeforeEnqueueAndAfterShutdown) {
-  std::shared_ptr<const SessionBase> base = SessionBase::Build(*condensed_);
+  std::shared_ptr<const SessionBase> base = BuildBase();
   ConcurrentServer::Config cfg;
   cfg.num_replicas = 1;
   ConcurrentServer server(base, *model_, cfg);
@@ -209,34 +214,49 @@ TEST_F(ConcurrentServerTest, SubmitValidatesBeforeEnqueueAndAfterShutdown) {
             StatusCode::kUnavailable);
 }
 
-TEST_F(ConcurrentServerTest, Degree0FallbackServedConcurrently) {
-  // Ã row 0 sums to exactly 0 (1 - 2 + self-loop 1): RowNormalize drops its
-  // entries at graph construction, so the base is fallback-only and every
-  // serve — concurrent included — must take the exact full-recompose path.
-  std::vector<Triplet> t = {{0, 1, 1.0f}, {0, 2, -2.0f}, {1, 2, 1.0f},
-                            {2, 1, 1.0f}};
-  const int64_t n_base = 3, dim = 4, classes = 2;
-  Rng grng(3);
-  Graph g(CsrMatrix::FromTriplets(n_base, n_base, std::move(t)),
-          grng.NormalTensor(n_base, dim), {0, 1, 0}, classes);
-  Rng mrng(7);
-  GnnConfig gc;
-  std::unique_ptr<GnnModel> model =
-      MakeGnn(GnnArch::kSgc, dim, classes, gc, mrng);
-
+/// A base graph whose Ã row 0 sums to exactly 0 (1 - 2 + self-loop 1),
+/// and a two-node batch linking to it.
+struct Degree0Case {
+  static constexpr int64_t kBase = 3, kDim = 4, kClasses = 2;
+  Graph graph;
   HeldOutBatch batch;
-  batch.features = grng.NormalTensor(2, dim);
-  batch.links = CsrMatrix::FromTriplets(
-      2, n_base, {{0, 0, 1.0f}, {0, 1, 1.0f}, {1, 2, 1.0f}});
-  batch.inter = CsrMatrix::FromTriplets(2, 2, {});
-  batch.labels = {0, 1};
+
+  Degree0Case() {
+    std::vector<Triplet> t = {{0, 1, 1.0f}, {0, 2, -2.0f}, {1, 2, 1.0f},
+                              {2, 1, 1.0f}};
+    Rng grng(3);
+    graph = Graph(CsrMatrix::FromTriplets(kBase, kBase, std::move(t)),
+                  grng.NormalTensor(kBase, kDim), {0, 1, 0}, kClasses);
+    batch.features = grng.NormalTensor(2, kDim);
+    batch.links = CsrMatrix::FromTriplets(
+        2, kBase, {{0, 0, 1.0f}, {0, 1, 1.0f}, {1, 2, 1.0f}});
+    batch.inter = CsrMatrix::FromTriplets(2, 2, {{0, 1, 1.0f}, {1, 0, 1.0f}});
+    batch.labels = {0, 1};
+  }
+
+  static std::unique_ptr<GnnModel> MakeModel(GnnArch arch) {
+    Rng mrng(7);
+    GnnConfig gc;
+    return MakeGnn(arch, kDim, kClasses, gc, mrng);
+  }
+};
+
+TEST_F(ConcurrentServerTest, Degree0FallbackServedConcurrently) {
+  // Ã row 0 sums to exactly 0 (1 - 2 + self-loop 1): RowNormalize would
+  // drop its entries, so the gcn_norm base is fallback-only and every
+  // serve — concurrent included — must take the exact full-recompose path.
+  const Degree0Case c;
+  const Graph& g = c.graph;
+  const HeldOutBatch& batch = c.batch;
+  std::unique_ptr<GnnModel> model = Degree0Case::MakeModel(GnnArch::kSgc);
 
   ServingSession solo(g, *model);
   Rng srng(9);
   const Tensor expect = solo.Serve(batch, /*graph_batch=*/false, srng);
   EXPECT_GT(solo.fallback_serves(), 0);
 
-  std::shared_ptr<const SessionBase> base = SessionBase::Build(g);
+  std::shared_ptr<const SessionBase> base =
+      SessionBase::Build(g, model->operator_kind());
   EXPECT_TRUE(base->fallback_only);
   ConcurrentServer::Config cfg;
   cfg.num_replicas = 2;
@@ -259,8 +279,48 @@ TEST_F(ConcurrentServerTest, Degree0FallbackServedConcurrently) {
   EXPECT_EQ(fallbacks, 6);
 }
 
+TEST_F(ConcurrentServerTest, Degree0BaseServesChebNetIncrementally) {
+  // sym_no_loop has no entry-dropping corner: ChebNet's base over the same
+  // graph is not fallback-only, so its sessions serve incrementally, and
+  // exactly. SGC (gcn_norm) and GraphSAGE (row_norm) still fall back.
+  const Degree0Case c;
+  for (const GnnArch arch :
+       {GnnArch::kCheby, GnnArch::kSgc, GnnArch::kGraphSage}) {
+    std::unique_ptr<GnnModel> model = Degree0Case::MakeModel(arch);
+    const bool incremental = arch == GnnArch::kCheby;
+    EXPECT_EQ(SessionBase::Build(c.graph, model->operator_kind())
+                  ->fallback_only,
+              !incremental)
+        << GnnArchName(arch);
+    for (const bool graph_batch : {true, false}) {
+      const Deployment dep = ComposeDeployment(c.graph, c.batch, graph_batch);
+      Rng orng(9);
+      const Tensor expect =
+          SliceRows(model->Predict(dep.operators, dep.features, orng),
+                    dep.num_base, dep.num_base + dep.batch_size);
+      ServingSession session(c.graph, *model);
+      Rng srng(9);
+      ExpectBitEqual(expect, session.Serve(c.batch, graph_batch, srng));
+      EXPECT_EQ(session.fallback_serves(), incremental ? 0 : 1)
+          << GnnArchName(arch) << (graph_batch ? " graph" : " node")
+          << " batch";
+    }
+  }
+}
+
+TEST_F(ConcurrentServerTest, PoolRejectsBaseOfAnotherOperator) {
+  // The fixture's model is SGC (gcn_norm); a base built for either other
+  // operator must not get replicas.
+  for (const OperatorKind kind :
+       {OperatorKind::kRowNorm, OperatorKind::kSymNoLoop}) {
+    const std::shared_ptr<const SessionBase> base =
+        SessionBase::Build(*condensed_, kind);
+    EXPECT_DEATH(ReplicaPool(base, *model_, 2), "another operator");
+  }
+}
+
 TEST_F(ConcurrentServerTest, PoolOfFourSharesBaseAndGrowsSublinearly) {
-  std::shared_ptr<const SessionBase> base = SessionBase::Build(*condensed_);
+  std::shared_ptr<const SessionBase> base = BuildBase();
   ReplicaPool pool(base, *model_, 4);
   Rng rng(9);
   for (int r = 0; r < pool.size(); ++r) {
@@ -285,7 +345,7 @@ TEST_F(ConcurrentServerTest, PoolOfFourSharesBaseAndGrowsSublinearly) {
 }
 
 TEST_F(ConcurrentServerTest, SteadyStateServingIsZeroTensorHeapAlloc) {
-  std::shared_ptr<const SessionBase> base = SessionBase::Build(*condensed_);
+  std::shared_ptr<const SessionBase> base = BuildBase();
   ConcurrentServer::Config cfg;
   cfg.num_replicas = 2;
   ConcurrentServer server(base, *model_, cfg);
@@ -321,7 +381,7 @@ TEST_F(ConcurrentServerTest, SteadyStateServingIsZeroTensorHeapAlloc) {
 }
 
 TEST_F(ConcurrentServerTest, TimingAttributionSumsExactlyToLatency) {
-  std::shared_ptr<const SessionBase> base = SessionBase::Build(*condensed_);
+  std::shared_ptr<const SessionBase> base = BuildBase();
   ConcurrentServer::Config cfg;
   cfg.num_replicas = 2;
   cfg.micro_batch = 4;
@@ -379,7 +439,7 @@ TEST_F(ConcurrentServerTest, TimingAttributionSumsExactlyToLatency) {
 TEST_F(ConcurrentServerTest, TracedRunProducesConnectedFlows) {
   obs::ClearTrace();
   obs::EnableTracing(true);
-  std::shared_ptr<const SessionBase> base = SessionBase::Build(*condensed_);
+  std::shared_ptr<const SessionBase> base = BuildBase();
   ConcurrentServer::Config cfg;
   cfg.num_replicas = 2;
   cfg.micro_batch = 2;
@@ -445,7 +505,7 @@ TEST_F(ConcurrentServerTest, SetNumThreadsDuringServingStaysExact) {
   // The ThreadPool resize contract: resizing from another thread while the
   // server runs is safe (replica kernels run inline and never touch the
   // pool; outside dispatches serialize behind the resize).
-  std::shared_ptr<const SessionBase> base = SessionBase::Build(*condensed_);
+  std::shared_ptr<const SessionBase> base = BuildBase();
   ConcurrentServer::Config cfg;
   cfg.num_replicas = 2;
   ConcurrentServer server(base, *model_, cfg);

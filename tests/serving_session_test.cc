@@ -6,6 +6,7 @@
 // and the steady-state zero-tensor-heap-allocation contract.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <numeric>
 
@@ -78,8 +79,8 @@ InductiveDataset* ServingSessionTest::data_ = nullptr;
 CondensedGraph* ServingSessionTest::condensed_ = nullptr;
 
 TEST_F(ServingSessionTest, BitIdenticalAcrossArchitecturesAndBatchModes) {
-  // Every architecture: together they exercise all three cached operators
-  // (gcn_norm, row_norm, sym_no_loop).
+  // Every architecture: together they exercise the session bases of all
+  // three operators (gcn_norm, row_norm, sym_no_loop).
   for (const GnnArch arch : kAllArchs) {
     std::unique_ptr<GnnModel> model = MakeModel(arch);
     for (const bool graph_batch : {true, false}) {
@@ -242,6 +243,93 @@ TEST_F(ServingSessionTest, CondensedSessionRequiresMapping) {
   CondensedGraph no_mapping;
   no_mapping.graph = condensed_->graph;
   EXPECT_DEATH(ServingSession(no_mapping, *model), "mapping");
+}
+
+/// One model per operator: SGC reads gcn_norm, GraphSAGE row_norm and
+/// ChebNet sym_no_loop.
+constexpr GnnArch kOneArchPerOperator[] = {GnnArch::kSgc, GnnArch::kGraphSage,
+                                           GnnArch::kCheby};
+
+/// Bytes a SessionBase over `g` held when it cached all three operators: Ã
+/// and SymNormalize(A, false) as CSR, the double degree partials of Ã and
+/// A, three float normalizer arrays, and CSC indexes over Ã and A.
+int64_t ThreeOperatorBaseBytes(const Graph& g) {
+  const int64_t n = g.NumNodes();
+  const int64_t nnz_loops = AddSelfLoops(g.adjacency()).Nnz();
+  const int64_t nnz = g.NumEdges();
+  const auto index_bytes = [&](int64_t entries, int64_t bytes_per_entry) {
+    return (n + 1) * static_cast<int64_t>(sizeof(int64_t)) +
+           entries * bytes_per_entry;
+  };
+  const int64_t csr = sizeof(int32_t) + sizeof(float);
+  const int64_t csc = sizeof(int32_t) + sizeof(int64_t);
+  return index_bytes(nnz_loops, csr) + index_bytes(nnz, csr) +
+         2 * n * static_cast<int64_t>(sizeof(double)) +
+         3 * n * static_cast<int64_t>(sizeof(float)) +
+         index_bytes(nnz_loops, csc) + index_bytes(nnz, csc);
+}
+
+TEST_F(ServingSessionTest, BaseHoldsOnlyItsOperatorsCaches) {
+  for (const bool on_condensed : {true, false}) {
+    const Graph& g = on_condensed ? condensed_->graph : data_->train_graph;
+    const int64_t three_ops = ThreeOperatorBaseBytes(g);
+    for (const GnnArch arch : kOneArchPerOperator) {
+      const OperatorKind kind = MakeModel(arch)->operator_kind();
+      const std::shared_ptr<const SessionBase> base =
+          on_condensed ? SessionBase::Build(*condensed_, kind)
+                       : SessionBase::Build(g, kind);
+      EXPECT_EQ(base->kind, kind);
+      EXPECT_FALSE(base->fallback_only);
+      EXPECT_EQ(static_cast<int64_t>(base->deg_acc.size()), g.NumNodes());
+      EXPECT_EQ(static_cast<int64_t>(base->norm.size()), g.NumNodes());
+      switch (kind) {
+        case OperatorKind::kGcnNorm:
+          // The values are the Graph's own GCN-normalized form.
+          EXPECT_EQ(base->normalized.Nnz(), 0);
+          EXPECT_TRUE(base->normalized.values().empty());
+          EXPECT_EQ(base->base_values(),
+                    g.normalized_adjacency().values().data());
+          EXPECT_EQ(base->structure().Nnz(),
+                    g.normalized_adjacency().Nnz());
+          EXPECT_FALSE(base->csc.col_ptr.empty());
+          break;
+        case OperatorKind::kRowNorm:
+          // row_norm values depend on the row degree only: no CSC index.
+          EXPECT_TRUE(base->csc.col_ptr.empty());
+          EXPECT_TRUE(base->csc.row.empty());
+          EXPECT_TRUE(base->csc.val_idx.empty());
+          EXPECT_EQ(base->normalized.Nnz(), base->loops.Nnz());
+          break;
+        case OperatorKind::kSymNoLoop:
+          // The structure is the Graph's raw adjacency, borrowed.
+          EXPECT_EQ(base->loops.Nnz(), 0);
+          EXPECT_EQ(&base->structure(), &g.adjacency());
+          EXPECT_EQ(base->normalized.Nnz(), g.NumEdges());
+          EXPECT_FALSE(base->csc.col_ptr.empty());
+          break;
+      }
+      EXPECT_GT(base->memory_bytes(), 0);
+      EXPECT_LT(base->memory_bytes(), three_ops) << GnnArchName(arch);
+      std::printf("%s base over %s (N=%lld): %lld bytes, three-operator "
+                  "base %lld bytes\n",
+                  GnnArchName(arch), on_condensed ? "S" : "T",
+                  static_cast<long long>(g.NumNodes()),
+                  static_cast<long long>(base->memory_bytes()),
+                  static_cast<long long>(three_ops));
+    }
+  }
+}
+
+TEST_F(ServingSessionTest, SessionRejectsBaseOfAnotherOperator) {
+  for (const GnnArch base_arch : kOneArchPerOperator) {
+    const std::shared_ptr<const SessionBase> base = SessionBase::Build(
+        *condensed_, MakeModel(base_arch)->operator_kind());
+    for (const GnnArch arch : kOneArchPerOperator) {
+      if (arch == base_arch) continue;
+      std::unique_ptr<GnnModel> model = MakeModel(arch);
+      EXPECT_DEATH(ServingSession(base, *model), "another operator");
+    }
+  }
 }
 
 /// A condensed deployment whose N' = 100 base nodes span two occupancy
