@@ -1,7 +1,6 @@
 #include "graph/graph.h"
 
 #include <algorithm>
-#include <cmath>
 #include <unordered_map>
 
 #include "core/parallel.h"
@@ -76,7 +75,7 @@ CsrView AddSelfLoopRows(const CsrView& a, float weight,
 std::vector<float> InvSqrtDegrees(const std::vector<float>& deg) {
   std::vector<float> dinv_sqrt(deg.size());
   for (size_t i = 0; i < deg.size(); ++i) {
-    dinv_sqrt[i] = deg[i] > 0.0f ? 1.0f / std::sqrt(deg[i]) : 0.0f;
+    dinv_sqrt[i] = InvSqrtDegree(deg[i]);
   }
   return dinv_sqrt;
 }
@@ -119,32 +118,6 @@ CsrMatrix SymNormalize(const CsrMatrix& a, bool add_self_loops) {
 CsrMatrix RowNormalize(const CsrMatrix& a) {
   MCOND_TRACE_SPAN("graph.row_normalize");
   const std::vector<float> deg = a.RowSums();
-  // Historical semantics: rows whose sum is 0 have their entries DROPPED
-  // from the output. That only changes the structure when such a row has
-  // stored entries (all-zero values); take the slow triplet path then, and
-  // the structure-preserving parallel rescale otherwise.
-  bool drops_entries = false;
-  for (int64_t r = 0; r < a.rows(); ++r) {
-    if (deg[static_cast<size_t>(r)] == 0.0f && a.RowNnz(r) > 0) {
-      drops_entries = true;
-      break;
-    }
-  }
-  if (drops_entries) {
-    std::vector<Triplet> t;
-    t.reserve(static_cast<size_t>(a.Nnz()));
-    for (int64_t r = 0; r < a.rows(); ++r) {
-      const float d = deg[static_cast<size_t>(r)];
-      if (d == 0.0f) continue;
-      const float inv = 1.0f / d;
-      for (int64_t k = a.row_ptr()[static_cast<size_t>(r)];
-           k < a.row_ptr()[static_cast<size_t>(r) + 1]; ++k) {
-        t.push_back({r, a.col_idx()[static_cast<size_t>(k)],
-                     a.values()[static_cast<size_t>(k)] * inv});
-      }
-    }
-    return CsrMatrix::FromTriplets(a.rows(), a.cols(), std::move(t));
-  }
   const std::vector<int64_t>& rp = a.row_ptr();
   const std::vector<float>& v = a.values();
   std::vector<float> vals(static_cast<size_t>(a.Nnz()));
@@ -154,8 +127,7 @@ CsrMatrix RowNormalize(const CsrMatrix& a) {
       [&](int64_t r0, int64_t r1) {
         const bool use_avx2 = simd::UseAvx2();
         for (int64_t r = r0; r < r1; ++r) {
-          const float d = deg[static_cast<size_t>(r)];
-          const float inv = d != 0.0f ? 1.0f / d : 0.0f;
+          const float inv = InvDegree(deg[static_cast<size_t>(r)]);
           const int64_t b = rp[static_cast<size_t>(r)];
           const int64_t e = rp[static_cast<size_t>(r) + 1];
           if (use_avx2) {

@@ -1,6 +1,7 @@
 #ifndef MCOND_GRAPH_GRAPH_H_
 #define MCOND_GRAPH_GRAPH_H_
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -24,7 +25,16 @@ CsrView AddSelfLoopRows(const CsrView& a, float weight,
                         std::vector<int32_t>* col_idx,
                         std::vector<float>* values);
 
-/// D^{-1/2} from the degrees: 1/√deg, and 0 where deg <= 0.
+/// The degree normalizers, one definition each; the serving session
+/// evaluates the same expressions to stay bit-identical to the operators.
+/// SymNormalize's: 1/√deg, and 0 where deg <= 0.
+inline float InvSqrtDegree(float deg) {
+  return deg > 0.0f ? 1.0f / std::sqrt(deg) : 0.0f;
+}
+/// RowNormalize's: 1/deg, and 0 where deg == 0.
+inline float InvDegree(float deg) { return deg != 0.0f ? 1.0f / deg : 0.0f; }
+
+/// D^{-1/2} from the degrees: InvSqrtDegree of each.
 std::vector<float> InvSqrtDegrees(const std::vector<float>& deg);
 
 /// out[k] = values[k] · dinv_sqrt[r] · dinv_sqrt[col_idx[k]] for every
@@ -37,7 +47,9 @@ void SymNormalizeValues(const CsrView& a, const float* dinv_sqrt, float* out);
 /// (weighted) degree of A + I. Zero-degree rows stay zero.
 CsrMatrix SymNormalize(const CsrMatrix& a, bool add_self_loops = true);
 
-/// Row-stochastic normalization D^{-1} A (random-walk / mean aggregation).
+/// Row-stochastic normalization D^{-1} A (random-walk / mean aggregation):
+/// each value times InvDegree of its row sum. The structure is `a`'s; a row
+/// summing to 0 keeps its entries, scaled by 0, as SymNormalize's do.
 CsrMatrix RowNormalize(const CsrMatrix& a);
 
 /// Indices of the labeled nodes (label >= 0), ascending.

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstring>
 #include <limits>
 
 #include "core/parallel.h"
-#include "graph/compose.h"
 #include "graph/graph.h"
 #include "obs/trace.h"
 
@@ -26,11 +24,12 @@ namespace mcond {
 //    followed by the appended link entries, so the session caches the
 //    double partial sum of the base entries and continues the same
 //    accumulation with the batch contribution.
-//  - SymNormalize: dinv = deg > 0f ? 1.0f/std::sqrt(deg) : 0f, and each
-//    value is (v * dinv[row]) * dinv[col] (left-to-right).
-//  - RowNormalize: inv = deg != 0f ? 1.0f/deg : 0f, value = v * inv. Its
-//    entry-dropping corner (deg == 0 with stored entries) changes the
-//    structure and is routed to FallbackCompose instead.
+//  - SymNormalize: dinv = InvSqrtDegree(deg), and each value is
+//    (v * dinv[row]) * dinv[col] (left-to-right).
+//  - RowNormalize: inv = InvDegree(deg), value = v * inv.
+//    Both normalizers keep a zero-degree row's entries (scaled by 0), so the
+//    composed structure never depends on the values and every request is
+//    patched incrementally.
 //  - CsrMatrix::Multiply accumulates acc[c] += av*bv in (ka asc, kb asc)
 //    order from an exact 0.0f, then emits each row's touched columns in
 //    ascending order, zero sums included. ConvertLinks reproduces exactly
@@ -63,13 +62,6 @@ CsrMatrix GraphOperators::*Member(OperatorKind kind) {
       &GraphOperators::gcn_norm, &GraphOperators::row_norm,
       &GraphOperators::sym_no_loop};
   return kMembers[static_cast<int>(kind)];
-}
-
-/// SymNormalize's 1/sqrt(deg) (0 for deg <= 0) or RowNormalize's 1/deg; a
-/// row_norm degree of 0 never gets here (it takes the fallback).
-float Normalizer(float deg, bool symmetric) {
-  if (!symmetric) return 1.0f / deg;
-  return deg > 0.0f ? 1.0f / std::sqrt(deg) : 0.0f;
 }
 
 /// An entry of the composed operator: (v·dr)·dc, left to right, or v·dr.
@@ -114,7 +106,6 @@ ServingSession::ServingSession(std::shared_ptr<const SessionBase> base,
     : base_(std::move(base)),
       model_(model),
       requests_(obs::GetCounter("mcond.serve.session_requests")),
-      fallbacks_(obs::GetCounter("mcond.serve.session_fallbacks")),
       convert_hist_(obs::GetHistogram("mcond.serve.session_convert_us")),
       compose_hist_(obs::GetHistogram("mcond.serve.session_compose_us")),
       forward_hist_(obs::GetHistogram("mcond.serve.session_forward_us")),
@@ -197,7 +188,7 @@ ServingSession::LinksView ServingSession::ConvertLinks(
                    static_cast<int64_t>(conv_ci_.size())};
 }
 
-bool ServingSession::ComputeDegrees(const LinksView& lv,
+void ServingSession::ComputeDegrees(const LinksView& lv,
                                     const CsrMatrix* inter, int64_t n) {
   const SessionBase& sb = *base_;
   changed_.clear();
@@ -221,11 +212,7 @@ bool ServingSession::ComputeDegrees(const LinksView& lv,
   }
   for (const int32_t c : changed_) {
     const size_t cs = static_cast<size_t>(c);
-    const float deg = static_cast<float>(new_acc_[cs]);
-    // A changed row of Ã always has stored entries (its self-loop at
-    // least), so degree 0 means RowNormalize would drop its entries.
-    if (sb.self_loops && deg == 0.0f) return false;
-    new_norm_[cs] = Normalizer(deg, sb.symmetric);
+    new_norm_[cs] = sb.Normalizer(static_cast<float>(new_acc_[cs]));
   }
   // Pass 2: batch-row degrees, accumulated in composed storage order —
   // link entries first, then the merged (inter, self-loop) tail.
@@ -236,11 +223,8 @@ bool ServingSession::ComputeDegrees(const LinksView& lv,
     }
     ForEachTail(inter, i, sb.self_loops,
                 [&](int32_t, float v) { acc += v; });
-    const float deg = static_cast<float>(acc);
-    if (sb.self_loops && deg == 0.0f) return false;  // as above
-    b_norm_[static_cast<size_t>(i)] = Normalizer(deg, sb.symmetric);
+    b_norm_[static_cast<size_t>(i)] = sb.Normalizer(static_cast<float>(acc));
   }
-  return true;
 }
 
 void ServingSession::BuildComposed(const LinksView& lv,
@@ -390,31 +374,6 @@ void ServingSession::BuildComposed(const LinksView& lv,
                            std::move(v_), /*validate=*/false);
 }
 
-void ServingSession::FallbackCompose(const HeldOutBatch& batch,
-                                     bool graph_batch, int64_t n) {
-  ++fallback_serves_;
-  fallbacks_.Increment();
-  CsrMatrix owned_links;
-  const CsrMatrix* links = &batch.links;
-  if (base_->mapping != nullptr) {
-    std::vector<int64_t> rp(conv_rp_.begin(), conv_rp_.begin() + n + 1);
-    owned_links = CsrMatrix::FromParts(n, base_->n_base, std::move(rp),
-                                       conv_ci_, conv_v_, /*validate=*/false);
-    links = &owned_links;
-  }
-  CsrMatrix composed;
-  if (graph_batch) {
-    composed = ComposeBlockAdjacency(base_->base_graph.adjacency(), *links,
-                                     batch.inter);
-  } else {
-    composed = ComposeBlockAdjacency(base_->base_graph.adjacency(), *links,
-                                     CsrMatrix::FromTriplets(n, n, {}));
-  }
-  // The oracle's own operator code; only the declared operator is kept.
-  GraphOperators all = GraphOperators::FromAdjacency(composed);
-  ops_.*Member(base_->kind) = std::move(all.*Member(base_->kind));
-}
-
 void ServingSession::StackBatchFeatures(const Tensor& batch_features) {
   const int64_t n = batch_features.rows();
   const int64_t d = base_->feat_dim;
@@ -477,12 +436,8 @@ const Tensor& ServingSession::Serve(const HeldOutBatch& batch,
     links_nnz = lv.nnz;
     {
       obs::TraceSpan span("serve.session.compose", /*always_time=*/true);
-      bool exact = !sb.fallback_only && ComputeDegrees(lv, inter, n);
-      if (exact) {
-        BuildComposed(lv, inter, n);
-      } else {
-        FallbackCompose(batch, graph_batch, n);
-      }
+      ComputeDegrees(lv, inter, n);
+      BuildComposed(lv, inter, n);
       compose_hist_.Record(span.ElapsedMicros());
     }
     StackBatchFeatures(batch.features);

@@ -61,13 +61,11 @@ namespace mcond {
 ///    copied into a persistent output tensor.
 ///
 /// Exactness: results are bit-identical to `ComposeDeployment` + Predict at
-/// every thread count — the same float expressions are evaluated in the
-/// same order; tests enforce memcmp equality. `RowNormalize` *dropping* the
-/// entries of a degree-0 row of Ã cannot be patched incrementally; it is
-/// detected (at build for base rows, per request for the Ã rows gcn_norm and
-/// row_norm sessions renormalize) and routed to an exact full-recompose
-/// fallback; `fallback_serves()` counts these (0 on real graphs). sym_no_loop
-/// has no such corner and always serves incrementally.
+/// every thread count — the same float expressions (graph.h's degree
+/// normalizers among them) are evaluated in the same order; tests enforce
+/// memcmp equality. There is one serving path: a row whose degree sums to 0,
+/// in the base or in a request, keeps its entries scaled by 0 in every
+/// operator, so it is patched like any other row.
 ///
 /// Allocation contract: after one warm-up serve per batch shape,
 /// steady-state `Serve` performs zero tensor-heap allocations
@@ -84,7 +82,7 @@ namespace mcond {
 /// exactly this, with each worker's kernels forced inline via
 /// ScopedInlineParallelRegion so replicas don't contend for the pool).
 ///
-/// Observability: `mcond.serve.session_requests` / `_fallbacks` counters;
+/// Observability: the `mcond.serve.session_requests` counter;
 /// `mcond.serve.session_convert_us` / `_compose_us` / `_forward_us` /
 /// `_total_us` histograms (compose includes incremental normalization);
 /// spans `serve.session[.convert|.compose|.forward]`.
@@ -117,10 +115,6 @@ class ServingSession {
   /// Raw composed CSR bytes of the last request.
   int64_t composed_csr_bytes() const { return composed_csr_bytes_; }
 
-  /// Number of serves that took the exact full-recompose fallback (degree-0
-  /// structural corner); 0 in healthy deployments.
-  int64_t fallback_serves() const { return fallback_serves_; }
-
   int64_t num_base_nodes() const { return base_->n_base; }
 
   /// The immutable build-time state this session serves from (shared with
@@ -149,16 +143,11 @@ class ServingSession {
   /// aM SpGEMM into conv_* buffers; bit-identical to CsrMatrix::Multiply.
   LinksView ConvertLinks(const CsrMatrix& links);
   /// Computes the operator's composed degrees / normalizers for changed
-  /// base rows and batch rows. Returns false if a degree-0 row of Ã would
-  /// trigger RowNormalize's entry-dropping path (take the fallback).
-  bool ComputeDegrees(const LinksView& lv, const CsrMatrix* inter, int64_t n);
+  /// base rows and batch rows.
+  void ComputeDegrees(const LinksView& lv, const CsrMatrix* inter, int64_t n);
   /// Builds the operator's composed CSR structure + values into the cached
   /// buffers and moves them into ops_.
   void BuildComposed(const LinksView& lv, const CsrMatrix* inter, int64_t n);
-  /// Exact slow path: full compose + FromAdjacency (same code as
-  /// ComposeDeployment).
-  void FallbackCompose(const HeldOutBatch& batch, bool graph_batch,
-                       int64_t n);
   void StackBatchFeatures(const Tensor& batch_features);
 
   // ---- build-time caches, immutable and shareable across replicas ----
@@ -194,11 +183,9 @@ class ServingSession {
   int64_t cur_n_ = -1;
   int64_t memory_bytes_ = 0;
   int64_t composed_csr_bytes_ = 0;
-  int64_t fallback_serves_ = 0;
 
   // Cached metric handles (lookups allocate; do them once).
   obs::Counter& requests_;
-  obs::Counter& fallbacks_;
   obs::Histogram& convert_hist_;
   obs::Histogram& compose_hist_;
   obs::Histogram& forward_hist_;

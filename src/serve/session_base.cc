@@ -1,7 +1,5 @@
 #include "serve/session_base.h"
 
-#include <cmath>
-
 #include "core/logging.h"
 #include "obs/trace.h"
 
@@ -79,16 +77,7 @@ void SessionBase::BuildCaches() {
       acc += s.values()[static_cast<size_t>(k)];
     }
     deg_acc[static_cast<size_t>(r)] = acc;
-    const float deg = static_cast<float>(acc);
-    float& inv = norm[static_cast<size_t>(r)];
-    if (symmetric) {
-      inv = deg > 0.0f ? 1.0f / std::sqrt(deg) : 0.0f;
-    } else {
-      inv = deg != 0.0f ? 1.0f / deg : 0.0f;
-    }
-    // Every row of Ã stores its self-loop, so a zero sum is the
-    // entry-dropping corner.
-    if (self_loops && deg == 0.0f) fallback_only = true;
+    norm[static_cast<size_t>(r)] = Normalizer(static_cast<float>(acc));
   }
 
   if (symmetric) BuildCsc(s, &csc);

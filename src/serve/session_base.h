@@ -24,6 +24,10 @@ namespace mcond {
 /// Built once via Build(); exposed as shared_ptr<const SessionBase>, so
 /// concurrent readers need no synchronization.
 ///
+/// Any base serves incrementally, whatever its degrees: a row summing to 0
+/// keeps its entries in both normalizers (graph.h), so the cached normalized
+/// block always has structure()'s layout.
+///
 /// Lifetime: the SessionBase stores references — the base graph (or the
 /// condensed artifact whose graph/mapping it points into) must outlive it
 /// and every session built on it.
@@ -59,23 +63,25 @@ struct SessionBase {
                              : normalized;
     return v.values().data();
   }
+  /// The operator's degree normalizer: graph.h's InvSqrtDegree (symmetric)
+  /// or InvDegree.
+  float Normalizer(float deg) const {
+    return symmetric ? InvSqrtDegree(deg) : InvDegree(deg);
+  }
 
   const Graph& base_graph;
   const CsrMatrix* mapping = nullptr;  // null for original-graph bases
   const OperatorKind kind;
   const bool self_loops;  // structure Ã = A + I, else the raw A (sym_no_loop)
-  const bool symmetric;   // (v·dr)·dc with 1/sqrt(deg), else v·dr with 1/deg
+  const bool symmetric;   // entries (v·dr)·dc, else v·dr (see Normalizer)
   int64_t n_base = 0;   // N (or N')
   int64_t feat_dim = 0;
 
   CsrMatrix loops;       // Ã; empty for sym_no_loop
   CsrMatrix normalized;  // base block; empty for gcn_norm (the Graph's)
   std::vector<double> deg_acc;  // exact RowSums partials of structure() rows
-  std::vector<float> norm;      // 1/sqrt(deg) if symmetric, else 1/deg
+  std::vector<float> norm;      // Normalizer of each structure() row
   CscIndex csc;                 // empty for row_norm (row degree only)
-  // A row of Ã sums to 0, so RowNormalize drops its entries; no patch can
-  // reproduce that, and every session on this base takes the fallback.
-  bool fallback_only = false;
 
  private:
   SessionBase(const Graph& g, OperatorKind k);

@@ -1,7 +1,7 @@
 // Tests for the concurrent serving engine (src/serve/concurrent_server.*):
 // per-request logits bit-identical to a solo ServingSession at every
 // replica count / micro-batch setting, explicit backpressure in both
-// block and reject modes, the degree-0 fallback under concurrency, the
+// block and reject modes, a degree-0 base row under concurrency, the
 // shared-base memory accounting of ReplicaPool, and the per-replica
 // zero-tensor-heap-allocation steady state. Also built under the tsan
 // preset, which checks the replica/queue synchronization itself.
@@ -116,9 +116,6 @@ TEST_F(ConcurrentServerTest, BitIdenticalToSoloAcrossReplicasAndBatching) {
         ExpectBitEqual((*solo_)[i], outs[i]);
       }
       server.Shutdown();
-      for (int r = 0; r < server.pool().size(); ++r) {
-        EXPECT_EQ(server.pool().replica(r).fallback_serves(), 0);
-      }
     }
   }
 }
@@ -241,10 +238,10 @@ struct Degree0Case {
   }
 };
 
-TEST_F(ConcurrentServerTest, Degree0FallbackServedConcurrently) {
-  // Ã row 0 sums to exactly 0 (1 - 2 + self-loop 1): RowNormalize would
-  // drop its entries, so the gcn_norm base is fallback-only and every
-  // serve — concurrent included — must take the exact full-recompose path.
+TEST_F(ConcurrentServerTest, Degree0BaseServedConcurrently) {
+  // Ã row 0 sums to exactly 0 (1 - 2 + self-loop 1): its entries stay,
+  // scaled by 0, and every serve, concurrent included, patches it like any
+  // other row.
   const Degree0Case c;
   const Graph& g = c.graph;
   const HeldOutBatch& batch = c.batch;
@@ -253,11 +250,9 @@ TEST_F(ConcurrentServerTest, Degree0FallbackServedConcurrently) {
   ServingSession solo(g, *model);
   Rng srng(9);
   const Tensor expect = solo.Serve(batch, /*graph_batch=*/false, srng);
-  EXPECT_GT(solo.fallback_serves(), 0);
 
   std::shared_ptr<const SessionBase> base =
       SessionBase::Build(g, model->operator_kind());
-  EXPECT_TRUE(base->fallback_only);
   ConcurrentServer::Config cfg;
   cfg.num_replicas = 2;
   ConcurrentServer server(base, *model, cfg);
@@ -272,38 +267,35 @@ TEST_F(ConcurrentServerTest, Degree0FallbackServedConcurrently) {
   for (ServeTicket& tk : tickets) EXPECT_TRUE(tk.Wait().ok());
   for (const Tensor& out : outs) ExpectBitEqual(expect, out);
   server.Shutdown();
-  int64_t fallbacks = 0;
-  for (int r = 0; r < server.pool().size(); ++r) {
-    fallbacks += server.pool().replica(r).fallback_serves();
-  }
-  EXPECT_EQ(fallbacks, 6);
 }
 
-TEST_F(ConcurrentServerTest, Degree0BaseServesChebNetIncrementally) {
-  // sym_no_loop has no entry-dropping corner: ChebNet's base over the same
-  // graph is not fallback-only, so its sessions serve incrementally, and
-  // exactly. SGC (gcn_norm) and GraphSAGE (row_norm) still fall back.
+TEST_F(ConcurrentServerTest, Degree0BaseServesEveryArchitectureExactly) {
+  // The same base under every architecture, so under all three operators:
+  // each base caches row 0 like any other row, and each session equals the
+  // ComposeDeployment oracle bit for bit.
   const Degree0Case c;
-  for (const GnnArch arch :
-       {GnnArch::kCheby, GnnArch::kSgc, GnnArch::kGraphSage}) {
+  for (const GnnArch arch : {GnnArch::kSgc, GnnArch::kGcn,
+                             GnnArch::kGraphSage, GnnArch::kAppnp,
+                             GnnArch::kCheby}) {
+    SCOPED_TRACE(GnnArchName(arch));
     std::unique_ptr<GnnModel> model = Degree0Case::MakeModel(arch);
-    const bool incremental = arch == GnnArch::kCheby;
-    EXPECT_EQ(SessionBase::Build(c.graph, model->operator_kind())
-                  ->fallback_only,
-              !incremental)
-        << GnnArchName(arch);
+    const std::shared_ptr<const SessionBase> base =
+        SessionBase::Build(c.graph, model->operator_kind());
+    // Row 0 keeps its entries, so the cached normalized block has the
+    // structure's layout (gcn_norm's block is the Graph's own).
+    const CsrMatrix& block = base->kind == OperatorKind::kGcnNorm
+                                 ? c.graph.normalized_adjacency()
+                                 : base->normalized;
+    EXPECT_EQ(block.row_ptr(), base->structure().row_ptr());
     for (const bool graph_batch : {true, false}) {
       const Deployment dep = ComposeDeployment(c.graph, c.batch, graph_batch);
       Rng orng(9);
       const Tensor expect =
           SliceRows(model->Predict(dep.operators, dep.features, orng),
                     dep.num_base, dep.num_base + dep.batch_size);
-      ServingSession session(c.graph, *model);
+      ServingSession session(base, *model);
       Rng srng(9);
       ExpectBitEqual(expect, session.Serve(c.batch, graph_batch, srng));
-      EXPECT_EQ(session.fallback_serves(), incremental ? 0 : 1)
-          << GnnArchName(arch) << (graph_batch ? " graph" : " node")
-          << " batch";
     }
   }
 }

@@ -1,7 +1,8 @@
 // Tests for the network front-end (src/net/): wire-protocol encode/parse
 // round trips and malformed-frame rejection, the deterministic TokenBucket,
 // and end-to-end loopback serving — logits over the socket bit-identical to
-// in-process ConcurrentServer calls on the same tenants, queue-full and
+// in-process ConcurrentServer calls on the same tenants (a graph batch with
+// a zero-degree row among them), queue-full and
 // quota-exceeded surfacing as protocol-level REJECTED replies (never a
 // dropped connection), unknown tenants as NOT_FOUND, hostile framing
 // closing the connection, and frames coalesced into one read or split
@@ -426,6 +427,40 @@ TEST_F(NetServerTest, LoopbackBitIdenticalToInprocess) {
     }
     server.Stop();
   }
+}
+
+TEST_F(NetServerTest, ZeroDegreeGraphBatchRowBitIdenticalToInprocess) {
+  // Batch row 0 loses its links and keeps one inter edge of -1, so its row
+  // of Ã sums to 1 - 1 = 0. The wire checks only the CSR structure: the
+  // frame gets an OK reply, bit-equal to the in-process serve.
+  const HeldOutBatch& src = (*batches_)[0];
+  HeldOutBatch batch = src;
+  std::vector<Triplet> links;
+  for (int64_t r = 1; r < src.links.rows(); ++r) {
+    for (int64_t k = src.links.row_ptr()[r]; k < src.links.row_ptr()[r + 1];
+         ++k) {
+      links.push_back({r, src.links.col_idx()[k], src.links.values()[k]});
+    }
+  }
+  batch.links = CsrMatrix::FromTriplets(src.links.rows(), src.links.cols(),
+                                        std::move(links));
+  batch.inter = CsrMatrix::FromTriplets(src.size(), src.size(),
+                                        {{0, 1, -1.0f}, {1, 0, -1.0f}});
+
+  auto registry = MakeRegistry(*data_, TenantConfig());
+  NetServer server(*registry, NetServerOptions());
+  ASSERT_TRUE(server.Start().ok());
+  Tensor expected;
+  ASSERT_TRUE(registry->Find("alpha")
+                  ->server->ServeSync(batch, /*graph_batch=*/true, &expected)
+                  .ok());
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  NetResponse resp;
+  ASSERT_TRUE(client.Call("alpha", batch, /*graph_batch=*/true, &resp).ok());
+  ASSERT_EQ(resp.status, WireStatus::kOk) << resp.message;
+  ExpectBitEqual(expected, resp.logits);
+  server.Stop();
 }
 
 TEST_F(NetServerTest, UnknownTenantIsNotFoundAndConnectionSurvives) {

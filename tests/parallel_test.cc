@@ -229,15 +229,42 @@ TEST_F(ParallelTest, GraphNormalizationBitExactAcrossThreadCounts) {
   }
 }
 
-TEST_F(ParallelTest, RowNormalizeStillDropsZeroSumRows) {
-  // A row whose stored values sum to zero historically has its entries
-  // removed; the structure-preserving fast path must not change that.
-  std::vector<Triplet> t = {{0, 0, 1.0f}, {0, 1, -1.0f}, {1, 0, 2.0f}};
-  const CsrMatrix a = CsrMatrix::FromTriplets(2, 2, std::move(t));
-  const CsrMatrix norm = RowNormalize(a);
-  EXPECT_EQ(norm.RowNnz(0), 0);
-  EXPECT_EQ(norm.RowNnz(1), 1);
-  EXPECT_FLOAT_EQ(norm.At(1, 0), 1.0f);
+TEST_F(ParallelTest, RowNormalizeKeepsZeroSumRows) {
+  // A row whose values sum to 0 keeps its entries, each scaled by 0 (the
+  // signs of v survive), as SymNormalize keeps its zero-degree rows, so the
+  // structure is the input's. Rows 0 (11 entries: one 8-lane block and a
+  // tail) and 2 sum to exactly 0; row 1 sums to 3.
+  const CsrMatrix a = CsrMatrix::FromParts(
+      3, 12, {0, 11, 13, 15}, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 0, 5, 3, 4},
+      {1.0f, -1.0f, 2.0f, -2.0f, 0.25f, -0.25f, 3.0f, -3.0f, 0.5f, -0.5f,
+       -0.0f, 2.0f, 1.0f, -4.0f, 4.0f});
+  std::vector<simd::Tier> tiers{simd::Tier::kScalar};
+  if (simd::Avx2Compiled() && simd::CpuSupportsAvx2Fma()) {
+    tiers.push_back(simd::Tier::kAvx2);
+  }
+  std::vector<float> first_tier;
+  for (const simd::Tier tier : tiers) {
+    simd::SetTier(tier);
+    const CsrMatrix norm = RowNormalize(a);
+    EXPECT_EQ(norm.row_ptr(), a.row_ptr()) << simd::TierName(tier);
+    EXPECT_EQ(norm.col_idx(), a.col_idx()) << simd::TierName(tier);
+    ASSERT_EQ(norm.values().size(), a.values().size());
+    for (const int64_t r : {0, 2}) {
+      for (int64_t k = a.row_ptr()[r]; k < a.row_ptr()[r + 1]; ++k) {
+        const float want = a.values()[k] * 0.0f;
+        EXPECT_EQ(std::memcmp(&norm.values()[k], &want, sizeof(float)), 0)
+            << simd::TierName(tier) << " entry " << k;
+      }
+    }
+    if (first_tier.empty()) {
+      first_tier = norm.values();
+    } else {
+      EXPECT_EQ(std::memcmp(norm.values().data(), first_tier.data(),
+                            first_tier.size() * sizeof(float)),
+                0)
+          << "the tiers disagree";
+    }
+  }
 }
 
 TEST_F(ParallelTest, ParallelForCoversRangeExactlyOnce) {

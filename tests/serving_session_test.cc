@@ -11,6 +11,7 @@
 #include <numeric>
 
 #include "core/parallel.h"
+#include "core/simd.h"
 #include "core/tensor_ops.h"
 #include "coreset/coreset.h"
 #include "data/datasets.h"
@@ -91,7 +92,6 @@ TEST_F(ServingSessionTest, BitIdenticalAcrossArchitecturesAndBatchModes) {
       Rng rng(9);
       const Tensor& got = session.Serve(data_->test, graph_batch, rng);
       ExpectBitEqual(expect, got);
-      EXPECT_EQ(session.fallback_serves(), 0);
     }
   }
 }
@@ -137,7 +137,6 @@ TEST_F(ServingSessionTest, StreamedBatchesMatchPerRequestIncludingResize) {
     Rng rng(9);
     ExpectBitEqual(expect, session.Serve(batch, /*graph_batch=*/false, rng));
   }
-  EXPECT_EQ(session.fallback_serves(), 0);
 }
 
 TEST_F(ServingSessionTest, RepeatedServesAreStable) {
@@ -172,7 +171,6 @@ TEST_F(ServingSessionTest, SteadyStateServesDoNotTouchTensorHeap) {
     EXPECT_EQ(internal::TensorHeapAllocCount(), warm)
         << GnnArchName(arch)
         << ": steady-state Serve must not allocate tensor memory on the heap";
-    EXPECT_EQ(session.fallback_serves(), 0);
   }
 }
 
@@ -233,7 +231,6 @@ TEST_F(ServingSessionTest, BitIdenticalOverEdgelessBaseGraph) {
       ServingSession session(edgeless, *model);
       Rng rng(9);
       ExpectBitEqual(expect, session.Serve(data_->test, graph_batch, rng));
-      EXPECT_EQ(session.fallback_serves(), 0);
     }
   }
 }
@@ -279,7 +276,6 @@ TEST_F(ServingSessionTest, BaseHoldsOnlyItsOperatorsCaches) {
           on_condensed ? SessionBase::Build(*condensed_, kind)
                        : SessionBase::Build(g, kind);
       EXPECT_EQ(base->kind, kind);
-      EXPECT_FALSE(base->fallback_only);
       EXPECT_EQ(static_cast<int64_t>(base->deg_acc.size()), g.NumNodes());
       EXPECT_EQ(static_cast<int64_t>(base->norm.size()), g.NumNodes());
       switch (kind) {
@@ -434,7 +430,119 @@ TEST_F(WideMappingServingTest, ConversionAcrossBitmapWordsMatchesOracle) {
         EXPECT_EQ(session.composed_csr_bytes(), dep.adjacency.StorageBytes())
             << GnnArchName(arch);
       }
-      EXPECT_EQ(session.fallback_serves(), 0);
+    }
+  }
+}
+
+/// A base of six nodes with positive, symmetric weights: the rows of A sum
+/// to 2.5, 4, 3, 1.5, 2.5 and 2.5, and those of Ã to one more, all exact.
+Graph PositiveBase(Rng& rng) {
+  std::vector<Triplet> t;
+  for (const Triplet& e : {Triplet{0, 1, 1.0f}, Triplet{1, 2, 2.0f},
+                           Triplet{2, 3, 1.0f}, Triplet{3, 4, 0.5f},
+                           Triplet{4, 5, 1.0f}, Triplet{0, 5, 1.5f},
+                           Triplet{1, 4, 1.0f}}) {
+    t.push_back(e);
+    t.push_back({e.col, e.row, e.value});
+  }
+  return Graph(CsrMatrix::FromTriplets(6, 6, std::move(t)),
+               rng.NormalTensor(6, 4), {0, 1, 2, 0, 1, 2}, 3);
+}
+
+/// A three-node batch on PositiveBase that drives one composed row's degree
+/// to exactly 0. `zero_link`: links of -3.5 to base node 0 and -3 to base
+/// node 2 zero Ã row 0 and A row 2 (both batch modes). Otherwise batch row 0
+/// has no links and one inter edge of -1, so its Ã row sums to 1 - 1 = 0
+/// (graph batches).
+HeldOutBatch ZeroingBatch(bool zero_link, Rng& rng) {
+  HeldOutBatch b;
+  b.features = rng.NormalTensor(3, 4);
+  if (zero_link) {
+    b.links = CsrMatrix::FromTriplets(
+        3, 6, {{0, 0, -3.5f}, {1, 2, -3.0f}, {1, 3, 1.0f}, {2, 5, 1.0f}});
+    b.inter = CsrMatrix::FromTriplets(3, 3, {{0, 1, 1.0f}, {1, 0, 1.0f}});
+  } else {
+    b.links = CsrMatrix::FromTriplets(
+        3, 6, {{1, 2, 1.0f}, {2, 4, 1.0f}, {2, 5, 0.5f}});
+    b.inter = CsrMatrix::FromTriplets(
+        3, 3, {{0, 1, -1.0f}, {1, 0, -1.0f}, {1, 2, 1.0f}, {2, 1, 1.0f}});
+  }
+  b.labels = {0, 1, 2};
+  return b;
+}
+
+TEST(ZeroDegreeRequestTest, ServedIncrementallyAndExactly) {
+  // A request that zeroes a composed row's degree on a positive base is
+  // patched like any other: two serves per session equal the
+  // ComposeDeployment oracle bit for bit, the second with no tensor-heap
+  // allocation, for every architecture, batch mode, SIMD tier and pool
+  // width, over the original graph and over an identity-mapped artifact.
+  struct Restore {
+    simd::Tier tier = simd::ActiveTier();
+    ~Restore() {
+      simd::SetTier(tier);
+      ThreadPool::Global().SetNumThreads(ThreadPool::DefaultNumThreads());
+    }
+  } restore;
+  std::vector<simd::Tier> tiers{simd::Tier::kScalar};
+  if (simd::Avx2Compiled() && simd::CpuSupportsAvx2Fma()) {
+    tiers.push_back(simd::Tier::kAvx2);
+  }
+  Rng rng(5);
+  CondensedGraph identity;
+  identity.graph = PositiveBase(rng);
+  identity.mapping = CsrMatrix::Identity(6);
+  const Graph& base = identity.graph;
+  for (const bool zero_link : {true, false}) {
+    const HeldOutBatch batch = ZeroingBatch(zero_link, rng);
+    for (const bool graph_batch : {true, false}) {
+      // The batch reaches the corner it is built for.
+      const CsrMatrix adj =
+          ComposeDeployment(base, batch, graph_batch).adjacency;
+      const std::vector<float> loops_deg = AddSelfLoops(adj).RowSums();
+      if (zero_link) {
+        EXPECT_EQ(loops_deg[0], 0.0f);
+        EXPECT_EQ(adj.RowSums()[2], 0.0f);
+      } else if (graph_batch) {
+        EXPECT_EQ(loops_deg[6], 0.0f);
+      }
+    }
+    for (const simd::Tier tier : tiers) {
+      simd::SetTier(tier);
+      for (const int width : {1, 4}) {
+        ThreadPool::Global().SetNumThreads(width);
+        for (const GnnArch arch : kAllArchs) {
+          Rng mrng(7);
+          std::unique_ptr<GnnModel> model =
+              MakeGnn(arch, 4, 3, GnnConfig(), mrng);
+          for (const bool graph_batch : {true, false}) {
+            for (const bool on_identity : {false, true}) {
+              SCOPED_TRACE(testing::Message()
+                           << GnnArchName(arch) << (zero_link ? " link" :
+                                                               " inter")
+                           << (graph_batch ? " graph" : " node") << " batch, "
+                           << simd::TierName(tier) << ", width " << width
+                           << (on_identity ? ", identity-mapped" : ""));
+              const Deployment dep =
+                  on_identity ? ComposeDeployment(identity, batch, graph_batch)
+                              : ComposeDeployment(base, batch, graph_batch);
+              Rng orng(9);
+              const Tensor expect = SliceRows(
+                  model->Predict(dep.operators, dep.features, orng),
+                  dep.num_base, dep.num_base + dep.batch_size);
+              std::unique_ptr<ServingSession> session =
+                  on_identity
+                      ? std::make_unique<ServingSession>(identity, *model)
+                      : std::make_unique<ServingSession>(base, *model);
+              Rng srng(9);
+              ExpectBitEqual(expect, session->Serve(batch, graph_batch, srng));
+              const int64_t warm = internal::TensorHeapAllocCount();
+              ExpectBitEqual(expect, session->Serve(batch, graph_batch, srng));
+              EXPECT_EQ(internal::TensorHeapAllocCount(), warm);
+            }
+          }
+        }
+      }
     }
   }
 }
