@@ -153,14 +153,9 @@ int RunSmoke() {
   PrintDigest("spmm", "resident",
               BitDigest(train.normalized_adjacency().SpMM(train.features())));
   StatusOr<Tensor> spmm =
-      ShardedSpMM(*sharded.value().normalized, train.features());
+      ShardedPropagate(*sharded.value().normalized, train.features(), 1);
   MCOND_CHECK(spmm.ok());
   PrintDigest("spmm", "streamed", BitDigest(spmm.value()));
-
-  PrintDigest("rowsums", "resident", BitDigest(train.adjacency().RowSums()));
-  StatusOr<std::vector<float>> sums = ShardedRowSums(*sharded.value().adjacency);
-  MCOND_CHECK(sums.ok());
-  PrintDigest("rowsums", "streamed", BitDigest(sums.value()));
 
   const std::vector<int64_t> keep = train.LabeledNodes();
   Tensor prop = train.features();

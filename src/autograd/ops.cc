@@ -337,30 +337,6 @@ Variable SigmoidRowNormalize(const Variable& a, float eps) {
   return out;
 }
 
-Variable TanhV(const Variable& a) {
-  Variable out = MakeOp(TanhT(a->value()), {a});
-  VariableNode* o = out.get();
-  Variable pa = a;
-  out->set_backward_fn([o, pa]() {
-    if (!pa->requires_grad()) return;
-    const Tensor& y = o->value();
-    Tensor d = Tensor::Uninitialized(y.rows(), y.cols());
-    const float* py = y.data();
-    const float* pg = o->grad().data();
-    float* pd = d.data();
-    ParallelFor(
-        0, y.size(), GrainFromCost(3),
-        [&](int64_t i0, int64_t i1) {
-          for (int64_t i = i0; i < i1; ++i) {
-            pd[i] = pg[i] * (1.0f - py[i] * py[i]);
-          }
-        },
-        "ops.tanh_bwd");
-    pa->AccumulateGrad(std::move(d));
-  });
-  return out;
-}
-
 Variable PowV(const Variable& a, float p) {
   Tensor v = Tensor::Uninitialized(a->rows(), a->cols());
   const float* src = a->value().data();
@@ -417,23 +393,6 @@ Variable Reshape(const Variable& a, int64_t rows, int64_t cols) {
     std::vector<float> data(g.data(), g.data() + g.size());
     pa->AccumulateGrad(
         Tensor::FromVector(pa->rows(), pa->cols(), std::move(data)));
-  });
-  return out;
-}
-
-Variable ConcatRows(const Variable& top, const Variable& bottom) {
-  Variable out =
-      MakeOp(mcond::ConcatRows(top->value(), bottom->value()), {top, bottom});
-  VariableNode* o = out.get();
-  Variable pt = top, pb = bottom;
-  out->set_backward_fn([o, pt, pb]() {
-    const Tensor& g = o->grad();
-    if (pt->requires_grad()) {
-      pt->AccumulateGrad(mcond::SliceRows(g, 0, pt->rows()));
-    }
-    if (pb->requires_grad()) {
-      pb->AccumulateGrad(mcond::SliceRows(g, pt->rows(), g.rows()));
-    }
   });
   return out;
 }
@@ -543,11 +502,6 @@ Variable SumAll(const Variable& a) {
         Tensor::Full(pa->rows(), pa->cols(), o->grad().At(0, 0)));
   });
   return out;
-}
-
-Variable MeanAll(const Variable& a) {
-  MCOND_CHECK_GT(a->value().size(), 0);
-  return Scale(SumAll(a), 1.0f / static_cast<float>(a->value().size()));
 }
 
 Variable SoftmaxRows(const Variable& a) {
@@ -841,8 +795,6 @@ Variable Dropout(const Variable& a, float p, Rng& rng, bool training) {
   });
   return out;
 }
-
-Variable Detach(const Variable& a) { return MakeConstant(a->value()); }
 
 }  // namespace ops
 }  // namespace mcond

@@ -51,7 +51,6 @@ Variable PairSum(const Variable& u, const Variable& v);
 /// Nonlinearities.
 Variable Relu(const Variable& a);
 Variable Sigmoid(const Variable& a);
-Variable TanhV(const Variable& a);
 /// Eq. (15): ReLU(σ(a_i) / Σ_j σ(a_ij) − eps) per row, as one taped op
 /// whose forward and backward are each one row-parallel pass. Same bits as
 /// Relu(AddScalar(DivRowBroadcast(Sigmoid(a), RowSum(Sigmoid(a))), −eps)).
@@ -63,7 +62,6 @@ Variable PowV(const Variable& a, float p);
 Variable Transpose(const Variable& a);
 /// Row-major reinterpretation to rows×cols (size must match).
 Variable Reshape(const Variable& a, int64_t rows, int64_t cols);
-Variable ConcatRows(const Variable& top, const Variable& bottom);
 Variable ConcatCols(const Variable& left, const Variable& right);
 Variable SliceRows(const Variable& a, int64_t begin, int64_t end);
 Variable GatherRows(const Variable& a, std::vector<int64_t> indices);
@@ -71,7 +69,6 @@ Variable GatherRows(const Variable& a, std::vector<int64_t> indices);
 /// Reductions.
 Variable RowSum(const Variable& a);
 Variable SumAll(const Variable& a);
-Variable MeanAll(const Variable& a);
 
 /// Row-wise softmax (stable).
 Variable SoftmaxRows(const Variable& a);
@@ -99,9 +96,6 @@ Variable BceWithLogits(const Variable& scores, const Tensor& targets);
 
 /// Inverted dropout; identity when `training` is false.
 Variable Dropout(const Variable& a, float p, Rng& rng, bool training);
-
-/// Cuts the tape: returns a constant with a copy of a's value.
-Variable Detach(const Variable& a);
 
 }  // namespace ops
 }  // namespace mcond

@@ -8,7 +8,7 @@ namespace mcond {
 
 namespace {
 
-// Both updates read the accumulated gradient in place and fold weight decay
+// The update reads the accumulated gradient in place and folds weight decay
 // in per element. Every element is updated by one chunk with no
 // cross-element state, so the bits do not depend on the pool width.
 
@@ -22,30 +22,10 @@ inline float DecayedGrad(float g, float x, float wd) {
 
 }  // namespace
 
-void SgdOptimizer::Step() {
-  const float step = -lr_;
-  const float wd = weight_decay_;
-  for (const Variable& p : params_) {
-    if (p->grad().empty()) continue;
-    const float* pg = p->grad().data();
-    float* px = p->mutable_value().data();
-    ParallelFor(
-        0, p->value().size(), kUpdateGrain,
-        [&](int64_t k0, int64_t k1) {
-          for (int64_t k = k0; k < k1; ++k) {
-            const float g = DecayedGrad(pg[k], px[k], wd);
-            px[k] += step * g;
-          }
-        },
-        "optim.sgd");
-    p->ZeroGrad();
-  }
-}
-
 AdamOptimizer::AdamOptimizer(std::vector<Variable> params, float lr,
                              float weight_decay, float beta1, float beta2,
                              float eps)
-    : Optimizer(std::move(params)),
+    : params_(std::move(params)),
       lr_(lr),
       weight_decay_(weight_decay),
       beta1_(beta1),

@@ -7,60 +7,27 @@
 
 namespace mcond {
 
-/// Gradient-descent optimizer interface over a fixed parameter list.
-/// Step() consumes the gradients accumulated by Backward() and zeroes them.
-class Optimizer {
- public:
-  explicit Optimizer(std::vector<Variable> params)
-      : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
-
-  Optimizer(const Optimizer&) = delete;
-  Optimizer& operator=(const Optimizer&) = delete;
-
-  /// Applies one update using each parameter's accumulated gradient, then
-  /// clears the gradients. Parameters with no accumulated gradient (not
-  /// reached by the last Backward) are skipped.
-  virtual void Step() = 0;
-
-  void ZeroGrad() { ZeroGradAll(params_); }
-  const std::vector<Variable>& params() const { return params_; }
-
- protected:
-  std::vector<Variable> params_;
-};
-
-/// Plain SGD with optional L2 weight decay.
-class SgdOptimizer : public Optimizer {
- public:
-  SgdOptimizer(std::vector<Variable> params, float lr,
-               float weight_decay = 0.0f)
-      : Optimizer(std::move(params)), lr_(lr), weight_decay_(weight_decay) {}
-
-  void Step() override;
-
-  void set_lr(float lr) { lr_ = lr; }
-  float lr() const { return lr_; }
-
- private:
-  float lr_;
-  float weight_decay_;
-};
-
-/// Adam (Kingma & Ba) with bias correction and optional L2 weight decay.
-/// The paper trains everything with Adam; the mapping matrix uses lr=0.1.
-class AdamOptimizer : public Optimizer {
+/// Adam (Kingma & Ba) with bias correction and optional L2 weight decay over
+/// a fixed parameter list. The paper trains everything with Adam; the
+/// mapping matrix uses lr=0.1.
+class AdamOptimizer {
  public:
   AdamOptimizer(std::vector<Variable> params, float lr,
                 float weight_decay = 0.0f, float beta1 = 0.9f,
                 float beta2 = 0.999f, float eps = 1e-8f);
 
-  void Step() override;
+  AdamOptimizer(const AdamOptimizer&) = delete;
+  AdamOptimizer& operator=(const AdamOptimizer&) = delete;
 
-  void set_lr(float lr) { lr_ = lr; }
-  float lr() const { return lr_; }
+  /// Applies one update using each parameter's accumulated gradient, then
+  /// clears the gradients. Parameters with no accumulated gradient (not
+  /// reached by the last Backward) are skipped.
+  void Step();
+
+  void ZeroGrad() { ZeroGradAll(params_); }
 
  private:
+  std::vector<Variable> params_;
   float lr_;
   float weight_decay_;
   float beta1_;

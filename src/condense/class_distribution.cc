@@ -52,14 +52,6 @@ std::vector<int64_t> AllocateSyntheticLabels(
   return labels;
 }
 
-Tensor InitializeSyntheticFeatures(const Graph& original,
-                                   const std::vector<int64_t>& synthetic_labels,
-                                   Rng& rng) {
-  return InitializeSyntheticFeatures(original.features(), original.labels(),
-                                     original.num_classes(), synthetic_labels,
-                                     rng);
-}
-
 Tensor InitializeSyntheticFeatures(const Tensor& features,
                                    const std::vector<int64_t>& labels,
                                    int64_t num_classes,

@@ -25,14 +25,9 @@ std::vector<int64_t> AllocateSyntheticLabels(
     const std::vector<int64_t>& class_counts, int64_t num_synthetic);
 
 /// Initializes X' by sampling, for each synthetic node, a labeled original
-/// node of the same class and copying its features with small Gaussian
-/// jitter (the GCond initialization).
-Tensor InitializeSyntheticFeatures(const Graph& original,
-                                   const std::vector<int64_t>& synthetic_labels,
-                                   Rng& rng);
-
-/// Same initialization from raw (features, labels, num_classes) — identical
-/// RNG draw sequence to the Graph overload, which delegates here.
+/// node of the same class (from `features`, `labels` and `num_classes`) and
+/// copying its features with small Gaussian jitter (the GCond
+/// initialization).
 Tensor InitializeSyntheticFeatures(const Tensor& features,
                                    const std::vector<int64_t>& labels,
                                    int64_t num_classes,

@@ -51,11 +51,6 @@ Tensor MappingMatrix::NormalizedTensor() const {
   return SigmoidRowNormalize(raw_->value(), config_.epsilon);
 }
 
-CsrMatrix MappingMatrix::Sparsify(float delta) const {
-  return CsrMatrix::FromDense(NormalizedTensor(), /*drop_tol=*/0.0f)
-      .Thresholded(delta);
-}
-
 std::vector<Variable> MappingMatrix::Parameters() const { return {raw_}; }
 
 void MappingMatrix::ResetParameters(Rng& rng) { InitializeRandom(rng); }

@@ -26,8 +26,8 @@ struct MappingConfig {
 /// normalization (Eq. 15):
 ///   M_i ← ReLU( σ(M_i) / Σ_j σ(M_{ij}) − ε ),
 /// which keeps rows non-negative, roughly stochastic, and numerically
-/// stable. After training, Sparsify (Eq. 14) thresholds the normalized
-/// matrix into the CSR form used at serving time.
+/// stable. After training, MCondResult::Sparsify (Eq. 14) thresholds the
+/// normalized matrix into the CSR form used at serving time.
 class MappingMatrix : public Module {
  public:
   MappingMatrix(int64_t num_original, int64_t num_synthetic,
@@ -54,10 +54,6 @@ class MappingMatrix : public Module {
   /// Eq. (15) evaluated eagerly (no tape) by the same row kernel, so its
   /// bits equal Normalized()'s value; allocates only the N×N' result.
   Tensor NormalizedTensor() const;
-
-  /// Eq. (14): entries of the normalized mapping below `delta` dropped,
-  /// returned as sparse CSR.
-  CsrMatrix Sparsify(float delta) const;
 
   std::vector<Variable> Parameters() const override;
   void ResetParameters(Rng& rng) override;

@@ -95,7 +95,7 @@ std::vector<Tensor> RelaySgc::WeightGradientTensorsBlocked(
 
 float RelaySgc::TrainStep(const Tensor& propagated,
                           const std::vector<int64_t>& labels,
-                          Optimizer& optimizer) {
+                          AdamOptimizer& optimizer) {
   Variable z = MakeConstant(propagated);
   Variable logits = ops::MatMul(ops::MatMul(z, w1_), w2_);
   Variable loss = ops::SoftmaxCrossEntropy(logits, labels);

@@ -65,7 +65,7 @@ class RelaySgc : public Module {
   /// Algorithm 1): CE loss on (propagated', Y'), gradients flow into θ only.
   /// Returns the loss value.
   float TrainStep(const Tensor& propagated, const std::vector<int64_t>& labels,
-                  class Optimizer& optimizer);
+                  class AdamOptimizer& optimizer);
 
   std::vector<Variable> Parameters() const override;
   void ResetParameters(Rng& rng) override;

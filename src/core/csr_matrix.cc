@@ -187,19 +187,6 @@ CsrMatrix CsrMatrix::FromDense(const Tensor& dense, float drop_tol) {
   return m;
 }
 
-float CsrMatrix::At(int64_t r, int64_t c) const {
-  MCOND_CHECK(r >= 0 && r < rows_ && c >= 0 && c < cols_);
-  const int64_t begin = row_ptr_[static_cast<size_t>(r)];
-  const int64_t end = row_ptr_[static_cast<size_t>(r) + 1];
-  const auto first = col_idx_.begin() + begin;
-  const auto last = col_idx_.begin() + end;
-  const auto it = std::lower_bound(first, last, static_cast<int32_t>(c));
-  if (it != last && *it == c) {
-    return values_[static_cast<size_t>(it - col_idx_.begin())];
-  }
-  return 0.0f;
-}
-
 bool CsrMatrix::HasEntry(int64_t r, int64_t c) const {
   const int64_t begin = row_ptr_[static_cast<size_t>(r)];
   const int64_t end = row_ptr_[static_cast<size_t>(r) + 1];
@@ -348,12 +335,6 @@ CsrMatrix CsrMatrix::WithValues(std::vector<float> new_values) const {
   out.col_idx_ = col_idx_;
   out.values_ = std::move(new_values);
   return out;
-}
-
-CsrMatrix CsrMatrix::Scaled(float s) const {
-  std::vector<float> vals(values_);
-  for (float& v : vals) v *= s;
-  return WithValues(std::move(vals));
 }
 
 CsrMatrix CsrMatrix::Thresholded(float threshold) const {

@@ -68,7 +68,7 @@ class CsrMatrix {
   CsrMatrix() : rows_(0), cols_(0), row_ptr_(1, 0) {}
 
   /// Copies share no derived state: the lazily built transpose cache is
-  /// dropped so a copy that later mutates values (Scaled, mutable_values)
+  /// dropped so a copy that later mutates values (mutable_values)
   /// cannot observe a stale cache. Moves transfer the cache.
   CsrMatrix(const CsrMatrix& other)
       : rows_(other.rows_),
@@ -141,9 +141,6 @@ class CsrMatrix {
   /// path for normalization, which only rescales entries.
   CsrMatrix WithValues(std::vector<float> new_values) const;
 
-  /// Value at (r, c); 0 if not stored. O(log nnz(row)) via binary search.
-  float At(int64_t r, int64_t c) const;
-
   /// The whole matrix as a view (row_begin 0, the matrix's own arrays).
   CsrView View() const {
     return {0, 0, rows_, Nnz(), row_ptr_.data(), col_idx_.data(),
@@ -189,9 +186,6 @@ class CsrMatrix {
 
   /// Dense copy; only for small matrices and tests.
   Tensor ToDense() const;
-
-  /// Entrywise scale of stored values.
-  CsrMatrix Scaled(float s) const;
 
   /// this with any entries whose value < threshold removed (Eq. 14
   /// sparsification semantics: keep x if x >= threshold).

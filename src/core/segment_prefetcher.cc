@@ -115,7 +115,8 @@ bool SegmentPrefetcher::AdmitsBudget(int64_t index) const {
   const int64_t budget = state_->mem_budget_bytes;
   if (budget <= 0) return true;
   const int64_t payload = state_->payload_bytes[static_cast<size_t>(index)];
-  return state_->pinned_bytes.load(std::memory_order_relaxed) + payload <=
+  return state_->pinned_bytes.load(std::memory_order_relaxed) +
+             reserved_bytes_ + payload <=
          budget;
 }
 
@@ -138,18 +139,18 @@ void SegmentPrefetcher::WorkerLoop() {
     }
     schedule_.pop_front();
     const uint64_t epoch = epoch_;
+    const int64_t payload = state_->payload_bytes[static_cast<size_t>(index)];
     inflight_ = index;
+    reserved_bytes_ += payload;
     lock.unlock();
 
     TrackInflight(+1);
     StatusOr<PinnedSegment> pin = state_->PinSegment(index);
-    if (pin.ok()) {
-      FaultIn(pin.value().view(),
-              state_->payload_bytes[static_cast<size_t>(index)]);
-    }
+    if (pin.ok()) FaultIn(pin.value().view(), payload);
     TrackInflight(-1);
 
     lock.lock();
+    reserved_bytes_ -= payload;
     inflight_ = -1;
     if (!stop_ && epoch_ == epoch) {
       Ready r;
@@ -244,9 +245,16 @@ StatusOr<PinnedSegment> SegmentPrefetcher::AcquireOrPin(int64_t index) {
   }
   ++stats_.misses;
   obs::GetCounter("mcond.shard.prefetch.misses").Increment();
+  // Reserve the payload before unlocking, so the worker's admission counts
+  // this pin while it is still on its way into the store's pinned bytes.
+  const int64_t payload = state_->payload_bytes[static_cast<size_t>(index)];
+  reserved_bytes_ += payload;
   worker_cv_.notify_all();
   lock.unlock();
-  return state_->PinSegment(index);
+  StatusOr<PinnedSegment> pin = state_->PinSegment(index);
+  lock.lock();
+  reserved_bytes_ -= payload;
+  return pin;
 }
 
 SegmentPrefetcher::Stats SegmentPrefetcher::stats() const {

@@ -24,7 +24,7 @@ struct ShardedCsrState;
 /// MCOND_PREFETCH_SEGMENTS environment variable (default 2 — double
 /// buffering), overridable with SetPrefetchSegments (mcond_cli
 /// --prefetch_segments). A store creates its worker lazily at the first
-/// PrefetchHint, snapshotting the depth in effect at that moment.
+/// PrefetchHintSegments, snapshotting the depth in effect at that moment.
 int64_t PrefetchSegments();
 void SetPrefetchSegments(int64_t depth);
 
@@ -33,12 +33,13 @@ void SetPrefetchSegments(int64_t depth);
 /// handover instead of a blocking mmap + page-fault walk.
 ///
 /// Budget-aware admission: a segment is fetched only while the store's
-/// pinned payload plus that segment fits mem_budget_bytes; otherwise the
-/// worker holds off and the consumer degrades to a synchronous Pin —
-/// prefetch never makes the store exceed a budget it would otherwise meet.
+/// pinned payload, plus the payload of the pins still in progress, plus that
+/// segment fits mem_budget_bytes; otherwise the worker holds off and the
+/// consumer degrades to a synchronous Pin — prefetch never makes the store
+/// exceed a budget it would otherwise meet.
 /// Purely a timing optimization: results are bit-identical at any depth.
 ///
-/// Normally created lazily inside ShardedCsr (see PrefetchHint /
+/// Normally created lazily inside ShardedCsr (see PrefetchHintSegments /
 /// PinPrefetched); the public constructor exists for tests that drive the
 /// worker directly.
 class SegmentPrefetcher {
@@ -89,6 +90,8 @@ class SegmentPrefetcher {
                     int64_t depth);
 
   void WorkerLoop();
+  /// Whether pinning segment `index` keeps the store within its budget,
+  /// counting the pins still in progress (reserved_bytes_). Holds mu_.
   bool AdmitsBudget(int64_t index) const;
 
   internal::ShardedCsrState* const state_;
@@ -103,6 +106,9 @@ class SegmentPrefetcher {
   std::deque<int64_t> schedule_;
   std::deque<Ready> ready_;
   int64_t inflight_ = -1;
+  /// Payload of the pins the worker or a missing consumer has started but
+  /// that have not yet landed in the store's pinned bytes.
+  int64_t reserved_bytes_ = 0;
   /// Bumped by Hint/Cancel; an in-flight result from an older epoch is
   /// dropped when it completes instead of entering ready_.
   uint64_t epoch_ = 0;

@@ -163,17 +163,4 @@ StatusOr<Tensor> LoadTensor(const std::string& path) {
   return ReadTensor(in);
 }
 
-Status SaveCsrMatrix(const std::string& path, const CsrMatrix& m) {
-  return SaveToFile(path, m,
-                    [](std::ostream& o, const CsrMatrix& v) {
-                      return WriteCsrMatrix(o, v);
-                    });
-}
-
-StatusOr<CsrMatrix> LoadCsrMatrix(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open: " + path);
-  return ReadCsrMatrix(in);
-}
-
 }  // namespace mcond

@@ -28,8 +28,6 @@ StatusOr<CsrMatrix> ReadCsrMatrix(std::istream& in);
 /// Whole-file helpers.
 Status SaveTensor(const std::string& path, const Tensor& t);
 StatusOr<Tensor> LoadTensor(const std::string& path);
-Status SaveCsrMatrix(const std::string& path, const CsrMatrix& m);
-StatusOr<CsrMatrix> LoadCsrMatrix(const std::string& path);
 
 }  // namespace mcond
 

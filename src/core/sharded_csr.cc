@@ -495,35 +495,11 @@ int64_t ShardedCsr::SegmentForRow(int64_t r) const {
   return static_cast<int64_t>(it - segments_.begin());
 }
 
-int64_t ShardedCsr::SegmentForSlot(int64_t k) const {
-  MCOND_CHECK(k >= 0 && k < nnz_);
-  const auto it = std::upper_bound(
-      segments_.begin(), segments_.end(), k,
-      [](int64_t slot, const Segment& s) {
-        return slot < s.nnz_begin + s.nnz;
-      });
-  MCOND_CHECK(it != segments_.end());
-  return static_cast<int64_t>(it - segments_.begin());
-}
-
 StatusOr<PinnedSegment> ShardedCsr::Pin(int64_t index) const {
   if (index < 0 || index >= NumSegments()) {
     return Status::OutOfRange("sharded csr: segment index out of range");
   }
   return state_->PinSegment(index);
-}
-
-void ShardedCsr::PrefetchHint(int64_t row_begin, int64_t row_end) const {
-  if (!state_) return;
-  row_begin = std::max<int64_t>(row_begin, 0);
-  row_end = std::min(row_end, rows_);
-  if (row_begin >= row_end) return;
-  const int64_t first = SegmentForRow(row_begin);
-  const int64_t last = SegmentForRow(row_end - 1);
-  std::vector<int64_t> order;
-  order.reserve(static_cast<size_t>(last - first + 1));
-  for (int64_t i = first; i <= last; ++i) order.push_back(i);
-  PrefetchHintSegments(std::move(order));
 }
 
 void ShardedCsr::PrefetchHintSegments(std::vector<int64_t> order) const {

@@ -173,9 +173,8 @@ class ShardedCsr {
            global_row_ptr_[static_cast<size_t>(r)];
   }
 
-  /// Index of the segment containing row `r` / CSR slot `k`.
+  /// Index of the segment containing row `r`.
   int64_t SegmentForRow(int64_t r) const;
-  int64_t SegmentForSlot(int64_t k) const;
 
   /// Maps (if needed) and pins the segment. The returned view's arrays stay
   /// valid until the PinnedSegment is destroyed.
@@ -188,12 +187,9 @@ class ShardedCsr {
   // prefetch on or off, and a hinted segment that cannot be fetched within
   // the memory budget simply degrades to a synchronous Pin.
 
-  /// Hints that the segments covering rows [row_begin, row_end) will be
-  /// pinned next, in ascending order. Replaces any previous hint. No-op when
-  /// the ambient prefetch depth is 0, the store is unopened, or the clamped
-  /// range is empty.
-  void PrefetchHint(int64_t row_begin, int64_t row_end) const;
-  /// Same, with an explicit segment visit order. Orders containing an
+  /// Hints that the segments in `order` will be pinned next, in that order.
+  /// Replaces any previous hint. No-op when the ambient prefetch depth is 0,
+  /// the store is unopened, or `order` is empty; orders containing an
   /// out-of-range index are ignored wholesale.
   void PrefetchHintSegments(std::vector<int64_t> order) const;
   /// Pin that first consults the prefetcher: a completed prefetch is handed

@@ -1,7 +1,6 @@
 #include "core/tensor.h"
 
 #include <cmath>
-#include <sstream>
 
 namespace mcond {
 
@@ -46,19 +45,6 @@ bool Tensor::AllFinite() const {
     if (!std::isfinite(x)) return false;
   }
   return true;
-}
-
-std::string Tensor::DebugString(int64_t max_entries) const {
-  std::ostringstream os;
-  os << "Tensor(" << rows_ << "x" << cols_ << ") [";
-  int64_t n = std::min<int64_t>(max_entries, size());
-  for (int64_t i = 0; i < n; ++i) {
-    if (i) os << ", ";
-    os << data_[static_cast<size_t>(i)];
-  }
-  if (n < size()) os << ", ...";
-  os << "]";
-  return os.str();
 }
 
 }  // namespace mcond

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -133,12 +132,8 @@ class Tensor {
   /// Sets every entry to zero.
   void SetZero() { Fill(0.0f); }
 
-  /// True iff every entry is finite (no NaN/Inf). Used by tests and
-  /// optimizer sanity checks.
+  /// True iff every entry is finite (no NaN/Inf). Used by tests.
   bool AllFinite() const;
-
-  /// "Tensor(3x4)" plus up to `max_entries` values; for debugging.
-  std::string DebugString(int64_t max_entries = 16) const;
 
  private:
   int64_t rows_;

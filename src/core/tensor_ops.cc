@@ -446,22 +446,6 @@ Tensor SigmoidRowNormalizeBackward(const Tensor& g, const Tensor& out,
   return d;
 }
 
-Tensor TanhT(const Tensor& a) {
-  return Elementwise(a, [](float x) { return std::tanh(x); });
-}
-
-Tensor ExpT(const Tensor& a) {
-  return Elementwise(a, [](float x) { return std::exp(x); });
-}
-
-Tensor LogT(const Tensor& a) {
-  return Elementwise(a, [](float x) { return std::log(x); });
-}
-
-Tensor Abs(const Tensor& a) {
-  return Elementwise(a, [](float x) { return std::fabs(x); });
-}
-
 Tensor SoftmaxRows(const Tensor& a) {
   const bool use_avx2 = simd::UseAvx2();
   Tensor out = Tensor::Uninitialized(a.rows(), a.cols());
@@ -520,24 +504,11 @@ float Sum(const Tensor& a) {
   return static_cast<float>(acc);
 }
 
-float Dot(const Tensor& a, const Tensor& b) {
-  MCOND_CHECK(a.SameShape(b)) << "Dot shape mismatch";
-  double acc = 0.0;
-  const float* pa = a.data();
-  const float* pb = b.data();
-  for (int64_t i = 0; i < a.size(); ++i) acc += double(pa[i]) * pb[i];
-  return static_cast<float>(acc);
-}
-
 float FrobeniusNorm(const Tensor& a) {
-  return std::sqrt(std::max(0.0f, Dot(a, a)));
-}
-
-float MaxAbs(const Tensor& a) {
-  float mx = 0.0f;
+  double acc = 0.0;
   const float* p = a.data();
-  for (int64_t i = 0; i < a.size(); ++i) mx = std::max(mx, std::fabs(p[i]));
-  return mx;
+  for (int64_t i = 0; i < a.size(); ++i) acc += double(p[i]) * p[i];
+  return std::sqrt(static_cast<float>(acc));
 }
 
 Tensor RowSum(const Tensor& a) {
@@ -590,27 +561,6 @@ Tensor ColSum(const Tensor& a) {
       },
       "core.colsum");
   return out;
-}
-
-Tensor ColL2Norm(const Tensor& a) {
-  Tensor sq(1, a.cols());
-  float* dst = sq.data();
-  const int64_t rows = a.rows();
-  ParallelFor(
-      0, a.cols(), GrainFromCost(2 * rows),
-      [&](int64_t j0, int64_t j1) {
-        for (int64_t i = 0; i < rows; ++i) {
-          const float* row = a.RowData(i);
-          for (int64_t j = j0; j < j1; ++j) dst[j] += row[j] * row[j];
-        }
-        for (int64_t j = j0; j < j1; ++j) dst[j] = std::sqrt(dst[j]);
-      },
-      "core.coll2norm");
-  return sq;
-}
-
-float L21Norm(const Tensor& a) {
-  return Sum(RowL2Norm(a));
 }
 
 Tensor ConcatRows(const Tensor& top, const Tensor& bottom) {

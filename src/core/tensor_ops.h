@@ -87,10 +87,6 @@ Tensor SigmoidRowNormalize(const Tensor& a, float eps,
 Tensor SigmoidRowNormalizeBackward(const Tensor& g, const Tensor& out,
                                    const Tensor& sigmoid,
                                    const Tensor& inv_row_sums);
-Tensor TanhT(const Tensor& a);
-Tensor ExpT(const Tensor& a);
-Tensor LogT(const Tensor& a);
-Tensor Abs(const Tensor& a);
 
 /// Row-wise softmax with the max-subtraction trick for stability.
 Tensor SoftmaxRows(const Tensor& a);
@@ -99,19 +95,13 @@ std::vector<int64_t> ArgmaxRows(const Tensor& a);
 
 /// Reductions.
 float Sum(const Tensor& a);
-float Dot(const Tensor& a, const Tensor& b);
+/// √(Σ a²); used in tests.
 float FrobeniusNorm(const Tensor& a);
-float MaxAbs(const Tensor& a);
 /// rows×1 vector of per-row sums / L2 norms.
 Tensor RowSum(const Tensor& a);
 Tensor RowL2Norm(const Tensor& a);
-/// 1×cols vector of per-column sums / L2 norms.
+/// 1×cols vector of per-column sums.
 Tensor ColSum(const Tensor& a);
-Tensor ColL2Norm(const Tensor& a);
-
-/// L2,1 matrix norm: sum over rows of the row L2 norm (Eq. 10/12 in the
-/// paper use this to compare embedding matrices).
-float L21Norm(const Tensor& a);
 
 /// Stacks `top` above `bottom` (column counts must match).
 Tensor ConcatRows(const Tensor& top, const Tensor& bottom);
@@ -125,7 +115,7 @@ Tensor GatherRows(const Tensor& a, const std::vector<int64_t>& indices);
 /// Writes `src` into rows [begin, begin+src.rows()) of `dst`.
 void ScatterRowsInPlace(Tensor& dst, int64_t begin, const Tensor& src);
 
-/// Max relative elementwise difference; used in tests.
+/// Max absolute elementwise difference; used in tests.
 float MaxAbsDiff(const Tensor& a, const Tensor& b);
 
 /// True iff |a-b| <= atol + rtol*|b| entrywise.

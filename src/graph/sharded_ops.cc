@@ -50,26 +50,6 @@ Status AppendRows(ShardedCsrWriter* writer, const CsrView& rows,
 
 }  // namespace
 
-StatusOr<Tensor> ShardedSpMM(const ShardedCsr& a, const Tensor& x) {
-  if (a.cols() != x.rows()) {
-    return Status::InvalidArgument("sharded spmm: shape mismatch");
-  }
-  MCOND_TRACE_SPAN("graph.sharded_spmm");
-  Tensor y = Tensor::Uninitialized(a.rows(), x.cols());
-  MCOND_RETURN_IF_ERROR(SpMMAllSegments(a, x, &y));
-  return y;
-}
-
-StatusOr<std::vector<float>> ShardedRowSums(const ShardedCsr& a) {
-  std::vector<float> sums(static_cast<size_t>(a.rows()));
-  MCOND_RETURN_IF_ERROR(
-      ForEachSegment(SequentialCursor(a), [&](const CsrView& seg) {
-        RowSums(seg, sums.data() + seg.row_begin, "graph.sharded_row_sums");
-        return Status::Ok();
-      }));
-  return sums;
-}
-
 StatusOr<Tensor> ShardedPropagate(const ShardedCsr& a_hat, const Tensor& x,
                                   int64_t depth,
                                   const std::vector<int64_t>& keep) {
@@ -223,10 +203,6 @@ StatusOr<EdgeBatch> ShardedSampleEdgeBatch(const ShardedCsr& adjacency,
         return pin.view();
       },
       num_pos, num_neg, rng);
-}
-
-std::vector<int64_t> ShardedGraph::ClassCounts() const {
-  return mcond::ClassCounts(labels, num_classes);
 }
 
 StatusOr<ShardedGraph> ShardGraph(const Graph& g, const std::string& dir,

@@ -25,12 +25,6 @@ namespace mcond {
 /// split into views, so every result is BIT-IDENTICAL to its resident
 /// counterpart at every thread count, SIMD tier and prefetch depth.
 
-/// Y = A · X. Bit-identical to CsrMatrix::SpMM on the same matrix.
-StatusOr<Tensor> ShardedSpMM(const ShardedCsr& a, const Tensor& x);
-
-/// Per-row sums with the resident double-precision accumulation order.
-StatusOr<std::vector<float>> ShardedRowSums(const ShardedCsr& a);
-
 /// Â^depth X streamed over segments; with a non-empty `keep` the final hop
 /// only materializes the kept rows (out row i = propagated row keep[i]),
 /// matching GatherRows(Â^depth X, keep) bit-for-bit without the last full
@@ -74,7 +68,6 @@ struct ShardedGraph {
 
   int64_t NumNodes() const { return adjacency ? adjacency->rows() : 0; }
   int64_t FeatureDim() const { return features.cols(); }
-  std::vector<int64_t> ClassCounts() const;
 };
 
 /// Spills a resident graph into a sharded one under `dir` (created if

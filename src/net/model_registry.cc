@@ -222,14 +222,5 @@ int ModelRegistry::size() const {
   return static_cast<int>(tenants_.size());
 }
 
-int64_t ModelRegistry::memory_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  int64_t bytes = 0;
-  for (const auto& [name, tenant] : tenants_) {
-    bytes += tenant->server->pool().memory_bytes();
-  }
-  return bytes;
-}
-
 }  // namespace net
 }  // namespace mcond

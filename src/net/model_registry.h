@@ -139,9 +139,6 @@ class ModelRegistry {
   std::vector<std::string> TenantNames() const;
   int size() const;
 
-  /// Sum of every tenant's pool memory (SessionBase + replica workspaces).
-  int64_t memory_bytes() const;
-
   /// Valid tenant names are 1..64 chars of [a-z0-9_] — they embed into
   /// metric names and Prometheus label values unescaped.
   static bool ValidTenantName(std::string_view name);

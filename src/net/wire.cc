@@ -78,20 +78,6 @@ const char* WireStatusName(WireStatus s) {
   return "UNKNOWN";
 }
 
-const char* RejectReasonName(RejectReason r) {
-  switch (r) {
-    case RejectReason::kNone:
-      return "NONE";
-    case RejectReason::kQueueFull:
-      return "QUEUE_FULL";
-    case RejectReason::kQuotaExceeded:
-      return "QUOTA_EXCEEDED";
-    case RejectReason::kShuttingDown:
-      return "SHUTTING_DOWN";
-  }
-  return "UNKNOWN";
-}
-
 Status ParseFrameHeader(const uint8_t* data, size_t len,
                         uint64_t max_body_bytes, FrameHeader* out) {
   MCOND_CHECK(data != nullptr && out != nullptr);

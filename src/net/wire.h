@@ -101,7 +101,6 @@ enum class RejectReason : uint32_t {
 };
 
 const char* WireStatusName(WireStatus s);
-const char* RejectReasonName(RejectReason r);
 
 struct FrameHeader {
   uint8_t version = 0;

@@ -20,21 +20,6 @@ double AccuracyFromLogits(const Tensor& logits,
   return total == 0 ? 0.0 : static_cast<double>(correct) / total;
 }
 
-double AccuracyFromLogits(const Tensor& logits,
-                          const std::vector<int64_t>& labels,
-                          const std::vector<int64_t>& indices) {
-  int64_t correct = 0, total = 0;
-  const std::vector<int64_t> pred = ArgmaxRows(logits);
-  for (int64_t i : indices) {
-    MCOND_CHECK(i >= 0 && i < logits.rows());
-    const int64_t y = labels[static_cast<size_t>(i)];
-    if (y < 0) continue;
-    ++total;
-    if (pred[static_cast<size_t>(i)] == y) ++correct;
-  }
-  return total == 0 ? 0.0 : static_cast<double>(correct) / total;
-}
-
 Tensor OneHot(const std::vector<int64_t>& labels, int64_t num_classes) {
   Tensor out(static_cast<int64_t>(labels.size()), num_classes);
   for (size_t i = 0; i < labels.size(); ++i) {

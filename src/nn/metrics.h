@@ -13,11 +13,6 @@ namespace mcond {
 double AccuracyFromLogits(const Tensor& logits,
                           const std::vector<int64_t>& labels);
 
-/// Accuracy restricted to `indices` (logits row i is node i of the graph).
-double AccuracyFromLogits(const Tensor& logits,
-                          const std::vector<int64_t>& labels,
-                          const std::vector<int64_t>& indices);
-
 /// n×C one-hot encoding; rows with label -1 are all-zero.
 Tensor OneHot(const std::vector<int64_t>& labels, int64_t num_classes);
 

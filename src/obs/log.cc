@@ -74,11 +74,6 @@ void SetMinLogLevel(LogLevel level) {
   g_min_level.store(static_cast<int>(level), std::memory_order_relaxed);
 }
 
-void SetVerbosityLevel(int v) {
-  EnsureEnvInit();
-  g_verbosity.store(v, std::memory_order_relaxed);
-}
-
 void SetLogSink(LogSink sink) {
   std::lock_guard<std::mutex> lock(SinkMutex());
   SinkSlot() = std::move(sink);

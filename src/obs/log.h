@@ -58,7 +58,6 @@ inline bool LogEnabled(LogLevel level) {
 bool VlogEnabled(int n);
 
 void SetMinLogLevel(LogLevel level);
-void SetVerbosityLevel(int v);
 /// Replaces the sink; pass nullptr to restore the default stderr sink.
 void SetLogSink(LogSink sink);
 

@@ -397,14 +397,6 @@ std::string MetricsRegistry::ToPrometheus() const {
   return out.str();
 }
 
-void MetricsRegistry::ResetForTesting() {
-  std::lock_guard<std::mutex> lock(mu_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-  series_.clear();
-}
-
 Counter& GetCounter(const std::string& name) {
   return MetricsRegistry::Global().GetCounter(name);
 }

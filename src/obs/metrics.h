@@ -164,10 +164,6 @@ class MetricsRegistry {
   /// one `# TYPE` line.
   std::string ToPrometheus() const;
 
-  /// Drops every registered instrument (references into the registry are
-  /// invalidated — tests only).
-  void ResetForTesting();
-
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;

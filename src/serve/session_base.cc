@@ -53,9 +53,6 @@ void SessionBase::BuildCaches() {
   switch (kind) {
     case OperatorKind::kGcnNorm:
       loops = AddSelfLoops(raw);
-      // The Graph's cached SymNormalize(A) shares Ã's structure — both come
-      // from the same deterministic AddSelfLoops.
-      MCOND_CHECK_EQ(base_graph.normalized_adjacency().Nnz(), loops.Nnz());
       break;
     case OperatorKind::kRowNorm:
       loops = AddSelfLoops(raw);
@@ -65,8 +62,14 @@ void SessionBase::BuildCaches() {
       normalized = SymNormalize(raw, /*add_self_loops=*/false);
       break;
   }
-
+  // Serving reads the cached block through structure()'s row_ptr, so a
+  // block laid out differently would be read out of place (or past its end).
+  // For gcn_norm the Graph's SymNormalize(A) and Ã come from the same
+  // deterministic AddSelfLoops.
   const CsrMatrix& s = structure();
+  MCOND_CHECK(normalized_block().row_ptr() == s.row_ptr())
+      << "cached normalized base block is not indexed like its structure";
+
   const size_t n = static_cast<size_t>(n_base);
   deg_acc.resize(n);
   norm.resize(n);

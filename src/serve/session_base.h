@@ -57,11 +57,14 @@ struct SessionBase {
   const CsrMatrix& structure() const {
     return self_loops ? loops : base_graph.adjacency();
   }
+  /// The cached normalized base block: the Graph's SymNormalize(A) for
+  /// gcn_norm, `normalized` otherwise. Indexed by structure()'s row_ptr.
+  const CsrMatrix& normalized_block() const {
+    return kind == OperatorKind::kGcnNorm ? base_graph.normalized_adjacency()
+                                          : normalized;
+  }
   const float* base_values() const {
-    const CsrMatrix& v = kind == OperatorKind::kGcnNorm
-                             ? base_graph.normalized_adjacency()
-                             : normalized;
-    return v.values().data();
+    return normalized_block().values().data();
   }
   /// The operator's degree normalizer: graph.h's InvSqrtDegree (symmetric)
   /// or InvDegree.

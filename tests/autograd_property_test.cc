@@ -33,9 +33,10 @@ TEST_P(AutogradPropertyTest, CompositeMlpLikeExpression) {
   ExpectGradientsMatch(
       {x, w, b},
       [&] {
-        Variable h = ops::TanhV(
+        Variable h = ops::Sigmoid(
             ops::AddRowBroadcast(ops::MatMul(x, w), b));
-        return ops::MeanAll(ops::Mul(h, h));
+        return ops::Scale(ops::SumAll(ops::Mul(h, h)),
+                          1.0f / static_cast<float>(h->value().size()));
       },
       /*eps=*/5e-3f, /*rel_tol=*/0.08f, /*abs_tol=*/4e-3f);
 }
@@ -101,7 +102,8 @@ TEST_P(AutogradPropertyTest, SharedSubgraphGradient) {
   ExpectGradientsMatch({x}, [&] {
     Variable shared = ops::Sigmoid(x);
     Variable head1 = ops::SumAll(ops::Mul(shared, shared));
-    Variable head2 = ops::MeanAll(shared);
+    Variable head2 = ops::Scale(
+        ops::SumAll(shared), 1.0f / static_cast<float>(shared->value().size()));
     return ops::Add(head1, ops::Scale(head2, 3.0f));
   });
 }

@@ -120,11 +120,11 @@ TEST(AutogradTest, ReluGradcheck) {
   });
 }
 
-TEST(AutogradTest, SigmoidTanhGradcheck) {
+TEST(AutogradTest, SigmoidGradcheck) {
   Rng rng(8);
   Variable a = Param(rng, 2, 3);
   ExpectGradientsMatch({a}, [&] {
-    return ops::SumAll(ops::Add(ops::Sigmoid(a), ops::TanhV(a)));
+    return ops::SumAll(ops::Mul(ops::Sigmoid(a), ops::Sigmoid(a)));
   });
 }
 
@@ -150,10 +150,9 @@ TEST(AutogradTest, ConcatSliceGatherGradcheck) {
   Variable a = Param(rng, 2, 3);
   Variable b = Param(rng, 2, 3);
   ExpectGradientsMatch({a, b}, [&] {
-    Variable rows = ops::ConcatRows(a, b);           // 4x3
     Variable cols = ops::ConcatCols(a, b);           // 2x6
-    Variable s = ops::SliceRows(rows, 1, 3);         // 2x3
-    Variable g = ops::GatherRows(rows, {0, 0, 3});   // 3x3 with reuse
+    Variable s = ops::SliceRows(cols, 1, 2);         // 1x6
+    Variable g = ops::GatherRows(cols, {0, 0, 1});   // 3x6 with reuse
     return ops::Add(ops::SumAll(ops::Mul(s, s)),
                     ops::Add(ops::SumAll(ops::Mul(g, g)),
                              ops::SumAll(ops::Mul(cols, cols))));
@@ -228,7 +227,8 @@ TEST(AutogradTest, RowSumMeanGradcheck) {
   Variable a = Param(rng, 3, 4);
   ExpectGradientsMatch({a}, [&] {
     Variable r = ops::RowSum(a);
-    return ops::Add(ops::MeanAll(ops::Mul(r, r)), ops::MeanAll(a));
+    return ops::Add(ops::Scale(ops::SumAll(ops::Mul(r, r)), 1.0f / 3.0f),
+                    ops::Scale(ops::SumAll(a), 1.0f / 12.0f));
   });
 }
 
@@ -296,7 +296,8 @@ TEST(AutogradTest, CosineColumnDistanceZeroColumnSafe) {
   Variable d = ops::CosineColumnDistance(a, b);
   EXPECT_NEAR(d->value().At(0, 0), 2.0f, 1e-5f);  // Max distance, 2 columns.
   Backward(d);
-  EXPECT_EQ(MaxAbs(a->grad()), 0.0f);  // Zero gradient at degenerate columns.
+  // Zero gradient at degenerate columns.
+  EXPECT_EQ(MaxAbsDiff(a->grad(), Tensor(3, 2)), 0.0f);
 }
 
 TEST(AutogradTest, RowsDotRowsGradcheck) {
@@ -343,12 +344,6 @@ TEST(AutogradTest, DropoutTrainingScalesAndMasks) {
   EXPECT_EQ(e.get(), a.get());
 }
 
-TEST(AutogradTest, DetachStopsGradient) {
-  Variable x = MakeVariable(Tensor::Ones(1, 1), true);
-  Variable y = ops::SumAll(ops::Detach(ops::Scale(x, 5.0f)));
-  Backward(y);
-  EXPECT_TRUE(x->grad().empty());
-}
 
 TEST(AutogradTest, DiamondGraphGradient) {
   // x used by two paths that rejoin: y = x*x + 3x, dy/dx = 2x + 3.
@@ -451,7 +446,8 @@ TEST(AutogradTest, SigmoidRowNormalizeMatchesChainBitForBit) {
   simd::SetTier(saved_tier);
   ThreadPool::Global().SetNumThreads(ThreadPool::DefaultNumThreads());
   // The ε-cut rows really are zero, so their mask branch was exercised.
-  EXPECT_EQ(MaxAbs(SliceRows(SigmoidRowNormalize(cut, 0.3f), 0, 1)), 0.0f);
+  const Tensor cut_row = SliceRows(SigmoidRowNormalize(cut, 0.3f), 0, 1);
+  EXPECT_EQ(MaxAbsDiff(cut_row, Tensor(1, cut_row.cols())), 0.0f);
 }
 
 TEST(AutogradTest, DeepChainGradient) {

@@ -20,10 +20,10 @@ TEST(ComposeTest, BlockLayout) {
   CsrMatrix inter = CsrMatrix::FromTriplets(1, 1, {});
   CsrMatrix composed = ComposeBlockAdjacency(base, links, inter);
   ASSERT_EQ(composed.rows(), 3);
-  EXPECT_EQ(composed.At(0, 1), 1.0f);  // Base block preserved.
-  EXPECT_EQ(composed.At(2, 1), 2.0f);  // Bottom-left links.
-  EXPECT_EQ(composed.At(1, 2), 2.0f);  // Top-right = linksᵀ.
-  EXPECT_EQ(composed.At(2, 0), 0.0f);
+  EXPECT_EQ(composed.ToDense().At(0, 1), 1.0f);  // Base block preserved.
+  EXPECT_EQ(composed.ToDense().At(2, 1), 2.0f);  // Bottom-left links.
+  EXPECT_EQ(composed.ToDense().At(1, 2), 2.0f);  // Top-right = linksᵀ.
+  EXPECT_EQ(composed.ToDense().At(2, 0), 0.0f);
   EXPECT_EQ(composed.Nnz(), 4);
 }
 
@@ -33,8 +33,8 @@ TEST(ComposeTest, InterEdgesLandInBottomRight) {
   CsrMatrix inter =
       CsrMatrix::FromTriplets(2, 2, {{0, 1, 1.0f}, {1, 0, 1.0f}});
   CsrMatrix composed = ComposeBlockAdjacency(base, links, inter);
-  EXPECT_EQ(composed.At(1, 2), 1.0f);
-  EXPECT_EQ(composed.At(2, 1), 1.0f);
+  EXPECT_EQ(composed.ToDense().At(1, 2), 1.0f);
+  EXPECT_EQ(composed.ToDense().At(2, 1), 1.0f);
   EXPECT_EQ(composed.Nnz(), 2);
 }
 

@@ -283,10 +283,8 @@ TEST_F(ConcurrentServerTest, Degree0BaseServesEveryArchitectureExactly) {
         SessionBase::Build(c.graph, model->operator_kind());
     // Row 0 keeps its entries, so the cached normalized block has the
     // structure's layout (gcn_norm's block is the Graph's own).
-    const CsrMatrix& block = base->kind == OperatorKind::kGcnNorm
-                                 ? c.graph.normalized_adjacency()
-                                 : base->normalized;
-    EXPECT_EQ(block.row_ptr(), base->structure().row_ptr());
+    EXPECT_EQ(base->normalized_block().row_ptr(),
+              base->structure().row_ptr());
     for (const bool graph_batch : {true, false}) {
       const Deployment dep = ComposeDeployment(c.graph, c.batch, graph_batch);
       Rng orng(9);

@@ -74,7 +74,8 @@ TEST(ClassDistributionTest, FeatureInitDrawsFromMatchingClass) {
   Graph g = TestGraph();
   const std::vector<int64_t> labels = AllocateSyntheticLabels(g, 9);
   Rng rng(1);
-  Tensor x = InitializeSyntheticFeatures(g, labels, rng);
+  Tensor x = InitializeSyntheticFeatures(g.features(), g.labels(),
+                                         g.num_classes(), labels, rng);
   ASSERT_EQ(x.rows(), 9);
   ASSERT_EQ(x.cols(), g.FeatureDim());
   // Every synthetic feature must be within jitter distance of some original
@@ -624,7 +625,7 @@ TEST(MappingMatrixTest, NormalizationGradcheck) {
   });
 }
 
-TEST(MappingMatrixTest, SparsifyDropsBelowDelta) {
+TEST(MappingMatrixTest, Eq14ThresholdDropsBelowDelta) {
   MappingConfig config;
   MappingMatrix m(8, 4, config);
   m.InitializeClassAware({0, 0, 1, 1, 0, 1, 0, 1}, {0, 0, 1, 1});
@@ -632,7 +633,8 @@ TEST(MappingMatrixTest, SparsifyDropsBelowDelta) {
   // Pick a delta between the two weight levels in each row.
   const float low = norm.At(0, 2), high = norm.At(0, 0);
   ASSERT_LT(low, high);
-  CsrMatrix sparse = m.Sparsify((low + high) / 2.0f);
+  CsrMatrix sparse = CsrMatrix::FromDense(norm, /*drop_tol=*/0.0f)
+                         .Thresholded((low + high) / 2.0f);
   EXPECT_EQ(sparse.Nnz(), 8 * 2);  // Two same-class synthetic nodes per row.
 }
 
@@ -641,7 +643,7 @@ TEST(MappingMatrixTest, EpsilonZeroesTinyWeights) {
   config.epsilon = 0.3f;  // Aggressive: uniform weight 1/4 < ε.
   MappingMatrix m(3, 4, config);
   m.InitializeClassAware({-1, -1, -1}, {0, 0, 1, 1});
-  EXPECT_EQ(MaxAbs(m.NormalizedTensor()), 0.0f);
+  EXPECT_EQ(MaxAbsDiff(m.NormalizedTensor(), Tensor(3, 4)), 0.0f);
 }
 
 }  // namespace

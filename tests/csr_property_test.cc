@@ -87,8 +87,8 @@ TEST_P(CsrPropertyTest, SpGemmAgainstDense) {
 TEST_P(CsrPropertyTest, ThresholdMonotone) {
   Tensor d = RandomSparseDense(GetParam().rows, GetParam().cols);
   // Make values nonnegative so thresholds act predictably (Eq. 14 is used
-  // on nonnegative matrices).
-  CsrMatrix m = CsrMatrix::FromDense(Abs(d));
+  // on nonnegative matrices); squaring keeps the sparsity pattern.
+  CsrMatrix m = CsrMatrix::FromDense(Mul(d, d));
   int64_t prev = m.Nnz();
   for (float t : {0.1f, 0.5f, 1.0f, 2.0f}) {
     const int64_t now = m.Thresholded(t).Nnz();
@@ -120,7 +120,8 @@ TEST_P(SquareCsrPropertyTest, SymNormalizePreservesSparsityPattern) {
   if (GetParam().rows != GetParam().cols) GTEST_SKIP();
   // Build a symmetric nonnegative adjacency.
   Tensor d = RandomSparseDense(GetParam().rows, GetParam().cols);
-  d = Abs(Add(d, Transpose(d)));
+  d = Add(d, Transpose(d));
+  d = Mul(d, d);
   for (int64_t i = 0; i < GetParam().rows; ++i) d.At(i, i) = 0.0f;
   CsrMatrix a = CsrMatrix::FromDense(d);
   CsrMatrix norm = SymNormalize(a);

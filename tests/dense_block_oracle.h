@@ -9,6 +9,13 @@
 namespace mcond {
 namespace testing {
 
+/// [top; bottom]. Stacking rows is concatenating the transposes by columns,
+/// the same data movement forward and backward.
+inline Variable StackRows(const Variable& top, const Variable& bottom) {
+  return ops::Transpose(
+      ops::ConcatCols(ops::Transpose(top), ops::Transpose(bottom)));
+}
+
 /// Assembles the dense block adjacency of Eq. (11):
 ///   | base     linksᵀ |
 ///   | links    inter  |
@@ -22,7 +29,7 @@ inline Variable ComposeDenseBlockAdjacency(const Variable& base,
   MCOND_CHECK_EQ(inter->cols(), links->rows());
   Variable top = ops::ConcatCols(base, ops::Transpose(links));
   Variable bottom = ops::ConcatCols(links, inter);
-  return ops::ConcatRows(top, bottom);
+  return StackRows(top, bottom);
 }
 
 /// The dense chain PropagateBlockSupportRows replaces: compose, normalize,
@@ -32,7 +39,7 @@ inline Variable DenseSupportRows(const Variable& a_syn, const Variable& links,
                                  const Variable& x_sup, int64_t depth) {
   const Variable a_hat = NormalizeDenseAdjacency(ComposeDenseBlockAdjacency(
       a_syn, links, MakeConstant(inter.ToDense())));
-  const Variable z = PropagateDense(a_hat, ops::ConcatRows(x_syn, x_sup),
+  const Variable z = PropagateDense(a_hat, StackRows(x_syn, x_sup),
                                     depth);
   return ops::SliceRows(z, a_syn->rows(), a_syn->rows() + links->rows());
 }

@@ -18,23 +18,23 @@ CsrMatrix PathGraph3() {
 TEST(GraphOpsTest, AddSelfLoops) {
   CsrMatrix with = AddSelfLoops(PathGraph3());
   EXPECT_EQ(with.Nnz(), 7);
-  EXPECT_EQ(with.At(0, 0), 1.0f);
-  EXPECT_EQ(with.At(1, 1), 1.0f);
+  EXPECT_EQ(with.ToDense().At(0, 0), 1.0f);
+  EXPECT_EQ(with.ToDense().At(1, 1), 1.0f);
 }
 
 TEST(GraphOpsTest, AddSelfLoopsIdempotentOnExistingDiagonal) {
   CsrMatrix a = CsrMatrix::FromTriplets(2, 2, {{0, 0, 5.0f}});
   CsrMatrix with = AddSelfLoops(a);
-  EXPECT_EQ(with.At(0, 0), 5.0f);  // Existing diagonal untouched.
-  EXPECT_EQ(with.At(1, 1), 1.0f);
+  EXPECT_EQ(with.ToDense().At(0, 0), 5.0f);  // Existing diagonal untouched.
+  EXPECT_EQ(with.ToDense().At(1, 1), 1.0f);
 }
 
 TEST(GraphOpsTest, SymNormalizeValues) {
   // Path graph with self-loops: degrees are 2, 3, 2.
   CsrMatrix norm = SymNormalize(PathGraph3());
-  EXPECT_NEAR(norm.At(0, 0), 0.5f, 1e-5f);
-  EXPECT_NEAR(norm.At(0, 1), 1.0f / std::sqrt(6.0f), 1e-5f);
-  EXPECT_NEAR(norm.At(1, 1), 1.0f / 3.0f, 1e-5f);
+  EXPECT_NEAR(norm.ToDense().At(0, 0), 0.5f, 1e-5f);
+  EXPECT_NEAR(norm.ToDense().At(0, 1), 1.0f / std::sqrt(6.0f), 1e-5f);
+  EXPECT_NEAR(norm.ToDense().At(1, 1), 1.0f / 3.0f, 1e-5f);
 }
 
 TEST(GraphOpsTest, SymNormalizeIsSymmetric) {
@@ -47,12 +47,13 @@ TEST(GraphOpsTest, SymNormalizeEntryFormula) {
   // Every stored entry must equal Ã_ij / sqrt(d_i d_j).
   CsrMatrix a = AddSelfLoops(PathGraph3());
   const std::vector<float> deg = a.RowSums();
-  CsrMatrix norm = SymNormalize(PathGraph3());
+  const Tensor norm = SymNormalize(PathGraph3()).ToDense();
+  const Tensor dense = a.ToDense();
   for (int64_t i = 0; i < 3; ++i) {
     for (int64_t j = 0; j < 3; ++j) {
       const float expect =
-          a.At(i, j) / std::sqrt(deg[static_cast<size_t>(i)] *
-                                 deg[static_cast<size_t>(j)]);
+          dense.At(i, j) / std::sqrt(deg[static_cast<size_t>(i)] *
+                                     deg[static_cast<size_t>(j)]);
       EXPECT_NEAR(norm.At(i, j), expect, 1e-6f);
     }
   }
@@ -109,7 +110,7 @@ TEST(GraphTest, InducedSubgraphKeepsInternalEdges) {
   EXPECT_EQ(sub.NumEdges(), 2);  // The 1-2 edge, both directions.
   EXPECT_EQ(sub.features().At(0, 0), 20.0f);
   EXPECT_EQ(sub.labels()[1], 0);
-  EXPECT_EQ(sub.adjacency().At(0, 1), 1.0f);
+  EXPECT_EQ(sub.adjacency().ToDense().At(0, 1), 1.0f);
 }
 
 TEST(GraphTest, InducedSubgraphDropsCrossEdges) {

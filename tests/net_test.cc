@@ -710,7 +710,7 @@ TEST_F(NetServerTest, RegistryReportsTenantsAndMemory) {
   ASSERT_EQ(names.size(), 2u);
   EXPECT_EQ(names[0], "alpha");
   EXPECT_EQ(names[1], "beta");
-  EXPECT_GT(registry->memory_bytes(), 0);
+  EXPECT_GT(registry->Find("alpha")->server->pool().memory_bytes(), 0);
   EXPECT_EQ(registry->Find("ghost"), nullptr);
 }
 

@@ -16,8 +16,7 @@ namespace mcond {
 namespace {
 
 /// Minimizes ||x - target||² and returns the final distance.
-template <typename Opt>
-float MinimizeQuadratic(Opt& opt, const Variable& x, const Tensor& target,
+float MinimizeQuadratic(AdamOptimizer& opt, const Variable& x, const Tensor& target,
                         int steps) {
   for (int i = 0; i < steps; ++i) {
     Variable diff = ops::Sub(x, MakeConstant(target));
@@ -27,14 +26,6 @@ float MinimizeQuadratic(Opt& opt, const Variable& x, const Tensor& target,
     opt.Step();
   }
   return MaxAbsDiff(x->value(), target);
-}
-
-TEST(SgdOptimizerTest, ConvergesOnQuadratic) {
-  Rng rng(1);
-  Variable x = MakeVariable(rng.NormalTensor(3, 3), true);
-  Tensor target = rng.NormalTensor(3, 3);
-  SgdOptimizer opt({x}, 0.1f);
-  EXPECT_LT(MinimizeQuadratic(opt, x, target, 100), 1e-4f);
 }
 
 TEST(AdamOptimizerTest, ConvergesOnQuadratic) {
@@ -59,32 +50,33 @@ TEST(AdamOptimizerTest, FirstStepHasLearningRateMagnitude) {
 TEST(OptimizerTest, SkipsParamsWithoutGradient) {
   Variable used = MakeVariable(Tensor::Ones(1, 1), true);
   Variable unused = MakeVariable(Tensor::Ones(1, 1), true);
-  SgdOptimizer opt({used, unused}, 0.5f);
+  AdamOptimizer opt({used, unused}, 0.5f);
   Variable loss = ops::SumAll(used);
   opt.ZeroGrad();
   Backward(loss);
   opt.Step();
-  EXPECT_FLOAT_EQ(used->value().At(0, 0), 0.5f);
+  EXPECT_NEAR(used->value().At(0, 0), 0.5f, 1e-5f);
   EXPECT_FLOAT_EQ(unused->value().At(0, 0), 1.0f);
 }
 
 TEST(OptimizerTest, StepClearsGradients) {
   Variable x = MakeVariable(Tensor::Ones(1, 1), true);
-  SgdOptimizer opt({x}, 0.1f);
+  AdamOptimizer opt({x}, 0.1f);
   Backward(ops::SumAll(x));
   opt.Step();
   EXPECT_TRUE(x->grad().empty());
 }
 
 TEST(OptimizerTest, WeightDecayShrinksWeights) {
-  // With zero task gradient, decay alone should shrink the value.
+  // With zero task gradient, decay alone should shrink the value: the
+  // decayed gradient is wd·x = 1, so the first Adam step is ≈ lr.
   Variable x = MakeVariable(Tensor::Full(1, 1, 1.0f), true);
-  SgdOptimizer opt({x}, 0.1f, /*weight_decay=*/1.0f);
+  AdamOptimizer opt({x}, 0.1f, /*weight_decay=*/1.0f);
   Variable loss = ops::SumAll(ops::Scale(x, 0.0f));
   opt.ZeroGrad();
   Backward(loss);
   opt.Step();
-  EXPECT_NEAR(x->value().At(0, 0), 0.9f, 1e-5f);
+  EXPECT_NEAR(x->value().At(0, 0), 0.9f, 1e-4f);
 }
 
 TEST(AdamOptimizerTest, HandlesSparseUpdatePattern) {
@@ -101,23 +93,12 @@ TEST(AdamOptimizerTest, HandlesSparseUpdatePattern) {
   EXPECT_TRUE(x->value().AllFinite());
 }
 
-// Serial per-element references for the in-place updates: the gradient is
+// Serial per-element reference for the in-place update: the gradient is
 // copied, weight decay is added as g + wd·x, then each element is updated.
-// The optimizers must reproduce them bit for bit at every pool width.
+// The optimizer must reproduce it bit for bit at every pool width.
 
 constexpr int64_t kRefRows = 300;  // 60,000 elements: several update chunks.
 constexpr int64_t kRefCols = 200;
-
-void SgdReference(Tensor& x, const std::vector<Tensor>& grads, float lr,
-                  float wd) {
-  for (const Tensor& grad : grads) {
-    for (int64_t k = 0; k < x.size(); ++k) {
-      float g = grad.data()[k];
-      if (wd > 0.0f) g = g + wd * x.data()[k];
-      x.data()[k] = x.data()[k] + -lr * g;
-    }
-  }
-}
 
 void AdamReference(Tensor& x, const std::vector<Tensor>& grads, float lr,
                    float wd) {
@@ -146,12 +127,12 @@ bool BitEqual(const Tensor& a, const Tensor& b) {
          std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) == 0;
 }
 
-/// Feeds `grads` to `opt` one step each and returns the parameter.
-template <typename Opt>
-Tensor RunOptimizer(const Tensor& x0, const std::vector<Tensor>& grads,
-                    float lr, float wd) {
+/// Feeds `grads` to an Adam optimizer one step each and returns the
+/// parameter.
+Tensor RunAdam(const Tensor& x0, const std::vector<Tensor>& grads, float lr,
+               float wd) {
   Variable x = MakeVariable(x0, true);
-  Opt opt({x}, lr, wd);
+  AdamOptimizer opt({x}, lr, wd);
   for (const Tensor& g : grads) {
     x->AccumulateGrad(g);
     opt.Step();
@@ -160,9 +141,7 @@ Tensor RunOptimizer(const Tensor& x0, const std::vector<Tensor>& grads,
   return x->value();
 }
 
-template <typename Opt>
-void ExpectMatchesReference(
-    void (*reference)(Tensor&, const std::vector<Tensor>&, float, float)) {
+TEST(AdamOptimizerTest, MatchesSerialReferenceAtEveryPoolWidth) {
   Rng rng(30);
   const Tensor x0 = rng.NormalTensor(kRefRows, kRefCols);
   std::vector<Tensor> grads;
@@ -171,22 +150,14 @@ void ExpectMatchesReference(
   }
   for (float wd : {0.0f, 5e-4f}) {
     Tensor expected = x0;
-    reference(expected, grads, 0.05f, wd);
+    AdamReference(expected, grads, 0.05f, wd);
     for (int width : {1, 2, 4}) {
       ThreadPool::Global().SetNumThreads(width);
-      EXPECT_TRUE(BitEqual(RunOptimizer<Opt>(x0, grads, 0.05f, wd), expected))
+      EXPECT_TRUE(BitEqual(RunAdam(x0, grads, 0.05f, wd), expected))
           << "weight_decay " << wd << " width " << width;
     }
   }
   ThreadPool::Global().SetNumThreads(ThreadPool::DefaultNumThreads());
-}
-
-TEST(SgdOptimizerTest, MatchesSerialReferenceAtEveryPoolWidth) {
-  ExpectMatchesReference<SgdOptimizer>(SgdReference);
-}
-
-TEST(AdamOptimizerTest, MatchesSerialReferenceAtEveryPoolWidth) {
-  ExpectMatchesReference<AdamOptimizer>(AdamReference);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <filesystem>
 #include <functional>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -265,7 +266,9 @@ TEST(SegmentPrefetcherTest, StoreTeardownWithStoreOwnedWorker) {
   ScopedPrefetchDepth depth(2);
   for (int i = 0; i < 10; ++i) {
     ShardedCsr store = OpenStore(m, path, 16, 0);
-    store.PrefetchHint(0, store.rows());
+    std::vector<int64_t> order(static_cast<size_t>(store.NumSegments()));
+    std::iota(order.begin(), order.end(), 0);
+    store.PrefetchHintSegments(std::move(order));
     if (i % 2 == 1) {
       StatusOr<PinnedSegment> pin = store.PinPrefetched(0);
       ASSERT_TRUE(pin.ok());

@@ -105,7 +105,7 @@ TEST(ArtifactIoTest, CondensedGraphRoundTrip) {
   EXPECT_TRUE(AllClose(back.value().graph.adjacency().ToDense(),
                        g.adjacency().ToDense()));
   EXPECT_EQ(back.value().mapping.Nnz(), 3);
-  EXPECT_EQ(back.value().mapping.At(50, 0), 1.0f);
+  EXPECT_EQ(back.value().mapping.ToDense().At(50, 0), 1.0f);
   std::remove(path.c_str());
 }
 

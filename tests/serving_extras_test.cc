@@ -1,5 +1,4 @@
-// Tests for the serving-side extras: batching utilities and the Correct &
-// Smooth calibrator.
+// Tests for the serving-side extras: batching utilities.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -9,10 +8,8 @@
 #include "data/datasets.h"
 #include "eval/batching.h"
 #include "eval/inference.h"
-#include "nn/metrics.h"
 #include "nn/sgc.h"
 #include "nn/trainer.h"
-#include "propagation/correct_and_smooth.h"
 
 namespace mcond {
 namespace {
@@ -109,40 +106,6 @@ TEST_F(ServingExtrasTest, ServingChunksAgreeWithFullBatchPredictions) {
     row += c.size();
   }
   EXPECT_GE(agree, data_->test.size() * 8 / 10);
-}
-
-TEST_F(ServingExtrasTest, CorrectAndSmoothBeatsOrMatchesVanilla) {
-  Deployment dep =
-      ComposeDeployment(result_->condensed, data_->test, true);
-  const Tensor logits = sgc_->Predict(dep.operators, dep.features, *rng_);
-  const Tensor cs =
-      CorrectAndSmooth(dep.operators.gcn_norm, logits, dep.known_labels);
-  const double vanilla = AccuracyFromLogits(
-      SliceRows(logits, dep.num_base, dep.num_base + dep.batch_size),
-      data_->test.labels);
-  const double calibrated = AccuracyFromLogits(
-      SliceRows(cs, dep.num_base, dep.num_base + dep.batch_size),
-      data_->test.labels);
-  EXPECT_GE(calibrated, vanilla - 0.05);
-}
-
-TEST_F(ServingExtrasTest, CorrectAndSmoothClampsKnownNodes) {
-  Deployment dep =
-      ComposeDeployment(result_->condensed, data_->test, true);
-  const Tensor logits = sgc_->Predict(dep.operators, dep.features, *rng_);
-  const Tensor cs =
-      CorrectAndSmooth(dep.operators.gcn_norm, logits, dep.known_labels);
-  // Known (synthetic) nodes keep their own label as argmax after smoothing.
-  const std::vector<int64_t> pred = ArgmaxRows(cs);
-  int64_t correct = 0, total = 0;
-  for (int64_t i = 0; i < dep.num_base; ++i) {
-    if (dep.known_labels[static_cast<size_t>(i)] < 0) continue;
-    ++total;
-    correct +=
-        (pred[static_cast<size_t>(i)] ==
-         dep.known_labels[static_cast<size_t>(i)]);
-  }
-  EXPECT_GE(correct, total * 8 / 10);
 }
 
 }  // namespace

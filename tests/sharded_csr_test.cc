@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -296,7 +297,9 @@ TEST(ShardedCsrTest, PrefetchHintThenPinPrefetchedIsBitIdentical) {
     StatusOr<ShardedCsr> sharded = ShardedCsr::Open(path);
     ASSERT_TRUE(sharded.ok());
     const ShardedCsr& store = sharded.value();
-    store.PrefetchHint(0, store.rows());
+    std::vector<int64_t> order(static_cast<size_t>(store.NumSegments()));
+    std::iota(order.begin(), order.end(), 0);
+    store.PrefetchHintSegments(std::move(order));
     for (int64_t s = 0; s < store.NumSegments(); ++s) {
       StatusOr<PinnedSegment> pre = store.PinPrefetched(s);
       StatusOr<PinnedSegment> plain = store.Pin(s);

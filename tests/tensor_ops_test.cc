@@ -182,9 +182,7 @@ TEST(TensorOpsTest, ArgmaxRows) {
 TEST(TensorOpsTest, Reductions) {
   Tensor a = T22(1, 2, 3, 4);
   EXPECT_EQ(Sum(a), 10.0f);
-  EXPECT_EQ(Dot(a, a), 30.0f);
   EXPECT_NEAR(FrobeniusNorm(a), std::sqrt(30.0f), 1e-5f);
-  EXPECT_EQ(MaxAbs(T22(-9, 2, 3, 4)), 9.0f);
   EXPECT_EQ(RowSum(a).At(0, 0), 3.0f);
   EXPECT_EQ(RowSum(a).At(1, 0), 7.0f);
   EXPECT_EQ(ColSum(a).At(0, 1), 6.0f);
@@ -194,8 +192,6 @@ TEST(TensorOpsTest, NormReductions) {
   Tensor a = Tensor::FromVector(2, 2, {3, 4, 0, 0});
   EXPECT_NEAR(RowL2Norm(a).At(0, 0), 5.0f, 1e-6f);
   EXPECT_EQ(RowL2Norm(a).At(1, 0), 0.0f);
-  EXPECT_NEAR(ColL2Norm(a).At(0, 0), 3.0f, 1e-6f);
-  EXPECT_NEAR(L21Norm(a), 5.0f, 1e-6f);
 }
 
 TEST(TensorOpsTest, ConcatRowsAndCols) {

@@ -74,7 +74,7 @@ TEST_P(TensorAlgebraTest, L21SandwichedByFrobenius) {
   const Shape s = GetParam();
   Tensor a = rng_.NormalTensor(s.m, s.n);
   const float fro = FrobeniusNorm(a);
-  const float l21 = L21Norm(a);
+  const float l21 = Sum(RowL2Norm(a));
   EXPECT_GE(l21, fro - 1e-4f);
   EXPECT_LE(l21, std::sqrt(static_cast<float>(s.m)) * fro + 1e-3f);
 }

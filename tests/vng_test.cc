@@ -45,10 +45,11 @@ TEST(VngTest, VirtualLabelsAreMajorityOfMembers) {
   CondensedGraph cg = RunVng(g, 9, VngConfig{}, rng);
   // Each virtual node's label must be the plurality label of its members
   // (clustering itself is label-free).
+  const Tensor mapping = cg.mapping.ToDense();
   for (int64_t v = 0; v < cg.graph.NumNodes(); ++v) {
     std::vector<int64_t> votes(static_cast<size_t>(g.num_classes()), 0);
     for (int64_t i = 0; i < g.NumNodes(); ++i) {
-      if (cg.mapping.At(i, v) > 0.0f) {
+      if (mapping.At(i, v) > 0.0f) {
         ++votes[static_cast<size_t>(g.labels()[static_cast<size_t>(i)])];
       }
     }
@@ -79,12 +80,13 @@ TEST(VngTest, FeaturesAreWithinMemberRange) {
   config.degree_weighted = false;
   CondensedGraph cg = RunVng(g, 9, config, rng);
   // Unweighted centroids must lie inside the min/max box of member features.
+  const Tensor mapping = cg.mapping.ToDense();
   for (int64_t v = 0; v < cg.graph.NumNodes(); ++v) {
     for (int64_t j = 0; j < g.FeatureDim(); ++j) {
       float lo = 1e30f, hi = -1e30f;
       bool any = false;
       for (int64_t i = 0; i < g.NumNodes(); ++i) {
-        if (cg.mapping.At(i, v) > 0.0f) {
+        if (mapping.At(i, v) > 0.0f) {
           any = true;
           lo = std::min(lo, g.features().At(i, j));
           hi = std::max(hi, g.features().At(i, j));
