@@ -62,7 +62,11 @@ struct NetServer::Connection {
 /// the output tensor its worker fills, and the encoded response frame.
 /// Pooled and recycled — batch/out/wire keep their capacity across
 /// requests, so a steady request shape serves without heap traffic.
+/// `server` and `latency_us` ride here so the completion callback captures
+/// only the context pointer and fits std::function's inline buffer.
 struct NetServer::RequestContext {
+  NetServer* server = nullptr;
+  obs::Histogram* latency_us = nullptr;
   uint64_t conn_id = 0;
   uint64_t request_id = 0;
   bool graph_batch = false;
@@ -149,6 +153,11 @@ void NetServer::Stop() {
   stopping_.store(true, std::memory_order_release);
   Wake();
   if (io_thread_.joinable()) io_thread_.join();
+  // The IO thread may have drained a context whose callback is still inside
+  // Wake(); close the pipe only once no callback is.
+  while (waking_.load(std::memory_order_acquire) != 0) {
+    std::this_thread::yield();
+  }
   started_ = false;
   if (listen_fd_ >= 0) {
     close(listen_fd_);
@@ -366,29 +375,32 @@ void NetServer::HandleRequestFrame(Connection* conn,
   }
 
   RequestContext* ctx = AcquireContext();
+  ctx->server = this;
+  ctx->latency_us = tenant->latency_us;
   ctx->conn_id = conn->id;
   ctx->request_id = view.request_id;
   ctx->graph_batch = view.graph_batch;
   MaterializeBatch(view, &ctx->batch);
 
-  obs::Histogram* latency = tenant->latency_us;
-  StatusOr<ServeTicket> ticket = tenant->server->Submit(
+  const Status st = tenant->server->Submit(
       ctx->batch, ctx->graph_batch, &ctx->out,
-      [this, ctx, latency](const ServeTiming& timing) {
+      [ctx](const ServeTiming& timing) {
         // Worker thread: encode here so the IO thread only splices bytes.
         ctx->wire.clear();
         EncodeResponseFrame(ctx->request_id, WireStatus::kOk,
                             RejectReason::kNone, timing.queue_wait_us(),
                             timing.service_us(), {}, &ctx->out, &ctx->wire);
-        latency->Record(timing.latency_us());
+        ctx->latency_us->Record(timing.latency_us());
+        NetServer* server = ctx->server;
+        server->waking_.fetch_add(1, std::memory_order_relaxed);
         {
-          std::lock_guard<std::mutex> lock(completion_mu_);
-          completed_.push_back(ctx);
+          std::lock_guard<std::mutex> lock(server->completion_mu_);
+          server->completed_.push_back(ctx);
         }
-        Wake();
+        server->Wake();
+        server->waking_.fetch_sub(1, std::memory_order_release);
       });
-  if (!ticket.ok()) {
-    const Status& st = ticket.status();
+  if (!st.ok()) {
     if (st.code() == StatusCode::kResourceExhausted ||
         st.code() == StatusCode::kUnavailable) {
       // The tenant's server said no — the protocol-level REJECTED path of

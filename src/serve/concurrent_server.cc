@@ -1,5 +1,6 @@
 #include "serve/concurrent_server.h"
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -11,41 +12,6 @@
 #include "obs/trace.h"
 
 namespace mcond {
-
-/// One queued serve. The submitter owns the batch and output tensor; the
-/// server owns the lifecycle (enqueue → serve → completion signal) through
-/// a shared_ptr held by both the queue and the ticket. `timing` carries
-/// the request across the thread boundary together with its trace flow
-/// id, so the worker can close the flow the submitter opened.
-struct ServeRequest {
-  const HeldOutBatch* batch = nullptr;
-  bool graph_batch = false;
-  Tensor* out = nullptr;
-  ServeTiming timing;
-  /// Trace flow correlation id; 0 when tracing was off at submit time.
-  uint64_t flow_id = 0;
-  /// Optional completion hook, fired on the worker thread after the ticket
-  /// is signaled (see ConcurrentServer::ServeCallback).
-  ConcurrentServer::ServeCallback on_done;
-
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;  // guarded by mu
-  Status status;      // guarded by mu
-};
-
-Status ServeTicket::Wait() {
-  MCOND_CHECK(req_ != nullptr) << "Wait() on an empty ServeTicket";
-  std::unique_lock<std::mutex> lock(req_->mu);
-  req_->cv.wait(lock, [&] { return req_->done; });
-  return req_->status;
-}
-
-ServeTiming ServeTicket::timing() const {
-  MCOND_CHECK(req_ != nullptr) << "timing() on an empty ServeTicket";
-  std::lock_guard<std::mutex> lock(req_->mu);
-  return req_->timing;
-}
 
 ReplicaPool::ReplicaPool(std::shared_ptr<const SessionBase> base,
                          GnnModel& model, int num_replicas)
@@ -79,6 +45,7 @@ ConcurrentServer::ConcurrentServer(std::shared_ptr<const SessionBase> base,
       service_us_(obs::GetHistogram("mcond.server.service_us")) {
   MCOND_CHECK_GE(config_.queue_capacity, 1);
   MCOND_CHECK_GE(config_.micro_batch, 1);
+  queue_.resize(static_cast<size_t>(config_.queue_capacity));
   workers_.reserve(static_cast<size_t>(config_.num_replicas));
   for (int i = 0; i < config_.num_replicas; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
@@ -87,13 +54,15 @@ ConcurrentServer::ConcurrentServer(std::shared_ptr<const SessionBase> base,
 
 ConcurrentServer::~ConcurrentServer() { Shutdown(); }
 
-StatusOr<ServeTicket> ConcurrentServer::Submit(const HeldOutBatch& batch,
-                                               bool graph_batch, Tensor* out,
-                                               ServeCallback on_done) {
+Status ConcurrentServer::Submit(const HeldOutBatch& batch, bool graph_batch,
+                                Tensor* out, ServeCallback on_done) {
   // Validate here, on the submitter's thread: a worker aborting the whole
   // process on a malformed request would take every other client with it.
   if (out == nullptr) {
     return Status::InvalidArgument("Submit: output tensor is null");
+  }
+  if (!on_done) {
+    return Status::InvalidArgument("Submit: completion callback is empty");
   }
   const SessionBase& sb = *pool_.session_base();
   const int64_t n = batch.size();
@@ -115,57 +84,67 @@ StatusOr<ServeTicket> ConcurrentServer::Submit(const HeldOutBatch& batch,
     return Status::InvalidArgument("Submit: inter adjacency is not n x n");
   }
 
-  auto req = std::make_shared<ServeRequest>();
-  req->batch = &batch;
-  req->graph_batch = graph_batch;
-  req->out = out;
-  req->on_done = std::move(on_done);
   // The submit span starts this request's trace flow on the client thread;
   // the worker's server.request span terminates it, so one request renders
   // as one connected chain across threads. A blocking submit keeps the
   // span open while backpressured, making admission stalls visible.
   obs::TraceSpan submit_span("server.submit");
+  uint64_t flow_id = 0;
   if (obs::TracingEnabled()) {
-    req->flow_id = obs::NewTraceFlowId();
-    submit_span.SetFlow(req->flow_id, obs::FlowPhase::kStart);
+    flow_id = obs::NewTraceFlowId();
+    submit_span.SetFlow(flow_id, obs::FlowPhase::kStart);
   }
   {
     std::unique_lock<std::mutex> lock(mu_);
+    space_cv_.wait(lock, [&] {
+      return queue_size_ < queue_.size() || !config_.block_when_full ||
+             !accepting_;
+    });
     if (!accepting_) {
       rejected_.Increment();
       return Status::Unavailable("Submit: server is shut down");
     }
-    if (static_cast<int>(queue_.size()) >= config_.queue_capacity) {
-      if (!config_.block_when_full) {
-        rejected_.Increment();
-        return Status::ResourceExhausted("Submit: request queue full");
-      }
-      space_cv_.wait(lock, [&] {
-        return static_cast<int>(queue_.size()) < config_.queue_capacity ||
-               !accepting_;
-      });
-      if (!accepting_) {
-        rejected_.Increment();
-        return Status::Unavailable("Submit: server is shut down");
-      }
+    if (queue_size_ == queue_.size()) {
+      rejected_.Increment();
+      return Status::ResourceExhausted("Submit: request queue full");
     }
-    req->timing.enqueue_us = obs::MonotonicMicros();
-    queue_.push_back(req);
-    queue_depth_.Set(static_cast<double>(queue_.size()));
+    Request& slot = queue_[(queue_head_ + queue_size_) % queue_.size()];
+    slot.batch = &batch;
+    slot.graph_batch = graph_batch;
+    slot.out = out;
+    slot.timing = ServeTiming{};
+    slot.timing.enqueue_us = obs::MonotonicMicros();
+    slot.flow_id = flow_id;
+    slot.on_done = std::move(on_done);
+    ++queue_size_;
+    queue_depth_.Set(static_cast<double>(queue_size_));
     requests_.Increment();
   }
-  if (req->flow_id != 0) {
-    obs::TraceAsyncBegin("server.queued", req->flow_id);
-  }
+  if (flow_id != 0) obs::TraceAsyncBegin("server.queued", flow_id);
   queue_cv_.notify_one();
-  return ServeTicket(std::move(req));
+  return Status::Ok();
 }
 
 Status ConcurrentServer::ServeSync(const HeldOutBatch& batch,
                                    bool graph_batch, Tensor* out) {
-  StatusOr<ServeTicket> ticket = Submit(batch, graph_batch, out);
-  if (!ticket.ok()) return ticket.status();
-  return ticket.value().Wait();
+  // The waiter lives on this frame. The callback sets `done` and notifies
+  // while holding the waiter's mutex, so once this thread sees `done` under
+  // that mutex the worker has finished touching the waiter.
+  struct Waiter {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool done = false;
+  } waiter;
+  Waiter* w = &waiter;
+  Status st = Submit(batch, graph_batch, out, [w](const ServeTiming&) {
+    std::lock_guard<std::mutex> lock(w->mu);
+    w->done = true;
+    w->cv.notify_one();
+  });
+  if (!st.ok()) return st;
+  std::unique_lock<std::mutex> lock(waiter.mu);
+  waiter.cv.wait(lock, [&] { return waiter.done; });
+  return Status::Ok();
 }
 
 void ConcurrentServer::Resume() {
@@ -206,15 +185,19 @@ void ConcurrentServer::WorkerLoop(int worker_index) {
       "mcond.server.worker" + std::to_string(worker_index) + "_busy_ratio");
   const uint64_t worker_start_us = obs::MonotonicMicros();
   uint64_t busy_us = 0;
-  std::vector<std::shared_ptr<ServeRequest>> drained;
+  // Requests move out of the ring into this worker-owned buffer, so
+  // submitters can refill their slots while they are served.
+  std::vector<Request> drained;
+  drained.reserve(static_cast<size_t>(
+      std::min(config_.micro_batch, config_.queue_capacity)));
   for (;;) {
     drained.clear();
     {
       std::unique_lock<std::mutex> lock(mu_);
       queue_cv_.wait(lock, [&] {
-        return stopping_ || (!paused_ && !queue_.empty());
+        return stopping_ || (!paused_ && queue_size_ > 0);
       });
-      if (queue_.empty()) {
+      if (queue_size_ == 0) {
         if (stopping_) return;
         continue;
       }
@@ -223,20 +206,20 @@ void ConcurrentServer::WorkerLoop(int worker_index) {
       // below, each with its solo per-request math (never merged into one
       // composed adjacency — that would change the logits).
       const uint64_t dequeue_us = obs::MonotonicMicros();
-      while (!queue_.empty() &&
+      while (queue_size_ > 0 &&
              static_cast<int>(drained.size()) < config_.micro_batch) {
-        queue_.front()->timing.dequeue_us = dequeue_us;
-        drained.push_back(std::move(queue_.front()));
-        queue_.pop_front();
+        Request& slot = queue_[queue_head_];
+        slot.timing.dequeue_us = dequeue_us;
+        drained.push_back(std::move(slot));
+        queue_head_ = (queue_head_ + 1) % queue_.size();
+        --queue_size_;
       }
-      queue_depth_.Set(static_cast<double>(queue_.size()));
+      queue_depth_.Set(static_cast<double>(queue_size_));
       inflight_.Set(inflight_.Value() + static_cast<double>(drained.size()));
     }
     space_cv_.notify_all();
-    for (const std::shared_ptr<ServeRequest>& req : drained) {
-      if (req->flow_id != 0) {
-        obs::TraceAsyncEnd("server.queued", req->flow_id);
-      }
+    for (const Request& req : drained) {
+      if (req.flow_id != 0) obs::TraceAsyncEnd("server.queued", req.flow_id);
     }
     if (drained.size() > 1) micro_batches_.Increment();
 
@@ -245,12 +228,11 @@ void ConcurrentServer::WorkerLoop(int worker_index) {
       // drained batch all fan into it in the trace view.
       obs::TraceSpan batch_span(drained.size() > 1 ? "server.micro_batch"
                                                    : "server.drain");
-      for (const std::shared_ptr<ServeRequest>& req : drained) {
+      for (Request& req : drained) {
         obs::TraceSpan request_span("server.request");
-        request_span.SetFlow(req->flow_id, obs::FlowPhase::kEnd);
-        const Tensor& logits =
-            replica.Serve(*req->batch, req->graph_batch, rng);
-        Tensor& out = *req->out;
+        request_span.SetFlow(req.flow_id, obs::FlowPhase::kEnd);
+        const Tensor& logits = replica.Serve(*req.batch, req.graph_batch, rng);
+        Tensor& out = *req.out;
         if (out.rows() != logits.rows() || out.cols() != logits.cols()) {
           // Allocates off-arena (heap): the buffer must outlive this
           // serve. Steady-state callers reuse a warm tensor and skip this.
@@ -258,33 +240,16 @@ void ConcurrentServer::WorkerLoop(int worker_index) {
         }
         std::memcpy(out.data(), logits.data(),
                     static_cast<size_t>(logits.size()) * sizeof(float));
-        const uint64_t done_us = obs::MonotonicMicros();
+        req.timing.done_us = obs::MonotonicMicros();
         // queue_wait + service sums to latency exactly: all three come
         // from the same three stamps.
-        latency_us_.Record(done_us - req->timing.enqueue_us);
-        queue_wait_us_.Record(req->timing.dequeue_us -
-                              req->timing.enqueue_us);
-        service_us_.Record(done_us - req->timing.dequeue_us);
-        {
-          std::lock_guard<std::mutex> done_lock(req->mu);
-          req->timing.done_us = done_us;
-          req->done = true;
-          req->status = Status::Ok();
-        }
-        req->cv.notify_all();
-        if (req->on_done) {
-          // The three stamps were written by this thread; pass a local copy
-          // so the callback never touches req's lock (a waiter may already
-          // be destroying its ticket).
-          ServeTiming timing;
-          timing.enqueue_us = req->timing.enqueue_us;
-          timing.dequeue_us = req->timing.dequeue_us;
-          timing.done_us = done_us;
-          req->on_done(timing);
-        }
+        latency_us_.Record(req.timing.latency_us());
+        queue_wait_us_.Record(req.timing.queue_wait_us());
+        service_us_.Record(req.timing.service_us());
+        req.on_done(req.timing);
       }
     }
-    const uint64_t idle_end_us = drained.front()->timing.dequeue_us;
+    const uint64_t idle_end_us = drained.front().timing.dequeue_us;
     const uint64_t now_us = obs::MonotonicMicros();
     busy_us += now_us - idle_end_us;
     if (now_us > worker_start_us) {

@@ -3,7 +3,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -19,8 +18,6 @@
 #include "serve/session_base.h"
 
 namespace mcond {
-
-struct ServeRequest;  // internal; defined in concurrent_server.cc
 
 /// Lifecycle timestamps of one served request, all on the shared
 /// obs::MonotonicMicros clock. Stamped by the server: enqueue at admission
@@ -67,27 +64,6 @@ class ReplicaPool {
   std::vector<std::unique_ptr<ServingSession>> replicas_;
 };
 
-/// Handle for one submitted request. Wait() blocks until a worker has
-/// served the request and copied its logits into the caller's output
-/// tensor, then returns the final status. Copyable; default-constructed
-/// tickets are empty and must not be waited on.
-class ServeTicket {
- public:
-  ServeTicket() = default;
-  /// Blocks until the request completes. Idempotent after completion.
-  Status Wait();
-
-  /// The request's lifecycle timestamps. Only meaningful after Wait()
-  /// returned (dequeue/done are 0 until the worker stamps them).
-  ServeTiming timing() const;
-
- private:
-  friend class ConcurrentServer;
-  explicit ServeTicket(std::shared_ptr<ServeRequest> req)
-      : req_(std::move(req)) {}
-  std::shared_ptr<ServeRequest> req_;
-};
-
 /// Concurrent serving engine: K session replicas behind a bounded MPMC
 /// request queue.
 ///
@@ -118,11 +94,18 @@ class ServeTicket {
 /// Allocation: the caller owns the output tensor; a worker resizes it only
 /// on shape change and memcpys into it otherwise, so steady-state serving
 /// with reused outputs performs zero tensor-heap allocations end to end.
+/// The queue is a ring of `queue_capacity` request slots allocated at
+/// construction, so Submit makes no heap allocation when its callback fits
+/// std::function's inline buffer (16 bytes in libstdc++: capture one
+/// pointer). The remaining per-request heap traffic is the autograd tape
+/// nodes inside Predict.
 ///
-/// Lifetime: the batch behind a Submit must stay alive and unmodified
-/// until its ticket's Wait returns; base graph and model must outlive the
-/// server. Shutdown (or destruction) stops admissions, drains the queue,
-/// and joins the workers.
+/// Lifetime: the batch and output behind a Submit must stay alive, and the
+/// batch unmodified, until its callback fires; base graph and model must
+/// outlive the server. Shutdown (or destruction) stops admissions, drains
+/// the queue — firing every admitted request's callback — and joins the
+/// workers, so a caller that submits many requests can wait for all of
+/// them with Shutdown alone.
 ///
 /// Observability (`mcond.server.*`): `requests` / `rejected` /
 /// `micro_batches` counters, `queue_depth` / `inflight` gauges, the
@@ -161,28 +144,25 @@ class ConcurrentServer {
   ConcurrentServer& operator=(const ConcurrentServer&) = delete;
 
   /// Completion hook for Submit: invoked exactly once on the worker thread,
-  /// after `*out` holds the logits and the ticket has been signaled. Keep
-  /// it cheap — it runs inside the worker's serve loop (and inside its
-  /// ScopedInlineParallelRegion), so a slow callback stalls that replica.
-  /// The NetServer uses this to hand finished responses back to its IO
-  /// thread without parking a thread per in-flight request.
+  /// after `*out` holds the logits, with the request's timing stamps. An
+  /// admitted request always completes with logits, so it carries no
+  /// status. Keep it cheap — it runs inside the worker's serve loop (and
+  /// inside its ScopedInlineParallelRegion), so a slow callback stalls that
+  /// replica. After it returns the worker touches neither the batch, the
+  /// output nor anything the callback captured.
   using ServeCallback = std::function<void(const ServeTiming&)>;
 
-  /// Enqueues one request. Validates shapes up front (InvalidArgument —
-  /// workers never abort on caller mistakes); applies the backpressure
-  /// policy when the queue is full (ResourceExhausted when not blocking);
-  /// Unavailable after Shutdown.
-  /// On success the returned ticket completes once `*out` holds the n×C
-  /// batch logits, and a non-empty `on_done` then fires on the worker
-  /// thread. A synchronous failure (rejection, shutdown, invalid batch) is
-  /// returned here and `on_done` never fires — callers own exactly one
-  /// completion signal per request, never two. Every admitted request's
-  /// callback fires even across Shutdown, which drains the queue before
-  /// joining the workers.
-  StatusOr<ServeTicket> Submit(const HeldOutBatch& batch, bool graph_batch,
-                               Tensor* out, ServeCallback on_done = {});
+  /// Enqueues one request. Validates up front (InvalidArgument for a null
+  /// output, an empty callback or a shape mismatch — workers never abort on
+  /// caller mistakes); applies the backpressure policy when the queue is
+  /// full (ResourceExhausted when not blocking); Unavailable after
+  /// Shutdown. Ok means admitted: `on_done` fires exactly once, even across
+  /// Shutdown. A synchronous failure is returned here and `on_done` never
+  /// fires — one completion signal per request, never two.
+  Status Submit(const HeldOutBatch& batch, bool graph_batch, Tensor* out,
+                ServeCallback on_done);
 
-  /// Submit + Wait.
+  /// Submit, then block until the callback fires.
   Status ServeSync(const HeldOutBatch& batch, bool graph_batch, Tensor* out);
 
   /// Releases workers paused by `start_paused`. No-op otherwise.
@@ -196,6 +176,18 @@ class ConcurrentServer {
   const Config& config() const { return config_; }
 
  private:
+  /// One queued request, held by value. `timing` and the trace `flow_id`
+  /// (0 when tracing was off at submit time) carry the request across the
+  /// thread boundary, so the worker can close the flow the submitter opened.
+  struct Request {
+    const HeldOutBatch* batch = nullptr;
+    bool graph_batch = false;
+    Tensor* out = nullptr;
+    ServeTiming timing;
+    uint64_t flow_id = 0;
+    ServeCallback on_done;
+  };
+
   void WorkerLoop(int worker_index);
 
   Config config_;
@@ -204,7 +196,10 @@ class ConcurrentServer {
   std::mutex mu_;
   std::condition_variable queue_cv_;  // workers: requests or shutdown
   std::condition_variable space_cv_;  // blocked submitters: space or shutdown
-  std::deque<std::shared_ptr<ServeRequest>> queue_;
+  // FIFO ring of queue_capacity slots: queue_size_ requests from queue_head_.
+  std::vector<Request> queue_;
+  size_t queue_head_ = 0;
+  size_t queue_size_ = 0;
   bool accepting_ = true;
   bool stopping_ = false;
   bool paused_ = false;

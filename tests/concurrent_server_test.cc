@@ -1,14 +1,16 @@
 // Tests for the concurrent serving engine (src/serve/concurrent_server.*):
 // per-request logits bit-identical to a solo ServingSession at every
-// replica count / micro-batch setting, explicit backpressure in both
-// block and reject modes, a degree-0 base row under concurrency, the
-// shared-base memory accounting of ReplicaPool, and the per-replica
-// zero-tensor-heap-allocation steady state. Also built under the tsan
+// replica count / micro-batch setting, the completion-callback contract,
+// explicit backpressure in both block and reject modes, a degree-0 base
+// row under concurrency, the shared-base memory accounting of
+// ReplicaPool, and the allocation-free steady state (no tensor-heap
+// allocation, no heap allocation in Submit). Also built under the tsan
 // preset, which checks the replica/queue synchronization itself.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -26,6 +28,26 @@
 #include "serve/concurrent_server.h"
 #include "serve/serving_session.h"
 
+// A counting global operator new for this binary. Each thread counts its
+// own calls, so a test can bracket one call on the submitting thread while
+// workers allocate freely. The array and nothrow forms route through this
+// one; the aligned forms keep the library's own aligned_alloc/free pair.
+namespace {
+thread_local int64_t t_operator_new_calls = 0;
+}  // namespace
+
+void* operator new(std::size_t bytes) {
+  ++t_operator_new_calls;
+  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so gcc does not pair an inlined free() with operator new
+// (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
 namespace mcond {
 namespace {
 
@@ -35,6 +57,16 @@ void ExpectBitEqual(const Tensor& a, const Tensor& b) {
                         static_cast<size_t>(a.size()) * sizeof(float)),
             0)
       << "logits differ at the bit level";
+}
+
+/// Submits a node batch whose callback stores the request's ServeTiming in
+/// `*slot`. The callback captures one pointer, so it fits std::function's
+/// inline buffer. Callers wait for every admitted request with Shutdown(),
+/// which drains the queue and joins the workers.
+Status SubmitRecording(ConcurrentServer& server, const HeldOutBatch& batch,
+                       Tensor* out, ServeTiming* slot) {
+  return server.Submit(batch, /*graph_batch=*/false, out,
+                       [slot](const ServeTiming& t) { *slot = t; });
 }
 
 class ConcurrentServerTest : public ::testing::Test {
@@ -102,20 +134,18 @@ TEST_F(ConcurrentServerTest, BitIdenticalToSoloAcrossReplicasAndBatching) {
       cfg.micro_batch = micro_batch;
       ConcurrentServer server(base, *model_, cfg);
       // Submit the whole stream at once — arbitrary queue order, arbitrary
-      // replica assignment, possible coalescing — then wait for all.
+      // replica assignment, possible coalescing — then drain it all.
       std::vector<Tensor> outs(batches_->size());
-      std::vector<ServeTicket> tickets;
+      std::vector<ServeTiming> timings(batches_->size());
       for (size_t i = 0; i < batches_->size(); ++i) {
-        StatusOr<ServeTicket> t =
-            server.Submit((*batches_)[i], /*graph_batch=*/false, &outs[i]);
-        ASSERT_TRUE(t.ok()) << t.status().ToString();
-        tickets.push_back(t.value());
+        const Status st =
+            SubmitRecording(server, (*batches_)[i], &outs[i], &timings[i]);
+        ASSERT_TRUE(st.ok()) << st.ToString();
       }
-      for (ServeTicket& t : tickets) EXPECT_TRUE(t.Wait().ok());
+      server.Shutdown();
       for (size_t i = 0; i < outs.size(); ++i) {
         ExpectBitEqual((*solo_)[i], outs[i]);
       }
-      server.Shutdown();
     }
   }
 }
@@ -132,24 +162,17 @@ TEST_F(ConcurrentServerTest, RejectsWhenQueueFullAndNotBlocking) {
       obs::GetCounter("mcond.server.rejected").Value();
 
   Tensor out_a, out_b, out_c;
-  StatusOr<ServeTicket> a =
-      server.Submit((*batches_)[0], /*graph_batch=*/false, &out_a);
-  StatusOr<ServeTicket> b =
-      server.Submit((*batches_)[1], /*graph_batch=*/false, &out_b);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  StatusOr<ServeTicket> c =
-      server.Submit((*batches_)[0], /*graph_batch=*/false, &out_c);
-  ASSERT_FALSE(c.ok());
-  EXPECT_EQ(c.status().code(), StatusCode::kResourceExhausted);
+  ServeTiming ta, tb, tc;
+  ASSERT_TRUE(SubmitRecording(server, (*batches_)[0], &out_a, &ta).ok());
+  ASSERT_TRUE(SubmitRecording(server, (*batches_)[1], &out_b, &tb).ok());
+  EXPECT_EQ(SubmitRecording(server, (*batches_)[0], &out_c, &tc).code(),
+            StatusCode::kResourceExhausted);
   EXPECT_EQ(obs::GetCounter("mcond.server.rejected").Value(),
             rejected_before + 1);
 
-  // The admitted requests still complete exactly once drained.
+  // The admitted requests still complete once drained.
   server.Resume();
-  ServeTicket ta = a.value(), tb = b.value();
-  EXPECT_TRUE(ta.Wait().ok());
-  EXPECT_TRUE(tb.Wait().ok());
+  server.Shutdown();
   ExpectBitEqual((*solo_)[0], out_a);
   ExpectBitEqual((*solo_)[1], out_b);
 }
@@ -164,18 +187,15 @@ TEST_F(ConcurrentServerTest, BlocksWhenQueueFullUntilSpaceFrees) {
   ConcurrentServer server(base, *model_, cfg);
 
   Tensor out_a, out_b;
-  StatusOr<ServeTicket> a =
-      server.Submit((*batches_)[0], /*graph_batch=*/false, &out_a);
-  ASSERT_TRUE(a.ok());
+  ServeTiming ta, tb;
+  ASSERT_TRUE(SubmitRecording(server, (*batches_)[0], &out_a, &ta).ok());
   // Second submit must block: the queue is full and nothing drains while
   // the server is paused.
   std::atomic<bool> admitted{false};
   std::thread submitter([&] {
-    StatusOr<ServeTicket> b =
-        server.Submit((*batches_)[1], /*graph_batch=*/false, &out_b);
+    const Status st = SubmitRecording(server, (*batches_)[1], &out_b, &tb);
     admitted.store(true, std::memory_order_relaxed);
-    ASSERT_TRUE(b.ok());
-    EXPECT_TRUE(b.value().Wait().ok());
+    EXPECT_TRUE(st.ok()) << st.ToString();
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_FALSE(admitted.load(std::memory_order_relaxed))
@@ -183,32 +203,56 @@ TEST_F(ConcurrentServerTest, BlocksWhenQueueFullUntilSpaceFrees) {
   server.Resume();  // worker drains → space frees → blocked submit admits
   submitter.join();
   EXPECT_TRUE(admitted.load(std::memory_order_relaxed));
-  ServeTicket ta = a.value();
-  EXPECT_TRUE(ta.Wait().ok());
+  server.Shutdown();
   ExpectBitEqual((*solo_)[0], out_a);
   ExpectBitEqual((*solo_)[1], out_b);
 }
 
-TEST_F(ConcurrentServerTest, SubmitValidatesBeforeEnqueueAndAfterShutdown) {
+TEST_F(ConcurrentServerTest, CallbackFiresExactlyOncePerAdmittedRequest) {
+  // Paused workers: every admitted request is still queued at Shutdown,
+  // which must drain it and fire its callback exactly once. A rejected,
+  // invalid or post-Shutdown submit returns its code and never calls back.
   std::shared_ptr<const SessionBase> base = BuildBase();
   ConcurrentServer::Config cfg;
-  cfg.num_replicas = 1;
+  cfg.num_replicas = 2;
+  cfg.queue_capacity = 3;
+  cfg.block_when_full = false;
+  cfg.start_paused = true;
   ConcurrentServer server(base, *model_, cfg);
-  Tensor out;
-  EXPECT_EQ(server.Submit((*batches_)[0], /*graph_batch=*/false, nullptr)
-                .status()
-                .code(),
+  constexpr int kAdmitted = 3;
+  std::vector<Tensor> outs(kAdmitted + 1);
+  std::vector<int> fired(kAdmitted + 4, 0);  // one counter per submit
+  auto submit = [&](const HeldOutBatch& batch, Tensor* out, int* counter) {
+    return server.Submit(batch, /*graph_batch=*/false, out,
+                         [counter](const ServeTiming&) { ++*counter; });
+  };
+  for (int i = 0; i < kAdmitted; ++i) {
+    ASSERT_TRUE(submit((*batches_)[i], &outs[i], &fired[i]).ok());
+  }
+  Tensor* spare = &outs[kAdmitted];
+  EXPECT_EQ(submit((*batches_)[0], spare, &fired[3]).code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(submit((*batches_)[0], nullptr, &fired[4]).code(),
             StatusCode::kInvalidArgument);
   HeldOutBatch bad = (*batches_)[0];
   bad.features = Tensor::Uninitialized(bad.features.rows(),
                                        bad.features.cols() + 1);
-  EXPECT_EQ(server.Submit(bad, /*graph_batch=*/false, &out).status().code(),
+  EXPECT_EQ(submit(bad, spare, &fired[5]).code(),
             StatusCode::kInvalidArgument);
-  server.Shutdown();
-  EXPECT_EQ(server.Submit((*batches_)[0], /*graph_batch=*/false, &out)
-                .status()
+  EXPECT_EQ(server.Submit((*batches_)[0], /*graph_batch=*/false, spare, {})
                 .code(),
+            StatusCode::kInvalidArgument);
+
+  server.Shutdown();
+  EXPECT_EQ(submit((*batches_)[0], spare, &fired[6]).code(),
             StatusCode::kUnavailable);
+  for (int i = 0; i < kAdmitted; ++i) {
+    EXPECT_EQ(fired[i], 1) << "admitted request " << i;
+    ExpectBitEqual((*solo_)[i], outs[i]);
+  }
+  for (size_t i = kAdmitted; i < fired.size(); ++i) {
+    EXPECT_EQ(fired[i], 0) << "refused submit " << i << " called back";
+  }
 }
 
 /// A base graph whose Ã row 0 sums to exactly 0 (1 - 2 + self-loop 1),
@@ -257,16 +301,12 @@ TEST_F(ConcurrentServerTest, Degree0BaseServedConcurrently) {
   cfg.num_replicas = 2;
   ConcurrentServer server(base, *model, cfg);
   std::vector<Tensor> outs(6);
-  std::vector<ServeTicket> tickets;
-  for (Tensor& out : outs) {
-    StatusOr<ServeTicket> tk =
-        server.Submit(batch, /*graph_batch=*/false, &out);
-    ASSERT_TRUE(tk.ok());
-    tickets.push_back(tk.value());
+  std::vector<ServeTiming> timings(outs.size());
+  for (size_t i = 0; i < outs.size(); ++i) {
+    ASSERT_TRUE(SubmitRecording(server, batch, &outs[i], &timings[i]).ok());
   }
-  for (ServeTicket& tk : tickets) EXPECT_TRUE(tk.Wait().ok());
-  for (const Tensor& out : outs) ExpectBitEqual(expect, out);
   server.Shutdown();
+  for (const Tensor& out : outs) ExpectBitEqual(expect, out);
 }
 
 TEST_F(ConcurrentServerTest, Degree0BaseServesEveryArchitectureExactly) {
@@ -334,14 +374,16 @@ TEST_F(ConcurrentServerTest, PoolOfFourSharesBaseAndGrowsSublinearly) {
   EXPECT_GT(base->memory_bytes(), 0);
 }
 
-TEST_F(ConcurrentServerTest, SteadyStateServingIsZeroTensorHeapAlloc) {
+TEST_F(ConcurrentServerTest, SteadyStateSubmitAllocatesNothing) {
   std::shared_ptr<const SessionBase> base = BuildBase();
   ConcurrentServer::Config cfg;
   cfg.num_replicas = 2;
+  cfg.queue_capacity = 2;  // the measured submits wrap the ring and block
   ConcurrentServer server(base, *model_, cfg);
   // Warm every replica's workspaces directly (the workers are idle while no
   // requests are queued, so the replicas are safe to touch), then warm the
-  // caller-owned output tensors through one served round.
+  // caller-owned output tensors, and this thread's path through Submit,
+  // with one synchronous serve each.
   Rng rng(9);
   for (int r = 0; r < server.pool().size(); ++r) {
     server.pool().replica(r).Serve((*batches_)[0], /*graph_batch=*/false,
@@ -349,25 +391,28 @@ TEST_F(ConcurrentServerTest, SteadyStateServingIsZeroTensorHeapAlloc) {
     server.pool().replica(r).Serve((*batches_)[0], /*graph_batch=*/false,
                                    rng);
   }
-  std::vector<Tensor> outs(4);
+  std::vector<Tensor> outs(8);
   for (Tensor& out : outs) {
     ASSERT_TRUE(
         server.ServeSync((*batches_)[0], /*graph_batch=*/false, &out).ok());
   }
+  std::vector<ServeTiming> timings(outs.size());
   const int64_t warm = internal::TensorHeapAllocCount();
-  for (int round = 0; round < 3; ++round) {
-    std::vector<ServeTicket> tickets;
-    for (Tensor& out : outs) {
-      StatusOr<ServeTicket> t =
-          server.Submit((*batches_)[0], /*graph_batch=*/false, &out);
-      ASSERT_TRUE(t.ok());
-      tickets.push_back(t.value());
-    }
-    for (ServeTicket& t : tickets) EXPECT_TRUE(t.Wait().ok());
-    ExpectBitEqual((*solo_)[0], outs[0]);
+  int64_t submit_news = 0;
+  for (size_t i = 0; i < outs.size(); ++i) {
+    // The bracket includes building the std::function from the lambda.
+    const int64_t before = t_operator_new_calls;
+    const Status st =
+        SubmitRecording(server, (*batches_)[0], &outs[i], &timings[i]);
+    submit_news += t_operator_new_calls - before;
+    ASSERT_TRUE(st.ok()) << st.ToString();
   }
+  server.Shutdown();
+  EXPECT_EQ(submit_news, 0)
+      << "steady-state Submit allocated on the submitting thread";
   EXPECT_EQ(internal::TensorHeapAllocCount(), warm)
       << "steady-state concurrent serving must not allocate tensor memory";
+  for (const Tensor& out : outs) ExpectBitEqual((*solo_)[0], out);
 }
 
 TEST_F(ConcurrentServerTest, TimingAttributionSumsExactlyToLatency) {
@@ -387,24 +432,22 @@ TEST_F(ConcurrentServerTest, TimingAttributionSumsExactlyToLatency) {
 
   ConcurrentServer server(base, *model_, cfg);
   std::vector<Tensor> outs(batches_->size());
-  std::vector<ServeTicket> tickets;
+  std::vector<ServeTiming> timings(batches_->size());
   for (size_t i = 0; i < batches_->size(); ++i) {
-    StatusOr<ServeTicket> t =
-        server.Submit((*batches_)[i], /*graph_batch=*/false, &outs[i]);
-    ASSERT_TRUE(t.ok());
-    tickets.push_back(t.value());
+    ASSERT_TRUE(
+        SubmitRecording(server, (*batches_)[i], &outs[i], &timings[i]).ok());
   }
-  for (ServeTicket& t : tickets) ASSERT_TRUE(t.Wait().ok());
-  for (ServeTicket& t : tickets) {
-    const ServeTiming timing = t.timing();
+  server.Shutdown();
+  // The timing each callback received:
+  for (const ServeTiming& timing : timings) {
     // Stamps are ordered on the shared monotonic clock...
+    EXPECT_GT(timing.enqueue_us, 0u);
     EXPECT_LE(timing.enqueue_us, timing.dequeue_us);
     EXPECT_LE(timing.dequeue_us, timing.done_us);
     // ...and the two stages partition the end-to-end latency exactly.
     EXPECT_EQ(timing.queue_wait_us() + timing.service_us(),
               timing.latency_us());
   }
-  server.Shutdown();
 
   EXPECT_EQ(latency.Count() - count0,
             static_cast<int64_t>(batches_->size()));
@@ -436,14 +479,12 @@ TEST_F(ConcurrentServerTest, TracedRunProducesConnectedFlows) {
   {
     ConcurrentServer server(base, *model_, cfg);
     std::vector<Tensor> outs(batches_->size());
-    std::vector<ServeTicket> tickets;
+    std::vector<ServeTiming> timings(batches_->size());
     for (size_t i = 0; i < batches_->size(); ++i) {
-      StatusOr<ServeTicket> t =
-          server.Submit((*batches_)[i], /*graph_batch=*/false, &outs[i]);
-      ASSERT_TRUE(t.ok());
-      tickets.push_back(t.value());
+      ASSERT_TRUE(
+          SubmitRecording(server, (*batches_)[i], &outs[i], &timings[i])
+              .ok());
     }
-    for (ServeTicket& t : tickets) ASSERT_TRUE(t.Wait().ok());
     server.Shutdown();
   }
   obs::EnableTracing(false);
@@ -498,7 +539,6 @@ TEST_F(ConcurrentServerTest, SetNumThreadsDuringServingStaysExact) {
   std::shared_ptr<const SessionBase> base = BuildBase();
   ConcurrentServer::Config cfg;
   cfg.num_replicas = 2;
-  ConcurrentServer server(base, *model_, cfg);
   std::atomic<bool> stop{false};
   std::thread resizer([&] {
     int width = 1;
@@ -508,15 +548,16 @@ TEST_F(ConcurrentServerTest, SetNumThreadsDuringServingStaysExact) {
     }
   });
   for (int round = 0; round < 10; ++round) {
+    // One server per round: its Shutdown is the round's barrier.
+    ConcurrentServer server(base, *model_, cfg);
     std::vector<Tensor> outs(batches_->size());
-    std::vector<ServeTicket> tickets;
+    std::vector<ServeTiming> timings(batches_->size());
     for (size_t i = 0; i < batches_->size(); ++i) {
-      StatusOr<ServeTicket> t =
-          server.Submit((*batches_)[i], /*graph_batch=*/false, &outs[i]);
-      ASSERT_TRUE(t.ok());
-      tickets.push_back(t.value());
+      EXPECT_TRUE(
+          SubmitRecording(server, (*batches_)[i], &outs[i], &timings[i])
+              .ok());
     }
-    for (ServeTicket& t : tickets) EXPECT_TRUE(t.Wait().ok());
+    server.Shutdown();
     for (size_t i = 0; i < outs.size(); ++i) {
       ExpectBitEqual((*solo_)[i], outs[i]);
     }

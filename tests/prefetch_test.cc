@@ -14,13 +14,10 @@
 #include "core/csr_matrix.h"
 #include "core/rng.h"
 #include "core/sharded_csr.h"
+#include "scratch_path.h"
 
 namespace mcond {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
 
 CsrMatrix RandomCsr(int64_t rows, int64_t cols, int64_t nnz_per_row,
                     uint64_t seed) {
@@ -98,7 +95,7 @@ TEST(PrefetchDepthTest, SetClampsAndSticks) {
 
 TEST(SegmentPrefetcherTest, HintThenAcquireHitsCompletedPrefetches) {
   const CsrMatrix m = RandomCsr(96, 64, 5, 101);
-  const std::string path = TempPath("prefetch_hits.mcss");
+  const std::string path = ScratchPath("prefetch_hits.mcss");
   ShardedCsr store = OpenStore(m, path, /*rows_per_segment=*/16,
                                /*mem_budget_bytes=*/0);
   ASSERT_EQ(store.NumSegments(), 6);
@@ -124,7 +121,7 @@ TEST(SegmentPrefetcherTest, HintThenAcquireHitsCompletedPrefetches) {
 
 TEST(SegmentPrefetcherTest, UnhintedAcquireFallsBackToSynchronousPin) {
   const CsrMatrix m = RandomCsr(64, 64, 5, 103);
-  const std::string path = TempPath("prefetch_miss.mcss");
+  const std::string path = ScratchPath("prefetch_miss.mcss");
   ShardedCsr store = OpenStore(m, path, 16, 0);
   {
     SegmentPrefetcher pf(store, 2);
@@ -140,7 +137,7 @@ TEST(SegmentPrefetcherTest, UnhintedAcquireFallsBackToSynchronousPin) {
 
 TEST(SegmentPrefetcherTest, BudgetAdmissionNeverExceedsBudget) {
   const CsrMatrix m = RandomCsr(128, 64, 6, 107);
-  const std::string path = TempPath("prefetch_budget.mcss");
+  const std::string path = ScratchPath("prefetch_budget.mcss");
   // Budget: two segments plus slack. With depth 3 the worker would love to
   // hold three ready pins — admission must throttle it to the budget, and
   // the consumer's sequence must still complete (degrading to sync pins is
@@ -180,7 +177,7 @@ TEST(SegmentPrefetcherTest, BudgetAdmissionNeverExceedsBudget) {
 
 TEST(SegmentPrefetcherTest, HintReplacesPreviousSchedule) {
   const CsrMatrix m = RandomCsr(128, 64, 5, 109);
-  const std::string path = TempPath("prefetch_rehint.mcss");
+  const std::string path = ScratchPath("prefetch_rehint.mcss");
   ShardedCsr store = OpenStore(m, path, 16, 0);
   {
     SegmentPrefetcher pf(store, 2);
@@ -201,7 +198,7 @@ TEST(SegmentPrefetcherTest, HintReplacesPreviousSchedule) {
 
 TEST(SegmentPrefetcherTest, EvictionRacesInflightPrefetch) {
   const CsrMatrix m = RandomCsr(128, 64, 6, 113);
-  const std::string path = TempPath("prefetch_evict_race.mcss");
+  const std::string path = ScratchPath("prefetch_evict_race.mcss");
   // One-byte budget: every unpinned segment is evicted (munmapped) as soon
   // as the next pin activity runs, so prefetch handovers constantly race
   // eviction of their neighbours. A churn thread pins random segments
@@ -241,7 +238,7 @@ TEST(SegmentPrefetcherTest, EvictionRacesInflightPrefetch) {
 
 TEST(SegmentPrefetcherTest, CleanShutdownWithHintsOutstanding) {
   const CsrMatrix m = RandomCsr(128, 64, 5, 127);
-  const std::string path = TempPath("prefetch_shutdown.mcss");
+  const std::string path = ScratchPath("prefetch_shutdown.mcss");
   ShardedCsr store = OpenStore(m, path, 16, 0);
   // Destroy the prefetcher at every phase of its pipeline: idle, mid-fetch,
   // ready-buffer full. Must neither hang nor leak pins (the store teardown
@@ -262,7 +259,7 @@ TEST(SegmentPrefetcherTest, CleanShutdownWithHintsOutstanding) {
 
 TEST(SegmentPrefetcherTest, StoreTeardownWithStoreOwnedWorker) {
   const CsrMatrix m = RandomCsr(96, 64, 5, 131);
-  const std::string path = TempPath("prefetch_store_teardown.mcss");
+  const std::string path = ScratchPath("prefetch_store_teardown.mcss");
   ScopedPrefetchDepth depth(2);
   for (int i = 0; i < 10; ++i) {
     ShardedCsr store = OpenStore(m, path, 16, 0);
@@ -282,7 +279,7 @@ TEST(SegmentPrefetcherTest, StoreTeardownWithStoreOwnedWorker) {
 
 TEST(SegmentPrefetcherTest, TruncatedFileSurfacesStatusAtPinTime) {
   const CsrMatrix m = RandomCsr(64, 64, 5, 137);
-  const std::string path = TempPath("prefetch_truncated.mcss");
+  const std::string path = ScratchPath("prefetch_truncated.mcss");
   ShardedCsr store = OpenStore(m, path, 16, 0);
   // The store shrinks after Open; the worker's pin attempt must record the
   // failure and hand it to the consumer as a Status — never SIGBUS, never
@@ -301,7 +298,7 @@ TEST(SegmentPrefetcherTest, TruncatedFileSurfacesStatusAtPinTime) {
 
 TEST(SequentialCursorTest, FullPassIsBitIdenticalToPlainPins) {
   const CsrMatrix m = RandomCsr(128, 64, 6, 139);
-  const std::string path = TempPath("prefetch_cursor.mcss");
+  const std::string path = ScratchPath("prefetch_cursor.mcss");
   for (const int64_t depth : {int64_t{0}, int64_t{3}}) {
     ScopedPrefetchDepth scoped(depth);
     ShardedCsr store = OpenStore(m, path, 16, 0);
@@ -321,7 +318,7 @@ TEST(SequentialCursorTest, FullPassIsBitIdenticalToPlainPins) {
 
 TEST(SequentialCursorTest, ExplicitScheduleVisitsExactlyThoseSegments) {
   const CsrMatrix m = RandomCsr(128, 64, 5, 149);
-  const std::string path = TempPath("prefetch_cursor_sched.mcss");
+  const std::string path = ScratchPath("prefetch_cursor_sched.mcss");
   ScopedPrefetchDepth scoped(2);
   ShardedCsr store = OpenStore(m, path, 16, 0);
   const std::vector<int64_t> schedule = {1, 4, 6};

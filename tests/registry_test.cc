@@ -21,6 +21,7 @@
 #include "eval/batching.h"
 #include "net/model_registry.h"
 #include "nn/sgc.h"
+#include "scratch_path.h"
 
 namespace mcond {
 namespace net {
@@ -47,13 +48,10 @@ class RegistryTest : public ::testing::Test {
   }
 
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) /
-           ("mcond_registry_" +
-            std::to_string(::testing::UnitTest::GetInstance()
-                               ->random_seed()) +
-            "_" + ::testing::UnitTest::GetInstance()
-                      ->current_test_info()
-                      ->name());
+    dir_ = ScratchPath(std::string("registry_") +
+                       ::testing::UnitTest::GetInstance()
+                           ->current_test_info()
+                           ->name());
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }

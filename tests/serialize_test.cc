@@ -11,6 +11,7 @@
 #include "core/rng.h"
 #include "core/tensor_ops.h"
 #include "data/synthetic.h"
+#include "scratch_path.h"
 
 namespace mcond {
 namespace {
@@ -72,7 +73,7 @@ TEST(SerializeTest, WrongTypeMagicRejected) {
 }
 
 TEST(SerializeTest, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/tensor.bin";
+  const std::string path = ScratchPath("tensor.bin");
   Rng rng(3);
   Tensor t = rng.NormalTensor(3, 9);
   ASSERT_TRUE(SaveTensor(path, t).ok());
@@ -94,7 +95,7 @@ TEST(ArtifactIoTest, CondensedGraphRoundTrip) {
   cg.graph = g;
   cg.mapping = CsrMatrix::FromTriplets(
       100, 40, {{0, 1, 0.5f}, {99, 39, 0.25f}, {50, 0, 1.0f}});
-  const std::string path = ::testing::TempDir() + "/artifact.bin";
+  const std::string path = ScratchPath("artifact.bin");
   ASSERT_TRUE(SaveCondensedGraph(path, cg).ok());
   StatusOr<CondensedGraph> back = LoadCondensedGraph(path);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
@@ -118,7 +119,7 @@ TEST(ArtifactIoTest, NormalizedAdjacencyRebuiltOnLoad) {
   CondensedGraph cg;
   cg.graph = g;
   cg.mapping = CsrMatrix::Identity(30);
-  const std::string path = ::testing::TempDir() + "/artifact2.bin";
+  const std::string path = ScratchPath("artifact2.bin");
   ASSERT_TRUE(SaveCondensedGraph(path, cg).ok());
   StatusOr<CondensedGraph> back = LoadCondensedGraph(path);
   ASSERT_TRUE(back.ok());
@@ -133,7 +134,7 @@ TEST(ArtifactIoTest, MissingFileIsNotFound) {
 }
 
 TEST(ArtifactIoTest, GarbageFileIsInvalidArgument) {
-  const std::string path = ::testing::TempDir() + "/garbage.bin";
+  const std::string path = ScratchPath("garbage.bin");
   std::ofstream(path) << "garbage bytes here";
   EXPECT_EQ(LoadCondensedGraph(path).status().code(),
             StatusCode::kInvalidArgument);
@@ -159,7 +160,7 @@ CondensedGraph SmallArtifact() {
 TEST(ArtifactIoTest, AbsurdNodeCountInHeaderIsRejectedNotAllocated) {
   // A corrupt num_nodes field must come back as InvalidArgument — not a
   // multi-terabyte vector resize (std::bad_alloc / OOM kill).
-  const std::string path = ::testing::TempDir() + "/corrupt_header.bin";
+  const std::string path = ScratchPath("corrupt_header.bin");
   ASSERT_TRUE(SaveCondensedGraph(path, SmallArtifact()).ok());
   {
     // Header: magic(4) + version(4) + num_classes(8) + num_nodes(8).
@@ -175,7 +176,7 @@ TEST(ArtifactIoTest, AbsurdNodeCountInHeaderIsRejectedNotAllocated) {
 }
 
 TEST(ArtifactIoTest, TruncatedArtifactIsCleanError) {
-  const std::string path = ::testing::TempDir() + "/truncated_artifact.bin";
+  const std::string path = ScratchPath("truncated_artifact.bin");
   ASSERT_TRUE(SaveCondensedGraph(path, SmallArtifact()).ok());
   std::ifstream in(path, std::ios::binary);
   std::string bytes((std::istreambuf_iterator<char>(in)),
@@ -196,7 +197,7 @@ TEST(ArtifactIoTest, MappingShapeMismatchIsRejected) {
   // synthetic node count or downstream compose CHECK-aborts.
   CondensedGraph cg = SmallArtifact();
   cg.mapping = CsrMatrix::FromTriplets(50, 99, {{0, 0, 1.0f}});
-  const std::string path = ::testing::TempDir() + "/bad_mapping.bin";
+  const std::string path = ScratchPath("bad_mapping.bin");
   ASSERT_TRUE(SaveCondensedGraph(path, cg).ok());
   StatusOr<CondensedGraph> back = LoadCondensedGraph(path);
   ASSERT_FALSE(back.ok());

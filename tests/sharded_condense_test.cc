@@ -16,13 +16,10 @@
 #include "graph/inductive.h"
 #include "graph/sampling.h"
 #include "graph/sharded_ops.h"
+#include "scratch_path.h"
 
 namespace mcond {
 namespace {
-
-std::string TempDir(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
 
 struct ShardedFixture {
   Graph graph;
@@ -39,7 +36,7 @@ struct ShardedFixture {
     config.avg_degree = 6.0;
     Rng rng(5);
     graph = GenerateSbmGraph(config, rng);
-    dir = TempDir(name);
+    dir = ScratchPath(name);
     ShardOptions options;
     options.max_rows_per_segment = n / 4;  // Force >= 4 segments.
     StatusOr<ShardedGraph> s =
@@ -141,7 +138,7 @@ TEST(ShardedOpsTest, SymNormalizeExplicitDiagonalsBitIdenticalToResident) {
   EXPECT_EQ(AddSelfLoops(m).Nnz(), m.Nnz() + 3);
   EXPECT_EQ(AddSelfLoops(m).ToDense().At(1, 1), 0.5f);
 
-  const std::string dir = TempDir("sharded_ops_norm_diag");
+  const std::string dir = ScratchPath("sharded_ops_norm_diag");
   std::filesystem::create_directories(dir);
   ShardOptions options;
   options.max_rows_per_segment = 2;
@@ -207,7 +204,7 @@ TEST(ShardedOpsTest, ComposeBitIdenticalToResident) {
     Rng rng(9);
     InductiveDataset split = MakeInductiveSplit(f.graph, 0.2, 0.2, rng);
     // Compose the *train* graph with its val batch, resident and streamed.
-    const std::string train_dir = TempDir("sharded_ops_compose_train");
+    const std::string train_dir = ScratchPath("sharded_ops_compose_train");
     ShardOptions options;
     options.max_rows_per_segment =
         std::max<int64_t>(1, split.train_graph.NumNodes() / 4);
@@ -256,7 +253,7 @@ TEST(ShardedCondenseTest, FullCondenseRoundBitIdenticalToResident) {
   const Graph full = GenerateSbmGraph(config, rng);
   InductiveDataset split = MakeInductiveSplit(full, 0.15, 0.15, rng);
 
-  const std::string dir = TempDir("sharded_condense_round");
+  const std::string dir = ScratchPath("sharded_condense_round");
   ShardOptions options;
   options.max_rows_per_segment =
       std::max<int64_t>(1, split.train_graph.NumNodes() / 4);
@@ -303,7 +300,7 @@ TEST(ShardedCondenseTest, GcondModeSkipsMappingState) {
   const Graph full = GenerateSbmGraph(config, rng);
   InductiveDataset split = MakeInductiveSplit(full, 0.15, 0.15, rng);
 
-  const std::string dir = TempDir("sharded_condense_gcond");
+  const std::string dir = ScratchPath("sharded_condense_gcond");
   ShardOptions options;
   options.max_rows_per_segment =
       std::max<int64_t>(1, split.train_graph.NumNodes() / 4);
@@ -339,7 +336,7 @@ TEST(ShardedGeneratorTest, ShardedSbmProducesValidSymmetricStore) {
   config.feature_dim = 8;
   config.avg_degree = 6.0;
   Rng rng(41);
-  const std::string dir = TempDir("sharded_sbm_gen");
+  const std::string dir = ScratchPath("sharded_sbm_gen");
   ShardOptions options;
   options.max_rows_per_segment = 64;
   StatusOr<ShardedGraph> g =

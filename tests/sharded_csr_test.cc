@@ -12,13 +12,10 @@
 #include "core/csr_matrix.h"
 #include "core/rng.h"
 #include "core/segment_prefetcher.h"
+#include "scratch_path.h"
 
 namespace mcond {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
 
 CsrMatrix RandomCsr(int64_t rows, int64_t cols, int64_t nnz_per_row,
                     uint64_t seed) {
@@ -63,7 +60,7 @@ void ExpectStoreEqualsMatrix(const ShardedCsr& sharded, const CsrMatrix& m) {
 
 TEST(ShardedCsrTest, RoundTripMultiSegment) {
   const CsrMatrix m = RandomCsr(64, 64, 6, 11);
-  const std::string path = TempPath("sharded_roundtrip.mcss");
+  const std::string path = ScratchPath("sharded_roundtrip.mcss");
   ShardOptions options;
   options.max_rows_per_segment = 16;
   ASSERT_TRUE(ShardedCsr::Write(m, path, options).ok());
@@ -79,7 +76,7 @@ TEST(ShardedCsrTest, EmptySegmentsRoundTrip) {
   // entries at all and must still pin and report a zeroed local row_ptr.
   std::vector<Triplet> triplets = {{0, 1, 1.0f}, {1, 0, 2.0f}, {7, 3, 3.0f}};
   const CsrMatrix m = CsrMatrix::FromTriplets(8, 8, triplets);
-  const std::string path = TempPath("sharded_empty_seg.mcss");
+  const std::string path = ScratchPath("sharded_empty_seg.mcss");
   ShardOptions options;
   options.max_rows_per_segment = 2;
   ASSERT_TRUE(ShardedCsr::Write(m, path, options).ok());
@@ -98,7 +95,7 @@ TEST(ShardedCsrTest, EmptySegmentsRoundTrip) {
 
 TEST(ShardedCsrTest, SingleRowSegments) {
   const CsrMatrix m = RandomCsr(7, 7, 3, 13);
-  const std::string path = TempPath("sharded_single_row.mcss");
+  const std::string path = ScratchPath("sharded_single_row.mcss");
   ShardOptions options;
   options.max_rows_per_segment = 1;
   ASSERT_TRUE(ShardedCsr::Write(m, path, options).ok());
@@ -124,7 +121,7 @@ TEST(ShardedCsrTest, HighDegreeRowStaysInOneSegment) {
     }
   }
   const CsrMatrix m = CsrMatrix::FromTriplets(10, 1000, triplets);
-  const std::string path = TempPath("sharded_jumbo_row.mcss");
+  const std::string path = ScratchPath("sharded_jumbo_row.mcss");
   ShardOptions options;
   options.target_segment_bytes = 256;  // Far below row 5's ~12KB payload.
   ASSERT_TRUE(ShardedCsr::Write(m, path, options).ok());
@@ -139,7 +136,7 @@ TEST(ShardedCsrTest, HighDegreeRowStaysInOneSegment) {
 
 TEST(ShardedCsrTest, BudgetEvictsUnpinnedSegments) {
   const CsrMatrix m = RandomCsr(64, 64, 6, 17);
-  const std::string path = TempPath("sharded_evict.mcss");
+  const std::string path = ScratchPath("sharded_evict.mcss");
   ShardOptions options;
   options.max_rows_per_segment = 16;
   ASSERT_TRUE(ShardedCsr::Write(m, path, options).ok());
@@ -178,7 +175,7 @@ TEST(ShardedCsrTest, BudgetEvictsUnpinnedSegments) {
 
 TEST(ShardedCsrTest, ZeroBudgetIsUnbounded) {
   const CsrMatrix m = RandomCsr(32, 32, 4, 19);
-  const std::string path = TempPath("sharded_unbounded.mcss");
+  const std::string path = ScratchPath("sharded_unbounded.mcss");
   ShardOptions options;
   options.max_rows_per_segment = 8;
   ASSERT_TRUE(ShardedCsr::Write(m, path, options).ok());
@@ -202,7 +199,7 @@ TEST(ShardedCsrTest, MissingFileIsNotFound) {
 
 TEST(ShardedCsrTest, CorruptHeaderRejected) {
   const CsrMatrix m = RandomCsr(16, 16, 3, 23);
-  const std::string path = TempPath("sharded_corrupt.mcss");
+  const std::string path = ScratchPath("sharded_corrupt.mcss");
   ASSERT_TRUE(ShardedCsr::Write(m, path).ok());
 
   // Bad magic.
@@ -230,7 +227,7 @@ TEST(ShardedCsrTest, CorruptHeaderRejected) {
 
 TEST(ShardedCsrTest, TruncatedFileRejected) {
   const CsrMatrix m = RandomCsr(16, 16, 3, 29);
-  const std::string path = TempPath("sharded_truncated.mcss");
+  const std::string path = ScratchPath("sharded_truncated.mcss");
   ASSERT_TRUE(ShardedCsr::Write(m, path).ok());
   const auto full_size = std::filesystem::file_size(path);
   std::filesystem::resize_file(path, full_size / 2);
@@ -242,7 +239,7 @@ TEST(ShardedCsrTest, TruncatedFileRejected) {
 
 TEST(ShardedCsrTest, TruncationAfterOpenFailsPinCleanly) {
   const CsrMatrix m = RandomCsr(32, 32, 4, 31);
-  const std::string path = TempPath("sharded_shrunk.mcss");
+  const std::string path = ScratchPath("sharded_shrunk.mcss");
   ShardOptions options;
   options.max_rows_per_segment = 8;
   ASSERT_TRUE(ShardedCsr::Write(m, path, options).ok());
@@ -260,7 +257,7 @@ TEST(ShardedCsrTest, TruncationAfterOpenFailsPinCleanly) {
 
 TEST(ShardedCsrTest, PinnedBytesTracksPinLifetimes) {
   const CsrMatrix m = RandomCsr(64, 64, 6, 31);
-  const std::string path = TempPath("sharded_pinned_bytes.mcss");
+  const std::string path = ScratchPath("sharded_pinned_bytes.mcss");
   ShardOptions options;
   options.max_rows_per_segment = 16;
   ASSERT_TRUE(ShardedCsr::Write(m, path, options).ok());
@@ -287,7 +284,7 @@ TEST(ShardedCsrTest, PinnedBytesTracksPinLifetimes) {
 
 TEST(ShardedCsrTest, PrefetchHintThenPinPrefetchedIsBitIdentical) {
   const CsrMatrix m = RandomCsr(64, 64, 6, 37);
-  const std::string path = TempPath("sharded_prefetch_hint.mcss");
+  const std::string path = ScratchPath("sharded_prefetch_hint.mcss");
   const int64_t saved_depth = PrefetchSegments();
   SetPrefetchSegments(2);
   {
@@ -322,7 +319,7 @@ TEST(ShardedCsrTest, PrefetchHintThenPinPrefetchedIsBitIdentical) {
 }
 
 TEST(ShardedCsrWriterTest, RejectsBadRowsAndEarlyFinalize) {
-  const std::string path = TempPath("sharded_writer_misuse.mcss");
+  const std::string path = ScratchPath("sharded_writer_misuse.mcss");
   StatusOr<ShardedCsrWriter> writer = ShardedCsrWriter::Create(path, 2, 4);
   ASSERT_TRUE(writer.ok());
   const int32_t descending[2] = {3, 1};

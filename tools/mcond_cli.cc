@@ -374,40 +374,40 @@ int CmdServe(const Args& args) {
     ConcurrentServer server(SessionBase::Build(cg, model->operator_kind()),
                             *model, cfg);
     std::vector<Tensor> outs(batches.size());
-    std::vector<ServeTicket> tickets;
+    std::vector<ServeTiming> timings(batches.size());
     obs::TraceSpan wall("cli.serve_concurrent", /*always_time=*/true);
     for (size_t i = 0; i < batches.size(); ++i) {
       // Admission blocks on a full queue (the default backpressure), so a
       // burst larger than --serve_queue is absorbed without rejects.
-      StatusOr<ServeTicket> t = server.Submit(batches[i], graph_batch,
-                                              &outs[i]);
-      if (!t.ok()) {
-        std::cerr << t.status().ToString() << "\n";
-        return 1;
-      }
-      tickets.push_back(t.value());
-    }
-    for (ServeTicket& t : tickets) {
-      const Status st = t.Wait();
+      ServeTiming* timing = &timings[i];
+      const Status st =
+          server.Submit(batches[i], graph_batch, &outs[i],
+                        [timing](const ServeTiming& t) { *timing = t; });
       if (!st.ok()) {
         std::cerr << st.ToString() << "\n";
         return 1;
       }
     }
+    // Shutdown drains every admitted request before joining the workers.
+    server.Shutdown();
     const double seconds = wall.ElapsedSeconds();
     bool identical = true;
+    uint64_t queue_wait_us = 0, service_us = 0;
     for (size_t i = 0; i < outs.size(); ++i) {
       identical = identical && outs[i].SameShape(expect[i]) &&
                   std::memcmp(outs[i].data(), expect[i].data(),
                               static_cast<size_t>(outs[i].size()) *
                                   sizeof(float)) == 0;
+      queue_wait_us += timings[i].queue_wait_us();
+      service_us += timings[i].service_us();
     }
-    server.Shutdown();
     std::cout << "  concurrent: " << concurrency << " replicas, queue "
               << queue_slots << ": " << batches.size() << " requests in "
               << seconds * 1e3 << " ms ("
               << (seconds > 0.0 ? batches.size() / seconds : 0.0)
-              << " req/s aggregate), pool memory "
+              << " req/s aggregate; mean queue wait "
+              << queue_wait_us / batches.size() << " us + service "
+              << service_us / batches.size() << " us), pool memory "
               << server.pool().memory_bytes() / 1024
               << " KB, logits bit-identical to solo session: "
               << (identical ? "yes" : "NO") << "\n";
