@@ -37,6 +37,12 @@ CondensedGraph MCondResult::Sparsify(float mu, float delta) const {
 
 namespace {
 
+// Relay GNN (2-layer SGC, hidden width 64) and the hidden width of MLP_Φ
+// (Eq. 6).
+constexpr int64_t kRelayHidden = 64;
+constexpr int64_t kRelayDepth = 2;
+constexpr int64_t kGenHidden = 64;
+
 MCondResult RunAlgorithm1(const CondenseSource& source,
                           const HeldOutBatch& support, int64_t num_synthetic,
                           const MCondConfig& config, uint64_t seed) {
@@ -55,9 +61,8 @@ MCondResult RunAlgorithm1(const CondenseSource& source,
                                   num_classes, synthetic_labels, rng),
       /*requires_grad=*/true);
 
-  AdjacencyGenerator generator(d, config.gen_hidden, rng);
-  RelaySgc relay(d, config.relay_hidden, num_classes, config.relay_depth,
-                 rng);
+  AdjacencyGenerator generator(d, kGenHidden, rng);
+  RelaySgc relay(d, kRelayHidden, num_classes, kRelayDepth, rng);
 
   // The N×N' mapping is dense learnable state — at out-of-core scales it is
   // the single largest allocation of the whole loop, so it exists only when
@@ -101,11 +106,11 @@ MCondResult RunAlgorithm1(const CondenseSource& source,
     MCOND_TRACE_SPAN("condense.setup.propagate");
     if (config.learn_mapping) {
       z_orig =
-          source.PropagateNormalized(source.features(), config.relay_depth);
+          source.PropagateNormalized(source.features(), kRelayDepth);
       z_labeled = GatherRows(z_orig, labeled);
     } else {
       z_labeled =
-          source.PropagateNormalized(source.features(), config.relay_depth,
+          source.PropagateNormalized(source.features(), kRelayDepth,
                                      labeled);
     }
   }
@@ -119,7 +124,7 @@ MCondResult RunAlgorithm1(const CondenseSource& source,
   if (config.use_inductive_loss && config.learn_mapping) {
     MCOND_TRACE_SPAN("condense.setup.support_tail");
     z_sup_on_original =
-        source.PropagateComposedSupportTail(support, config.relay_depth);
+        source.PropagateComposedSupportTail(support, kRelayDepth);
   }
 
   // --- Optimizers. ---
@@ -162,11 +167,9 @@ MCondResult RunAlgorithm1(const CondenseSource& source,
         mapping ? mapping->NormalizedTensor() : Tensor();
     for (int64_t t = 0; t < config.s_steps_per_round; ++t) {
       obs::TraceSpan s_span("condense.s_step");
-      // One-step matching re-draws θ₀ for every step (DosCond).
-      if (config.one_step_matching) relay.ResetParameters(rng);
       Variable a_syn = generator.Forward(x_syn);
       Variable a_hat = NormalizeDenseAdjacency(a_syn);
-      Variable z_syn = PropagateDense(a_hat, x_syn, config.relay_depth);
+      Variable z_syn = PropagateDense(a_hat, x_syn, kRelayDepth);
 
       // ℒ_gra: constant 𝒢ᵀ vs differentiable 𝒢ˢ.
       std::vector<Tensor> grads_orig;
@@ -212,16 +215,11 @@ MCondResult RunAlgorithm1(const CondenseSource& source,
       result.s_loss_history.push_back(loss->value().At(0, 0));
       loss_s_series.Append(result.s_loss_history.back());
 
-      // Relay update on S (line 11): θ_{t+1} = optimizer(ℒ, f, S). Reuses
-      // the propagated features from this step's forward pass — they are
-      // one optimizer step stale, which avoids a second MLP_Φ forward per
-      // step and does not change the dynamics measurably. One-step
-      // matching never trains the relay during matching.
-      if (!config.one_step_matching) {
-        for (int64_t r = 0; r < config.relay_steps; ++r) {
-          relay.TrainStep(z_syn->value(), synthetic_labels, opt_relay);
-        }
-      }
+      // Relay update on S (line 11): θ_{t+1} = optimizer(ℒ, f, S), one
+      // step. Reuses the propagated features from this step's forward
+      // pass — they are one optimizer step stale, which avoids a second
+      // MLP_Φ forward per step and does not change the dynamics measurably.
+      relay.TrainStep(z_syn->value(), synthetic_labels, opt_relay);
     }
 
     if (!config.learn_mapping) continue;
@@ -233,7 +231,7 @@ MCondResult RunAlgorithm1(const CondenseSource& source,
     const Tensor a_hat_now =
         NormalizeDenseAdjacency(MakeConstant(a_syn_now))->value();
     Tensor z_syn_now = x_syn->value();
-    for (int64_t l = 0; l < config.relay_depth; ++l) {
+    for (int64_t l = 0; l < kRelayDepth; ++l) {
       z_syn_now = MatMul(a_hat_now, z_syn_now);
     }
     // Refine the relay on S so the embedding targets below are those of a
@@ -269,7 +267,7 @@ MCondResult RunAlgorithm1(const CondenseSource& source,
         Variable links = ops::SpMM(support.links, m_norm);  // aM (n×N').
         Variable z_sup = PropagateBlockSupportRows(
             a_syn_const, links, support.inter, x_syn_const, x_sup_const,
-            config.relay_depth);
+            kRelayDepth);
         Variable h_sup_syn = relay.Logits(z_sup);
         Variable ind = ops::Scale(
             ops::L21Norm(

@@ -15,10 +15,6 @@ namespace mcond {
 /// 2-layer relay) and the grid-searched region it reports elsewhere
 /// (λ ∈ [0.01, 0.1], β ≈ 100).
 struct MCondConfig {
-  // Relay GNN (2-layer SGC).
-  int64_t relay_hidden = 64;
-  int64_t relay_depth = 2;
-
   // Alternating schedule: K outer rounds, T steps per component per round.
   // The mapping gets fewer steps per round than the synthetic graph: its
   // targets (relay embeddings) change every round, and long M phases let
@@ -27,8 +23,6 @@ struct MCondConfig {
   int64_t outer_rounds = 12;
   int64_t s_steps_per_round = 10;
   int64_t m_steps_per_round = 5;
-  /// Relay optimizer steps after each synthetic-graph step (line 11).
-  int64_t relay_steps = 1;
   /// Extra relay training on S before each mapping phase. The mapping
   /// losses (Eq. 10/12) compare *relay embeddings*; a relay that has only
   /// seen a few steps since its per-round re-initialization produces
@@ -63,9 +57,6 @@ struct MCondConfig {
   // pairs per step (Eq. 8).
   int64_t edge_batch = 256;
 
-  /// Hidden width of MLP_Φ (Eq. 6).
-  int64_t gen_hidden = 64;
-
   MappingConfig mapping;
 
   // Ablation switches (Table V / Fig. 5).
@@ -73,14 +64,6 @@ struct MCondConfig {
   bool use_inductive_loss = true;   // "w/o ℒ_ind" when false.
   bool learn_mapping = true;        // false reproduces plain GCond.
   bool class_aware_init = true;     // random init when false (Fig. 5c).
-
-  /// DosCond-style one-step gradient matching (Jin et al., KDD'22, cited
-  /// as [31]): instead of following the relay's training trajectory, match
-  /// gradients at a *fresh* random initialization on every synthetic step
-  /// (the relay is re-drawn per step and never trained on S during the
-  /// matching phase). Cheaper per step and often competitive; exposed as
-  /// an extension ablation.
-  bool one_step_matching = false;
 
   bool verbose = false;
 };

@@ -67,29 +67,6 @@ class CsrMatrix {
   /// Constructs an empty 0×0 matrix.
   CsrMatrix() : rows_(0), cols_(0), row_ptr_(1, 0) {}
 
-  /// Copies share no derived state: the lazily built transpose cache is
-  /// dropped so a copy that later mutates values (mutable_values)
-  /// cannot observe a stale cache. Moves transfer the cache.
-  CsrMatrix(const CsrMatrix& other)
-      : rows_(other.rows_),
-        cols_(other.cols_),
-        row_ptr_(other.row_ptr_),
-        col_idx_(other.col_idx_),
-        values_(other.values_) {}
-  CsrMatrix& operator=(const CsrMatrix& other) {
-    if (this != &other) {
-      rows_ = other.rows_;
-      cols_ = other.cols_;
-      row_ptr_ = other.row_ptr_;
-      col_idx_ = other.col_idx_;
-      values_ = other.values_;
-      transpose_.reset();
-    }
-    return *this;
-  }
-  CsrMatrix(CsrMatrix&&) noexcept = default;
-  CsrMatrix& operator=(CsrMatrix&&) noexcept = default;
-
   /// Builds from possibly-unsorted triplets; duplicate (row, col) pairs are
   /// summed, and explicit zeros produced by summation are kept (they still
   /// occupy storage, mirroring real sparse libraries).
@@ -131,10 +108,6 @@ class CsrMatrix {
   const std::vector<int64_t>& row_ptr() const { return row_ptr_; }
   const std::vector<int32_t>& col_idx() const { return col_idx_; }
   const std::vector<float>& values() const { return values_; }
-  std::vector<float>& mutable_values() {
-    transpose_.reset();  // Derived caches no longer match once values change.
-    return values_;
-  }
 
   /// Copy of this matrix with the same sparsity structure and the given
   /// values (size must equal Nnz()). O(nnz) with no re-sort — the fast
@@ -199,8 +172,9 @@ class CsrMatrix {
   bool HasEntry(int64_t r, int64_t c) const;
 
  private:
-  /// Transpose(), built lazily by SpMMTransposed and invalidated by
-  /// mutation (copy ctor, mutable_values).
+  /// Transpose(), built lazily by SpMMTransposed. The arrays never change
+  /// after construction (TakeParts empties the matrix and drops it), so
+  /// copies share it.
   const CsrMatrix& CachedTranspose() const;
 
   int64_t rows_;

@@ -5,7 +5,8 @@
 
 /// Runtime-dispatched SIMD kernel tiers (docs/performance.md, "SIMD tier").
 ///
-/// The hot dense/sparse kernels exist in (up to) two implementations:
+/// The hot dense/sparse kernels the compiler cannot derive from a plain
+/// loop exist in two implementations:
 ///
 ///   kScalar — the portable loops that shipped with the parallel substrate.
 ///             Bit-identical to the serial::* / *Serial reference oracles at
@@ -14,6 +15,13 @@
 ///   kAvx2   — AVX2+FMA microkernels (8-wide, register-tiled) compiled into
 ///             simd_kernels.cc when the toolchain targets x86-64. Selected
 ///             only when the CPU reports AVX2 *and* FMA at runtime.
+///
+/// Those are the GEMM tiles, MatMulTransA's column kernel, SpMM, SoftmaxRows
+/// and the SymNormalize rescale; core/simd_kernels.h gives the reason each
+/// stays hand-written. The elementwise ops (Add/Sub/Mul/Scale/AxpyInPlace/
+/// Relu/ReluMask/AddRowBroadcast) are not tiered: each is one loop in
+/// core/tensor_ops.cc that GCC compiles for the baseline ISA and for AVX2,
+/// picked by CPU at load time, and both give the same bits.
 ///
 /// Selection happens once, on the first ActiveTier() call, from the
 /// MCOND_SIMD environment variable ("auto" | "avx2" | "scalar", default
@@ -26,8 +34,7 @@
 ///
 /// Exactness contract per kernel family (tested in tests/simd_test.cc):
 ///
-///   elementwise (Add/Sub/Mul/Scale/Axpy/Relu/ReluMask/AddRowBroadcast),
-///   SpMM / SpMMTransposed, SymNormalize / RowNormalize value rescaling:
+///   SpMM / SpMMTransposed, SymNormalize value rescaling:
 ///       bit-identical across tiers. The vector code keeps each output
 ///       element's operation sequence identical to the scalar loop (lanes
 ///       are independent elements; multiply-then-add, never fused; per-

@@ -295,83 +295,6 @@ void Avx2SpmmRows(const int64_t* row_ptr, const int32_t* col_idx,
   }
 }
 
-void Avx2Add(const float* a, const float* b, float* dst, int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(dst + i, _mm256_add_ps(_mm256_loadu_ps(a + i),
-                                            _mm256_loadu_ps(b + i)));
-  }
-  for (; i < n; ++i) dst[i] = a[i] + b[i];
-}
-
-void Avx2Sub(const float* a, const float* b, float* dst, int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(dst + i, _mm256_sub_ps(_mm256_loadu_ps(a + i),
-                                            _mm256_loadu_ps(b + i)));
-  }
-  for (; i < n; ++i) dst[i] = a[i] - b[i];
-}
-
-void Avx2MulEw(const float* a, const float* b, float* dst, int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(dst + i, _mm256_mul_ps(_mm256_loadu_ps(a + i),
-                                            _mm256_loadu_ps(b + i)));
-  }
-  for (; i < n; ++i) dst[i] = a[i] * b[i];
-}
-
-void Avx2Scale(const float* a, float s, float* dst, int64_t n) {
-  const __m256 sv = _mm256_set1_ps(s);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(dst + i, _mm256_mul_ps(sv, _mm256_loadu_ps(a + i)));
-  }
-  for (; i < n; ++i) dst[i] = s * a[i];
-}
-
-void Avx2Axpy(float* a, float s, const float* b, int64_t n) {
-  const __m256 sv = _mm256_set1_ps(s);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 prod = _mm256_mul_ps(sv, _mm256_loadu_ps(b + i));
-    _mm256_storeu_ps(a + i, _mm256_add_ps(_mm256_loadu_ps(a + i), prod));
-  }
-  for (; i < n; ++i) a[i] += s * b[i];
-}
-
-void Avx2Relu(const float* a, float* dst, int64_t n) {
-  // max_ps(x, 0) returns the second operand on NaN and +0 for ±0, matching
-  // the scalar `x > 0 ? x : 0` exactly.
-  const __m256 zero = _mm256_setzero_ps();
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(dst + i, _mm256_max_ps(_mm256_loadu_ps(a + i), zero));
-  }
-  for (; i < n; ++i) dst[i] = a[i] > 0.0f ? a[i] : 0.0f;
-}
-
-void Avx2ReluMask(const float* a, float* dst, int64_t n) {
-  const __m256 zero = _mm256_setzero_ps();
-  const __m256 one = _mm256_set1_ps(1.0f);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 gt = _mm256_cmp_ps(_mm256_loadu_ps(a + i), zero, _CMP_GT_OQ);
-    _mm256_storeu_ps(dst + i, _mm256_and_ps(gt, one));
-  }
-  for (; i < n; ++i) dst[i] = a[i] > 0.0f ? 1.0f : 0.0f;
-}
-
-void Avx2AddRowInPlace(float* row, const float* r, int64_t n) {
-  int64_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    _mm256_storeu_ps(row + j, _mm256_add_ps(_mm256_loadu_ps(row + j),
-                                            _mm256_loadu_ps(r + j)));
-  }
-  for (; j < n; ++j) row[j] += r[j];
-}
-
 void Avx2SoftmaxRows(const float* src, float* dst, int64_t cols, int64_t i0,
                      int64_t i1) {
   const int64_t c8 = cols & ~int64_t{7};
@@ -473,14 +396,6 @@ void Avx2SpmmRows(const int64_t*, const int32_t*, const float*, const float*,
                   float*, int64_t, int64_t, int64_t) {
   std::abort();
 }
-void Avx2Add(const float*, const float*, float*, int64_t) { std::abort(); }
-void Avx2Sub(const float*, const float*, float*, int64_t) { std::abort(); }
-void Avx2MulEw(const float*, const float*, float*, int64_t) { std::abort(); }
-void Avx2Scale(const float*, float, float*, int64_t) { std::abort(); }
-void Avx2Axpy(float*, float, const float*, int64_t) { std::abort(); }
-void Avx2Relu(const float*, float*, int64_t) { std::abort(); }
-void Avx2ReluMask(const float*, float*, int64_t) { std::abort(); }
-void Avx2AddRowInPlace(float*, const float*, int64_t) { std::abort(); }
 void Avx2SoftmaxRows(const float*, float*, int64_t, int64_t, int64_t) {
   std::abort();
 }

@@ -3,31 +3,37 @@
 
 #include <cstdint>
 
-/// AVX2+FMA microkernels behind the runtime tier dispatch (core/simd.h).
+/// The hand-written AVX2+FMA kernels behind the runtime tier dispatch
+/// (core/simd.h): only those the compiler cannot derive from a plain loop.
+/// The elementwise ops are plain loops in core/tensor_ops.cc whose AVX2
+/// form GCC emits itself (target_clones). What stays here, and why:
 ///
-/// Every function here computes the SAME row range a scalar kernel chunk
-/// would, so the ThreadPool row-parallel partitioning composes with the
-/// vector inner loops unchanged: callers keep their ParallelFor structure
-/// and swap the chunk body. Determinism within the AVX2 tier holds at any
-/// thread count because each output row's instruction sequence is a pure
-/// function of the row, never of the chunk boundaries (multi-row register
-/// blocks and single-row tails execute identical per-row op orders).
+///   Avx2GemmRows          FMA bits and 4×16 register tiles.
+///   Avx2GemmTransACols    Folding it onto Avx2GemmRows over a packed Aᵀ
+///                         keeps every bit, but read the `condense`
+///                         benchmark's condense_s 10% slower (7 of 8 pairs).
+///   Avx2SpmmRows          Its accumulators stay in registers across the
+///                         row's gather.
+///   Avx2SoftmaxRows       A polynomial exp.
+///   Avx2SymNormalizeRows  A vector gather (not measured against a loop).
 ///
-/// Exactness (see core/simd.h): the SpMM, elementwise, and normalize
-/// kernels are bit-identical to their scalar counterparts (independent
-/// lanes, multiply-then-add, per-element order preserved — the file is
-/// compiled with -ffp-contract=off so no silent fusion). The GEMM kernels
-/// use FMA: each element is one fmadd chain over the ascending reduction
-/// index from +0, whatever tile computes it, so they are tolerance-bounded
-/// against the scalar tier and bit-identical to a std::fmaf chain. Softmax
-/// also reduces 8 lanes and is tolerance-bounded.
+/// Each function computes the row range a scalar kernel chunk would, and
+/// each output row's instruction sequence is a pure function of the row,
+/// so results within the AVX2 tier are the same at any thread count.
+///
+/// Exactness (core/simd.h): SpMM and SymNormalize are bit-identical to
+/// their scalar loops (independent lanes, multiply-then-add, per-element
+/// order preserved; the file is compiled with -ffp-contract=off). Each GEMM
+/// element is one fmadd chain over the ascending reduction index from +0,
+/// whatever tile computes it: tolerance-bounded against the scalar tier,
+/// bit-identical to a std::fmaf chain. Softmax also reduces 8 lanes and is
+/// tolerance-bounded.
 ///
 /// These symbols are only defined when the build compiles AVX2 code
 /// (simd::Avx2Compiled()); callers must gate on simd::UseAvx2(), which
-/// implies both compile-time and runtime support. All loads/stores are
-/// unaligned-tolerant (vmovups). GEMM column tails narrower than a vector
-/// run masked lanes (MatMulTransA's run lanes over output rows instead);
-/// the other kernels' tails fall back to scalar loops.
+/// implies both compile-time and runtime support. GEMM column tails
+/// narrower than a vector run masked lanes (MatMulTransA's run lanes over
+/// output rows instead); the other kernels' tails fall back to scalar.
 
 namespace mcond {
 namespace simd {
@@ -53,18 +59,6 @@ void Avx2GemmTransACols(const float* a, const float* b, float* c, int64_t m,
 void Avx2SpmmRows(const int64_t* row_ptr, const int32_t* col_idx,
                   const float* values, const float* x, float* y, int64_t d,
                   int64_t r0, int64_t r1);
-
-/// Exact elementwise kernels over flat ranges (bit-identical to scalar).
-void Avx2Add(const float* a, const float* b, float* dst, int64_t n);
-void Avx2Sub(const float* a, const float* b, float* dst, int64_t n);
-void Avx2MulEw(const float* a, const float* b, float* dst, int64_t n);
-void Avx2Scale(const float* a, float s, float* dst, int64_t n);
-/// a[i] += s * b[i] (unfused multiply-then-add, like the scalar loop).
-void Avx2Axpy(float* a, float s, const float* b, int64_t n);
-void Avx2Relu(const float* a, float* dst, int64_t n);
-void Avx2ReluMask(const float* a, float* dst, int64_t n);
-/// row[j] += r[j] (the bias-broadcast inner loop).
-void Avx2AddRowInPlace(float* row, const float* r, int64_t n);
 
 /// Softmax of rows [i0, i1) (row-major, stride cols). Vector max is exact;
 /// exp uses a degree-5 polynomial (≈2 ulp vs expf) and the sum reduces

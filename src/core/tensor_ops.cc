@@ -206,35 +206,87 @@ Tensor SoftmaxRows(const Tensor& a) {
 
 namespace {
 
-/// Vectorized chunk bodies for the flat elementwise loops. The AVX2
-/// kernels are exact (independent lanes, identical per-element ops), so
-/// dispatching per chunk preserves the bit-identity contract; nullptr
-/// means the op has no vector form and always runs the scalar lambda.
-using UnaryKernel = void (*)(const float*, float*, int64_t);
-using BinaryKernel = void (*)(const float*, const float*, float*, int64_t);
+// One loop body per elementwise op. Where the build targets x86-64 with
+// AVX2 (MCOND_SIMD_AVX2_COMPILED), GCC compiles each body twice, for the
+// baseline ISA and for AVX2, and binds the op to one of them at load time
+// by CPU (an ifunc resolver). Lanes are independent elements and this file
+// is compiled with -ffp-contract=off, so both clones give the bits of the
+// scalar loop; `x > 0 ? x : 0` vectorizes as compare-and-mask, so NaN and
+// -0 still give +0. -fvect-cost-model=dynamic (src/core/CMakeLists.txt)
+// lets GCC vectorize loops that need an epilogue or a runtime alias check,
+// which at -O2 it otherwise refuses. ThreadSanitizer builds compile only the
+// baseline loop: GCC instruments the resolver, which runs at load time
+// before the TSan runtime is up, so any clone crashes the process at start.
+#if defined(MCOND_SIMD_AVX2_COMPILED) && !defined(__SANITIZE_THREAD__)
+#define MCOND_VECTOR_CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define MCOND_VECTOR_CLONES
+#endif
 
-template <typename F>
-Tensor Elementwise(const Tensor& a, F f, UnaryKernel vk = nullptr) {
+MCOND_VECTOR_CLONES
+void AddLoop(const float* a, const float* b, float* dst, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) dst[i] = a[i] + b[i];
+}
+
+MCOND_VECTOR_CLONES
+void SubLoop(const float* a, const float* b, float* dst, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) dst[i] = a[i] - b[i];
+}
+
+MCOND_VECTOR_CLONES
+void MulLoop(const float* a, const float* b, float* dst, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) dst[i] = a[i] * b[i];
+}
+
+MCOND_VECTOR_CLONES
+void ScaleLoop(const float* a, float s, float* dst, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) dst[i] = s * a[i];
+}
+
+/// a[i] += s * b[i], multiply then add (never fused).
+MCOND_VECTOR_CLONES
+void AxpyLoop(float* a, float s, const float* b, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) a[i] += s * b[i];
+}
+
+MCOND_VECTOR_CLONES
+void ReluLoop(const float* a, float* dst, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) dst[i] = a[i] > 0.0f ? a[i] : 0.0f;
+}
+
+MCOND_VECTOR_CLONES
+void ReluMaskLoop(const float* a, float* dst, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) dst[i] = a[i] > 0.0f ? 1.0f : 0.0f;
+}
+
+/// dst row i = a row i + r, for `rows` rows of width `cols`.
+MCOND_VECTOR_CLONES
+void AddRowLoop(const float* a, const float* r, float* dst, int64_t rows,
+                int64_t cols) {
+  for (int64_t i = 0; i < rows; ++i) {
+    for (int64_t j = 0; j < cols; ++j) {
+      dst[i * cols + j] = a[i * cols + j] + r[j];
+    }
+  }
+}
+
+#undef MCOND_VECTOR_CLONES
+
+using UnaryLoop = void (*)(const float*, float*, int64_t);
+using BinaryLoop = void (*)(const float*, const float*, float*, int64_t);
+
+Tensor Elementwise(const Tensor& a, UnaryLoop loop) {
   Tensor out = Tensor::Uninitialized(a.rows(), a.cols());
   const float* src = a.data();
   float* dst = out.data();
-  const bool use_simd = vk != nullptr && simd::UseAvx2();
   ParallelFor(
       0, a.size(), kElemGrain,
-      [&](int64_t b, int64_t e) {
-        if (use_simd) {
-          vk(src + b, dst + b, e - b);
-          return;
-        }
-        for (int64_t i = b; i < e; ++i) dst[i] = f(src[i]);
-      },
+      [&](int64_t b, int64_t e) { loop(src + b, dst + b, e - b); },
       "core.elementwise");
   return out;
 }
 
-template <typename F>
-Tensor Binary(const Tensor& a, const Tensor& b, F f,
-              BinaryKernel vk = nullptr) {
+Tensor Binary(const Tensor& a, const Tensor& b, BinaryLoop loop) {
   MCOND_CHECK(a.SameShape(b)) << "shape mismatch " << a.rows() << "x"
                               << a.cols() << " vs " << b.rows() << "x"
                               << b.cols();
@@ -242,15 +294,10 @@ Tensor Binary(const Tensor& a, const Tensor& b, F f,
   const float* pa = a.data();
   const float* pb = b.data();
   float* dst = out.data();
-  const bool use_simd = vk != nullptr && simd::UseAvx2();
   ParallelFor(
       0, a.size(), kElemGrain,
       [&](int64_t begin, int64_t end) {
-        if (use_simd) {
-          vk(pa + begin, pb + begin, dst + begin, end - begin);
-          return;
-        }
-        for (int64_t i = begin; i < end; ++i) dst[i] = f(pa[i], pb[i]);
+        loop(pa + begin, pb + begin, dst + begin, end - begin);
       },
       "core.elementwise");
   return out;
@@ -258,49 +305,31 @@ Tensor Binary(const Tensor& a, const Tensor& b, F f,
 
 }  // namespace
 
-Tensor Add(const Tensor& a, const Tensor& b) {
-  return Binary(a, b, [](float x, float y) { return x + y; }, simd::Avx2Add);
-}
+Tensor Add(const Tensor& a, const Tensor& b) { return Binary(a, b, AddLoop); }
 
-Tensor Sub(const Tensor& a, const Tensor& b) {
-  return Binary(a, b, [](float x, float y) { return x - y; }, simd::Avx2Sub);
-}
+Tensor Sub(const Tensor& a, const Tensor& b) { return Binary(a, b, SubLoop); }
 
-Tensor Mul(const Tensor& a, const Tensor& b) {
-  return Binary(a, b, [](float x, float y) { return x * y; }, simd::Avx2MulEw);
-}
+Tensor Mul(const Tensor& a, const Tensor& b) { return Binary(a, b, MulLoop); }
 
 Tensor Scale(const Tensor& a, float s) {
-  const bool use_avx2 = simd::UseAvx2();
   Tensor out = Tensor::Uninitialized(a.rows(), a.cols());
   const float* src = a.data();
   float* dst = out.data();
   ParallelFor(
       0, a.size(), kElemGrain,
-      [&](int64_t b, int64_t e) {
-        if (use_avx2) {
-          simd::Avx2Scale(src + b, s, dst + b, e - b);
-          return;
-        }
-        for (int64_t i = b; i < e; ++i) dst[i] = s * src[i];
-      },
+      [&](int64_t b, int64_t e) { ScaleLoop(src + b, s, dst + b, e - b); },
       "core.elementwise");
   return out;
 }
 
 void AxpyInPlace(Tensor& a, float s, const Tensor& b) {
   MCOND_CHECK(a.SameShape(b)) << "AxpyInPlace shape mismatch";
-  const bool use_avx2 = simd::UseAvx2();
   float* pa = a.data();
   const float* pb = b.data();
   ParallelFor(
       0, a.size(), kElemGrain,
       [&](int64_t begin, int64_t end) {
-        if (use_avx2) {
-          simd::Avx2Axpy(pa + begin, s, pb + begin, end - begin);
-          return;
-        }
-        for (int64_t i = begin; i < end; ++i) pa[i] += s * pb[i];
+        AxpyLoop(pa + begin, s, pb + begin, end - begin);
       },
       "core.axpy");
 }
@@ -308,20 +337,12 @@ void AxpyInPlace(Tensor& a, float s, const Tensor& b) {
 Tensor AddRowBroadcast(const Tensor& a, const Tensor& row) {
   MCOND_CHECK_EQ(row.rows(), 1);
   MCOND_CHECK_EQ(row.cols(), a.cols());
-  const bool use_avx2 = simd::UseAvx2();
-  Tensor out = a;
-  const float* r = row.data();
+  Tensor out = Tensor::Uninitialized(a.rows(), a.cols());
   ParallelFor(
       0, a.rows(), GrainFromCost(a.cols()),
       [&](int64_t i0, int64_t i1) {
-        for (int64_t i = i0; i < i1; ++i) {
-          float* orow = out.RowData(i);
-          if (use_avx2) {
-            simd::Avx2AddRowInPlace(orow, r, a.cols());
-            continue;
-          }
-          for (int64_t j = 0; j < a.cols(); ++j) orow[j] += r[j];
-        }
+        AddRowLoop(a.RowData(i0), row.data(), out.RowData(i0), i1 - i0,
+                   a.cols());
       },
       "core.add_row_broadcast");
   return out;
@@ -342,15 +363,10 @@ Tensor Transpose(const Tensor& a) {
   return out;
 }
 
-Tensor Relu(const Tensor& a) {
-  return Elementwise(a, [](float x) { return x > 0.0f ? x : 0.0f; },
-                     simd::Avx2Relu);
-}
+Tensor Relu(const Tensor& a) { return Elementwise(a, ReluLoop); }
 
 Tensor ReluMask(const Tensor& pre_activation) {
-  return Elementwise(pre_activation,
-                     [](float x) { return x > 0.0f ? 1.0f : 0.0f; },
-                     simd::Avx2ReluMask);
+  return Elementwise(pre_activation, ReluMaskLoop);
 }
 
 namespace {
@@ -362,11 +378,13 @@ inline float SigmoidScalar(float x) {
   return e / (1.0f + e);
 }
 
+void SigmoidLoop(const float* a, float* dst, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) dst[i] = SigmoidScalar(a[i]);
+}
+
 }  // namespace
 
-Tensor Sigmoid(const Tensor& a) {
-  return Elementwise(a, [](float x) { return SigmoidScalar(x); });
-}
+Tensor Sigmoid(const Tensor& a) { return Elementwise(a, SigmoidLoop); }
 
 Tensor SigmoidRowNormalize(const Tensor& a, float eps, Tensor* sigmoid,
                            Tensor* inv_row_sums) {
@@ -381,8 +399,8 @@ Tensor SigmoidRowNormalize(const Tensor& a, float eps, Tensor* sigmoid,
   const float shift = -eps;
   // Row-parallel, one pass per row. Each step is the expression of the
   // chain Sigmoid → RowSum → DivRowBroadcast → AddScalar(−eps) → Relu,
-  // so the bits match it at every pool width and on both SIMD tiers (those
-  // ops' AVX2 forms are exact).
+  // so the bits match it at every pool width and on every CPU (those ops
+  // are exact on every SIMD tier).
   ParallelFor(
       0, a.rows(), GrainFromCost(4 * cols),
       [&](int64_t i0, int64_t i1) {

@@ -125,15 +125,10 @@ CsrMatrix RowNormalize(const CsrMatrix& a) {
       0, a.rows(),
       GrainFromCost(a.Nnz() / std::max<int64_t>(a.rows(), 1) + 1),
       [&](int64_t r0, int64_t r1) {
-        const bool use_avx2 = simd::UseAvx2();
         for (int64_t r = r0; r < r1; ++r) {
           const float inv = InvDegree(deg[static_cast<size_t>(r)]);
           const int64_t b = rp[static_cast<size_t>(r)];
           const int64_t e = rp[static_cast<size_t>(r) + 1];
-          if (use_avx2) {
-            simd::Avx2Scale(v.data() + b, inv, vals.data() + b, e - b);
-            continue;
-          }
           for (int64_t k = b; k < e; ++k) {
             vals[static_cast<size_t>(k)] = v[static_cast<size_t>(k)] * inv;
           }

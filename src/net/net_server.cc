@@ -464,12 +464,11 @@ void NetServer::CloseConnection(uint64_t conn_id) {
 }
 
 void NetServer::DrainCompletions() {
-  std::vector<RequestContext*> done;
   {
     std::lock_guard<std::mutex> lock(completion_mu_);
-    done.swap(completed_);
+    draining_.swap(completed_);
   }
-  for (RequestContext* ctx : done) {
+  for (RequestContext* ctx : draining_) {
     --inflight_;
     auto it = conns_.find(ctx->conn_id);
     if (it != conns_.end()) {
@@ -482,6 +481,7 @@ void NetServer::DrainCompletions() {
     // recycles.
     ReleaseContext(ctx);
   }
+  draining_.clear();
 }
 
 NetServer::RequestContext* NetServer::AcquireContext() {

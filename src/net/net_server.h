@@ -47,9 +47,9 @@ struct NetServerOptions {
 /// Contexts are recycled through a free list and the callback captures one
 /// pointer, so steady-state serving of a stable batch shape makes zero
 /// tensor-heap allocations and no heap allocation in Submit per request.
-/// The known remainders are the autograd tape nodes inside Predict and the
-/// completion list, which DrainCompletions swaps out empty, so it regrows
-/// once per drain.
+/// The known remainder is the autograd tape nodes inside Predict: the
+/// completion list swaps with an IO-thread buffer, so both keep their
+/// capacity.
 ///
 /// Overload never hangs a socket: a full tenant queue or an exhausted
 /// quota is answered synchronously with a protocol-level REJECTED frame
@@ -146,6 +146,11 @@ class NetServer {
   obs::Counter& bytes_rx_;
   obs::Counter& bytes_tx_;
   obs::Gauge& connections_active_;
+
+  // IO-thread buffer that DrainCompletions swaps with completed_, so both
+  // keep their capacity. On a cache line of its own: the workers write
+  // completion_mu_ and completed_ on every reply.
+  alignas(64) std::vector<RequestContext*> draining_;
 };
 
 }  // namespace net

@@ -210,31 +210,6 @@ TEST(MCondAblationTest, SwitchesDisableComponents) {
   EXPECT_TRUE(plain.dense_mapping.AllFinite());
 }
 
-TEST(MCondAblationTest, OneStepMatchingRuns) {
-  InductiveDataset data = MakeDatasetByName("tiny-sim", 37);
-  MCondConfig config = FastConfig();
-  config.one_step_matching = true;
-  MCondResult r = RunMCond(data.train_graph, data.val, 12, config, 37);
-  EXPECT_TRUE(r.synthetic_features.AllFinite());
-  EXPECT_GT(r.condensed.mapping.Nnz(), 0);
-  // One-step matching must still produce a usable S: train + serve above
-  // chance.
-  Rng rng(38);
-  GnnConfig gc;
-  auto model = MakeGnn(GnnArch::kSgc, data.train_graph.FeatureDim(),
-                       data.train_graph.num_classes(), gc, rng);
-  GraphOperators syn_ops = GraphOperators::FromGraph(r.condensed.graph);
-  std::vector<int64_t> all(r.condensed.graph.NumNodes());
-  std::iota(all.begin(), all.end(), 0);
-  TrainConfig tc;
-  tc.epochs = 200;
-  TrainNodeClassifier(*model, syn_ops, r.condensed.graph.features(),
-                      r.condensed.graph.labels(), all, tc, rng);
-  InferenceResult res = ServeOnCondensed(*model, r.condensed, data.test,
-                                         true, rng, 1);
-  EXPECT_GT(res.accuracy, 0.5);
-}
-
 TEST(GCondTest, ProducesGraphWithoutMapping) {
   InductiveDataset data = MakeDatasetByName("tiny-sim", 23);
   MCondConfig config = FastConfig();

@@ -3,8 +3,9 @@
 //  - resolution policy: auto picks the best supported tier; an avx2 request
 //    on a host (or build) without AVX2 downgrades gracefully to scalar —
 //    never aborts;
-//  - exact kernels (elementwise, SpMM, normalize): bit-identical across
-//    tiers;
+//  - exact kernels (SpMM, normalize): bit-identical across tiers (the
+//    elementwise ops have one loop body for every CPU, tested against
+//    plain loops in tensor_ops_test);
 //  - tolerance kernels (GEMM, softmax): vector-tier divergence bounded by
 //    O(k·eps) relative error, across odd shapes (K not a multiple of the
 //    vector width, single-row, empty);
@@ -207,57 +208,6 @@ TEST_F(SimdTest, EnvVarForcesTierAtProcessStartup) {
 // ---------------------------------------------------------------------------
 // Exact kernels: bit-identical across tiers.
 
-TEST_F(SimdTest, ElementwiseBitIdenticalAcrossTiers) {
-  if (!Avx2TierAvailable()) GTEST_SKIP() << "AVX2 tier unavailable";
-  Rng rng(101);
-  // Odd sizes: sub-vector, vector+tail, large.
-  for (int64_t cols : {1, 7, 8, 9, 67, 256}) {
-    const Tensor a = rng.NormalTensor(5, cols);
-    const Tensor b = rng.NormalTensor(5, cols);
-    const Tensor bias = rng.NormalTensor(1, cols);
-
-    simd::SetTier(simd::Tier::kScalar);
-    const Tensor add_s = Add(a, b);
-    const Tensor sub_s = Sub(a, b);
-    const Tensor mul_s = Mul(a, b);
-    const Tensor scale_s = Scale(a, 1.7f);
-    const Tensor relu_s = Relu(a);
-    const Tensor mask_s = ReluMask(a);
-    const Tensor bias_s = AddRowBroadcast(a, bias);
-    Tensor axpy_s = a;
-    AxpyInPlace(axpy_s, 0.3f, b);
-
-    simd::SetTier(simd::Tier::kAvx2);
-    EXPECT_TRUE(BitEqual(Add(a, b), add_s)) << "cols " << cols;
-    EXPECT_TRUE(BitEqual(Sub(a, b), sub_s)) << "cols " << cols;
-    EXPECT_TRUE(BitEqual(Mul(a, b), mul_s)) << "cols " << cols;
-    EXPECT_TRUE(BitEqual(Scale(a, 1.7f), scale_s)) << "cols " << cols;
-    EXPECT_TRUE(BitEqual(Relu(a), relu_s)) << "cols " << cols;
-    EXPECT_TRUE(BitEqual(ReluMask(a), mask_s)) << "cols " << cols;
-    EXPECT_TRUE(BitEqual(AddRowBroadcast(a, bias), bias_s)) << "cols " << cols;
-    Tensor axpy_v = a;
-    AxpyInPlace(axpy_v, 0.3f, b);
-    EXPECT_TRUE(BitEqual(axpy_v, axpy_s)) << "cols " << cols;
-  }
-}
-
-TEST_F(SimdTest, ReluHandlesSignedZeroAndNanLikeScalar) {
-  if (!Avx2TierAvailable()) GTEST_SKIP() << "AVX2 tier unavailable";
-  Tensor a(1, 9);
-  const float vals[] = {-0.0f, 0.0f, -1.0f, 2.0f,
-                        std::numeric_limits<float>::quiet_NaN(),
-                        std::numeric_limits<float>::infinity(),
-                        -std::numeric_limits<float>::infinity(),
-                        std::numeric_limits<float>::denorm_min(), -3.5f};
-  std::memcpy(a.data(), vals, sizeof(vals));
-  simd::SetTier(simd::Tier::kScalar);
-  const Tensor relu_s = Relu(a);
-  const Tensor mask_s = ReluMask(a);
-  simd::SetTier(simd::Tier::kAvx2);
-  EXPECT_TRUE(BitEqual(Relu(a), relu_s));
-  EXPECT_TRUE(BitEqual(ReluMask(a), mask_s));
-}
-
 TEST_F(SimdTest, SpmmBitIdenticalAcrossTiers) {
   if (!Avx2TierAvailable()) GTEST_SKIP() << "AVX2 tier unavailable";
   Rng rng(202);
@@ -283,23 +233,14 @@ TEST_F(SimdTest, NormalizeBitIdenticalAcrossTiers) {
   const CsrMatrix a = RandomSparse(50, 50, 5, rng);
   simd::SetTier(simd::Tier::kScalar);
   const CsrMatrix sym_s = SymNormalize(a);
-  const CsrMatrix row_s = RowNormalize(a);
   simd::SetTier(simd::Tier::kAvx2);
   const CsrMatrix sym_v = SymNormalize(a);
-  const CsrMatrix row_v = RowNormalize(a);
   ASSERT_EQ(sym_s.Nnz(), sym_v.Nnz());
-  ASSERT_EQ(row_s.Nnz(), row_v.Nnz());
   for (size_t k = 0; k < sym_s.values().size(); ++k) {
     EXPECT_EQ(std::memcmp(&sym_s.values()[k], &sym_v.values()[k],
                           sizeof(float)),
               0)
         << "sym nnz " << k;
-  }
-  for (size_t k = 0; k < row_s.values().size(); ++k) {
-    EXPECT_EQ(std::memcmp(&row_s.values()[k], &row_v.values()[k],
-                          sizeof(float)),
-              0)
-        << "row nnz " << k;
   }
 }
 

@@ -2,6 +2,9 @@
 
 #include <array>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -123,6 +126,94 @@ TEST(TensorOpsTest, AddRowBroadcast) {
   Tensor out = AddRowBroadcast(a, row);
   EXPECT_EQ(out.At(0, 0), 11.0f);
   EXPECT_EQ(out.At(1, 1), 24.0f);
+}
+
+/// True iff `got` holds exactly the bits of `want`.
+::testing::AssertionResult SameBits(const Tensor& got,
+                                    const std::vector<float>& want) {
+  if (got.size() != static_cast<int64_t>(want.size())) {
+    return ::testing::AssertionFailure() << "size " << got.size();
+  }
+  for (size_t i = 0; i < want.size(); ++i) {
+    if (std::memcmp(&got.data()[i], &want[i], sizeof(float)) != 0) {
+      return ::testing::AssertionFailure()
+             << "index " << i << ": " << got.data()[i] << " vs " << want[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Every elementwise op against a plain loop written here, bit for bit. The
+// lengths run no vector body, a tail alone, and vector bodies with and
+// without a tail; the inputs hold NaN, ±0, ±inf and denormals; and the
+// aliased calls take whichever path the loop's runtime alias check picks.
+// Two NaNs never meet in one lane: which payload survives would depend on
+// the order the compiler gives a commutative op's operands.
+TEST(TensorOpsTest, ElementwiseOpsMatchPlainLoopsBitForBit) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kDenorm = std::numeric_limits<float>::denorm_min();
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            0.0f, -0.0f, kInf, -kInf, kDenorm, -kDenorm};
+  const float s = 1.7f;
+  Rng rng(41);
+  for (int64_t n : {0, 1, 7, 8, 9, 31, 33, 257}) {
+    Tensor a = rng.NormalTensor(1, n);
+    Tensor b = rng.NormalTensor(1, n);
+    float* pa = a.data();
+    float* pb = b.data();
+    for (int64_t i = 0; i < n; ++i) {
+      if (i % 3 == 0) pa[i] = specials[(i / 3) % 7];
+      if (i % 3 == 1) pb[i] = specials[(i / 3 + 3) % 7];
+      if (i % 6 == 2) {  // inf + -inf: NaN.
+        pa[i] = kInf;
+        pb[i] = -kInf;
+      }
+      if (i % 6 == 5) {  // 0 · inf: NaN.
+        pa[i] = 0.0f;
+        pb[i] = kInf;
+      }
+    }
+    const size_t len = static_cast<size_t>(n);
+    std::vector<float> add(len), sub(len), mul(len), scale(len), axpy(len);
+    std::vector<float> relu(len), mask(len), add_aa(len), axpy_aa(len);
+    for (size_t i = 0; i < len; ++i) {
+      add[i] = pa[i] + pb[i];
+      sub[i] = pa[i] - pb[i];
+      mul[i] = pa[i] * pb[i];
+      scale[i] = s * pa[i];
+      // A volatile product keeps -march builds from fusing the reference.
+      volatile float prod = s * pb[i];
+      axpy[i] = pa[i] + prod;
+      relu[i] = pa[i] > 0.0f ? pa[i] : 0.0f;
+      mask[i] = pa[i] > 0.0f ? 1.0f : 0.0f;
+      add_aa[i] = pa[i] + pa[i];
+      volatile float self_prod = s * pa[i];
+      axpy_aa[i] = pa[i] + self_prod;
+    }
+    EXPECT_TRUE(SameBits(Add(a, b), add)) << "Add n=" << n;
+    EXPECT_TRUE(SameBits(Sub(a, b), sub)) << "Sub n=" << n;
+    EXPECT_TRUE(SameBits(Mul(a, b), mul)) << "Mul n=" << n;
+    EXPECT_TRUE(SameBits(Scale(a, s), scale)) << "Scale n=" << n;
+    EXPECT_TRUE(SameBits(Relu(a), relu)) << "Relu n=" << n;
+    EXPECT_TRUE(SameBits(ReluMask(a), mask)) << "ReluMask n=" << n;
+    EXPECT_TRUE(SameBits(Add(a, a), add_aa)) << "Add(a, a) n=" << n;
+    Tensor y = a;
+    AxpyInPlace(y, s, b);
+    EXPECT_TRUE(SameBits(y, axpy)) << "AxpyInPlace n=" << n;
+    Tensor self = a;
+    AxpyInPlace(self, s, self);
+    EXPECT_TRUE(SameBits(self, axpy_aa)) << "AxpyInPlace(a, s, a) n=" << n;
+    // Three rows [a; b; a] plus the row b: row by row, a + b, b + b, a + b.
+    const Tensor rows = ConcatRows(ConcatRows(a, b), a);
+    std::vector<float> bias(3 * len);
+    for (size_t i = 0; i < len; ++i) {
+      bias[i] = add[i];
+      bias[len + i] = pb[i] + pb[i];
+      bias[2 * len + i] = add[i];
+    }
+    EXPECT_TRUE(SameBits(AddRowBroadcast(rows, b), bias))
+        << "AddRowBroadcast n=" << n;
+  }
 }
 
 TEST(TensorOpsTest, TransposeRoundTrip) {
