@@ -411,13 +411,14 @@ void BM_PairSum(benchmark::State& state) {
 BENCHMARK(BM_PairSum)->Arg(96)->Arg(240)->ArgNames({"n"})
     ->Unit(benchmark::kMicrosecond);
 
-void BM_SpMMSimd(benchmark::State& state) {
-  const simd::Tier saved = simd::ActiveTier();
-  if (!EnterTier(state)) return;
+// SpMM has no SIMD tier: one row kernel, compiled for AVX2 where the CPU
+// has it. The BM_SpMMThreads graph at X widths d = 20 and 96 (reddit-sim's
+// class count and feature width) and 128 (the BM_SpMMThreads width).
+void BM_SpMMRows(benchmark::State& state) {
   SbmConfig config;
   config.num_nodes = 16384;
   config.num_classes = 8;
-  config.feature_dim = 128;
+  config.feature_dim = state.range(0);
   config.avg_degree = 50.0;
   Rng rng(23);
   Graph g = GenerateSbmGraph(config, rng);
@@ -428,9 +429,8 @@ void BM_SpMMSimd(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 *
                           g.normalized_adjacency().Nnz() *
                           config.feature_dim);
-  simd::SetTier(saved);
 }
-BENCHMARK(BM_SpMMSimd)->Arg(0)->Arg(1)->ArgNames({"avx2"})
+BENCHMARK(BM_SpMMRows)->Arg(20)->Arg(96)->Arg(128)->ArgNames({"d"})
     ->Unit(benchmark::kMillisecond);
 
 void BM_SoftmaxSimd(benchmark::State& state) {

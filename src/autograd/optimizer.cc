@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "core/parallel.h"
+#include "core/simd.h"
 
 namespace mcond {
 
@@ -15,9 +16,28 @@ namespace {
 /// Elements per ParallelFor chunk of an optimizer update.
 constexpr int64_t kUpdateGrain = int64_t{1} << 14;
 
-/// g + wd·x, the expression AxpyInPlace(g, wd, x) evaluates; g when wd = 0.
-inline float DecayedGrad(float g, float x, float wd) {
-  return wd > 0.0f ? g + wd * x : g;
+/// The scalars of one Adam step.
+struct AdamScalars {
+  float lr, wd, beta1, beta2, eps, bc1, bc2;
+};
+
+/// One Adam update of n elements (MCOND_VECTOR_CLONES: lanes are
+/// independent, and vsqrtps/vdivps round like sqrtss/divss). kDecay folds
+/// weight decay in as g + wd·x, the expression AxpyInPlace(g, wd, x)
+/// evaluates; without it g stays as stored (g + 0·x would turn −0 into +0).
+/// A template, as GCC does not vectorize a loop with a branch in it.
+template <bool kDecay>
+MCOND_VECTOR_CLONES void AdamLoop(const AdamScalars& s, const float* pg,
+                                  float* pm, float* pv, float* px,
+                                  int64_t n) {
+  for (int64_t k = 0; k < n; ++k) {
+    const float g = kDecay ? pg[k] + s.wd * px[k] : pg[k];
+    pm[k] = s.beta1 * pm[k] + (1.0f - s.beta1) * g;
+    pv[k] = s.beta2 * pv[k] + (1.0f - s.beta2) * g * g;
+    const float mhat = pm[k] / s.bc1;
+    const float vhat = pv[k] / s.bc2;
+    px[k] -= s.lr * mhat / (std::sqrt(vhat) + s.eps);
+  }
 }
 
 }  // namespace
@@ -41,9 +61,14 @@ AdamOptimizer::AdamOptimizer(std::vector<Variable> params, float lr,
 
 void AdamOptimizer::Step() {
   ++t_;
-  const float bc1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
-  const float bc2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
-  const float wd = weight_decay_;
+  const AdamScalars s{lr_,
+                      weight_decay_,
+                      beta1_,
+                      beta2_,
+                      eps_,
+                      1.0f - std::pow(beta1_, static_cast<float>(t_)),
+                      1.0f - std::pow(beta2_, static_cast<float>(t_))};
+  const auto loop = s.wd > 0.0f ? AdamLoop<true> : AdamLoop<false>;
   for (size_t i = 0; i < params_.size(); ++i) {
     const Variable& p = params_[i];
     if (p->grad().empty()) continue;
@@ -54,14 +79,7 @@ void AdamOptimizer::Step() {
     ParallelFor(
         0, p->value().size(), kUpdateGrain,
         [&](int64_t k0, int64_t k1) {
-          for (int64_t k = k0; k < k1; ++k) {
-            const float g = DecayedGrad(pg[k], px[k], wd);
-            pm[k] = beta1_ * pm[k] + (1.0f - beta1_) * g;
-            pv[k] = beta2_ * pv[k] + (1.0f - beta2_) * g * g;
-            const float mhat = pm[k] / bc1;
-            const float vhat = pv[k] / bc2;
-            px[k] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
-          }
+          loop(s, pg + k0, pm + k0, pv + k0, px + k0, k1 - k0);
         },
         "optim.adam");
     p->ZeroGrad();

@@ -7,37 +7,83 @@
 #include "core/kernel_stats.h"
 #include "core/parallel.h"
 #include "core/simd.h"
-#include "core/simd_kernels.h"
 
 namespace mcond {
 
 using internal::KernelScope;
 
+namespace {
+
+/// Eight floats: one ymm register in the AVX2 clone, two xmm registers in
+/// the baseline one. Loaded and stored with __builtin_memcpy, which needs
+/// neither alignment nor an aliasing exemption.
+typedef float F8 __attribute__((vector_size(32)));
+
+/// Y rows [r0, r1) of Y = a · X, X dense with d columns. Each output
+/// element accumulates v_k · x[col_k][j] in ascending k from +0, multiply
+/// then add (this file is compiled with -ffp-contract=off): the sequence of
+/// the scalar loop, whatever tile computes it, since lanes are independent
+/// columns. The 32- and 8-column tiles keep their accumulators in registers
+/// across the row's gather; the last d mod 8 columns run the scalar loop.
+MCOND_VECTOR_CLONES
+void SpmmRows(const CsrView& a, const float* x, float* y, int64_t d,
+              int64_t r0, int64_t r1) {
+  for (int64_t r = r0; r < r1; ++r) {
+    const int64_t kb = a.row_ptr[r];
+    const int64_t ke = a.row_ptr[r + 1];
+    float* yrow = y + r * d;
+    int64_t j = 0;
+    for (; j + 32 <= d; j += 32) {
+      F8 y0 = {}, y1 = {}, y2 = {}, y3 = {};
+      for (int64_t k = kb; k < ke; ++k) {
+        const float v = a.values[k];
+        const float* xrow = x + static_cast<int64_t>(a.col_idx[k]) * d + j;
+        F8 x0, x1, x2, x3;
+        __builtin_memcpy(&x0, xrow, sizeof(F8));
+        __builtin_memcpy(&x1, xrow + 8, sizeof(F8));
+        __builtin_memcpy(&x2, xrow + 16, sizeof(F8));
+        __builtin_memcpy(&x3, xrow + 24, sizeof(F8));
+        y0 += v * x0;
+        y1 += v * x1;
+        y2 += v * x2;
+        y3 += v * x3;
+      }
+      __builtin_memcpy(yrow + j, &y0, sizeof(F8));
+      __builtin_memcpy(yrow + j + 8, &y1, sizeof(F8));
+      __builtin_memcpy(yrow + j + 16, &y2, sizeof(F8));
+      __builtin_memcpy(yrow + j + 24, &y3, sizeof(F8));
+    }
+    for (; j + 8 <= d; j += 8) {
+      F8 acc = {};
+      for (int64_t k = kb; k < ke; ++k) {
+        F8 xv;
+        __builtin_memcpy(
+            &xv, x + static_cast<int64_t>(a.col_idx[k]) * d + j, sizeof(F8));
+        acc += a.values[k] * xv;
+      }
+      __builtin_memcpy(yrow + j, &acc, sizeof(F8));
+    }
+    for (; j < d; ++j) {
+      float acc = 0.0f;
+      for (int64_t k = kb; k < ke; ++k) {
+        acc += a.values[k] * x[static_cast<int64_t>(a.col_idx[k]) * d + j];
+      }
+      yrow[j] = acc;
+    }
+  }
+}
+
+}  // namespace
+
 void SpMM(const CsrView& a, const Tensor& x, float* y,
           const char* trace_name) {
   const int64_t d = x.cols();
-  const bool use_avx2 = simd::UseAvx2();
   // ~64K float-ops per chunk even on very sparse rows.
   const int64_t grain = GrainFromCost(
       2 * d * (a.nnz / std::max<int64_t>(a.NumRows(), 1) + 1));
   ParallelFor(
       0, a.NumRows(), grain,
-      [&](int64_t r0, int64_t r1) {
-        if (use_avx2) {
-          simd::Avx2SpmmRows(a.row_ptr, a.col_idx, a.values, x.data(), y, d,
-                             r0, r1);
-          return;
-        }
-        for (int64_t r = r0; r < r1; ++r) {
-          float* yrow = y + r * d;
-          for (int64_t j = 0; j < d; ++j) yrow[j] = 0.0f;
-          for (int64_t k = a.row_ptr[r]; k < a.row_ptr[r + 1]; ++k) {
-            const float v = a.values[k];
-            const float* xrow = x.RowData(a.col_idx[k]);
-            for (int64_t j = 0; j < d; ++j) yrow[j] += v * xrow[j];
-          }
-        }
-      },
+      [&](int64_t r0, int64_t r1) { SpmmRows(a, x.data(), y, d, r0, r1); },
       trace_name);
 }
 

@@ -42,11 +42,12 @@ struct CsrView {
 /// y = a · x over the rows of `a`: matrix row r goes to y + (r -
 /// a.row_begin) · x.cols(), as Σ_k values[k] · x[col_idx[k]] in ascending k,
 /// multiply-then-add. Every element of those rows is written, so `y` may
-/// start uninitialized. Row-parallel, dispatching to the AVX2 gather kernel
-/// (bit-identical to the scalar loop), so the bits depend on neither the
-/// thread count, the SIMD tier nor how a matrix is split into views. The
-/// one SpMM row loop: CsrMatrix::SpMM, SpMMTransposed and the streamed
-/// segment passes (graph/sharded_ops.h) all run it.
+/// start uninitialized. Row-parallel over one row kernel that GCC compiles
+/// for the baseline ISA and for AVX2 (both give the same bits), so the bits
+/// depend on neither the thread count, the CPU nor how a matrix is split
+/// into views; MCOND_SIMD does not select it. The one SpMM row loop:
+/// CsrMatrix::SpMM, SpMMTransposed and the streamed segment passes
+/// (graph/sharded_ops.h) all run it.
 void SpMM(const CsrView& a, const Tensor& x, float* y,
           const char* trace_name = nullptr);
 
@@ -131,9 +132,8 @@ class CsrMatrix {
 
   /// Y = this · X where X is dense. The core message-passing kernel.
   /// Row-parallel on the global thread pool; bit-identical to
-  /// SpMMSerial at every thread count ON EVERY SIMD tier — the AVX2
-  /// gather kernel preserves the ascending-k multiply-then-add order
-  /// exactly (core/simd.h).
+  /// SpMMSerial at every thread count and on every CPU — the one row
+  /// kernel keeps the ascending-k multiply-then-add order exactly.
   Tensor SpMM(const Tensor& x) const;
 
   /// Y = thisᵀ · X: the SpMM row kernel over a lazily built (and cached)

@@ -5,23 +5,24 @@
 
 /// Runtime-dispatched SIMD kernel tiers (docs/performance.md, "SIMD tier").
 ///
-/// The hot dense/sparse kernels the compiler cannot derive from a plain
-/// loop exist in two implementations:
+/// Only the kernels whose bits differ between an 8-lane FMA body and a
+/// scalar loop exist in two implementations:
 ///
 ///   kScalar — the portable loops that shipped with the parallel substrate.
-///             Bit-identical to the serial::* / *Serial reference oracles at
-///             every thread count; this is the exact-oracle tier that
+///             Bit-identical to the serial::* reference oracles at every
+///             thread count; this is the exact-oracle tier that
 ///             check_determinism.sh and the bit-identity tests pin.
 ///   kAvx2   — AVX2+FMA microkernels (8-wide, register-tiled) compiled into
 ///             simd_kernels.cc when the toolchain targets x86-64. Selected
 ///             only when the CPU reports AVX2 *and* FMA at runtime.
 ///
-/// Those are the GEMM tiles, MatMulTransA's column kernel, SpMM, SoftmaxRows
-/// and the SymNormalize rescale; core/simd_kernels.h gives the reason each
-/// stays hand-written. The elementwise ops (Add/Sub/Mul/Scale/AxpyInPlace/
-/// Relu/ReluMask/AddRowBroadcast) are not tiered: each is one loop in
-/// core/tensor_ops.cc that GCC compiles for the baseline ISA and for AVX2,
-/// picked by CPU at load time, and both give the same bits.
+/// Those are the GEMM family (MatMul, MatMulTransA, MatMulTransB) and
+/// SoftmaxRows; core/simd_kernels.h gives the reason each stays
+/// hand-written. Every other kernel has one body and no tier: SpMM (with
+/// SpMMTransposed and the streamed passes), the SymNormalize rescale, the
+/// Adam update and the elementwise ops. GCC compiles the vector ones for the
+/// baseline ISA and for AVX2 (MCOND_VECTOR_CLONES below), and both clones
+/// give the same bits.
 ///
 /// Selection happens once, on the first ActiveTier() call, from the
 /// MCOND_SIMD environment variable ("auto" | "avx2" | "scalar", default
@@ -32,23 +33,31 @@
 /// programmatically (SetTier / SetTierFromSpec — tests, bench sweeps,
 /// `mcond_cli --simd`).
 ///
-/// Exactness contract per kernel family (tested in tests/simd_test.cc):
-///
-///   SpMM / SpMMTransposed, SymNormalize value rescaling:
-///       bit-identical across tiers. The vector code keeps each output
-///       element's operation sequence identical to the scalar loop (lanes
-///       are independent elements; multiply-then-add, never fused; per-
-///       element accumulation order preserved), so no bits change.
-///
-///   MatMul / MatMulTransA / MatMulTransB, SoftmaxRows:
-///       tolerance-bounded. FMA fuses the multiply-add rounding step (each
-///       GEMM element is one ascending fmadd chain from +0, the bits of a
-///       std::fmaf chain), and SoftmaxRows' 8-lane reduction also reorders
-///       its sum, so results differ from the scalar tier by O(k · eps)
-///       relative error (k = reduction length; observed < 32 ulp for
-///       k ≤ 1024 — see docs/performance.md for the bound and the property
-///       tests that enforce it). Within ONE tier results remain
-///       bit-identical at every thread count.
+/// Exactness contract of the tiered kernels (tested in tests/simd_test.cc):
+/// MatMul / MatMulTransA / MatMulTransB and SoftmaxRows are
+/// tolerance-bounded. FMA fuses the multiply-add rounding step (each GEMM
+/// element is one ascending fmadd chain from +0, the bits of a std::fmaf
+/// chain), and SoftmaxRows' 8-lane reduction also reorders its sum, so
+/// results differ from the scalar tier by O(k · eps) relative error (k =
+/// reduction length; observed < 32 ulp for k ≤ 1024 — see
+/// docs/performance.md for the bound and the property tests that enforce
+/// it). Within ONE tier results remain bit-identical at every thread count.
+
+/// Marks a loop to be compiled twice, for the baseline ISA and for AVX2,
+/// with an ifunc resolver that binds it to one clone by CPU at load time.
+/// Only for loops whose clones give the same bits: lanes are independent
+/// elements, and the file is compiled with -ffp-contract=off, so
+/// multiply-then-add stays unfused in both. Such a file also needs
+/// -fvect-cost-model=dynamic: at -O2 GCC otherwise refuses every loop that
+/// needs an epilogue or a runtime alias check. ThreadSanitizer builds
+/// compile only the baseline loop: GCC instruments the resolver, which runs
+/// at load time before the TSan runtime is up, so any clone crashes the
+/// process at start.
+#if defined(MCOND_SIMD_AVX2_COMPILED) && !defined(__SANITIZE_THREAD__)
+#define MCOND_VECTOR_CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define MCOND_VECTOR_CLONES
+#endif
 
 namespace mcond {
 namespace simd {

@@ -2,11 +2,9 @@
 
 // This translation unit is compiled with -mavx2 -mfma -ffp-contract=off
 // when the toolchain targets x86-64 (src/core/CMakeLists.txt defines
-// MCOND_SIMD_AVX2_COMPILED then). -ffp-contract=off matters: the exact
-// kernels express multiply-then-add through intrinsics that GCC lowers to
-// plain vector ops, and contraction would silently fuse them into FMA,
-// changing the rounding the bit-identity contract depends on. The GEMM /
-// softmax kernels request fusion explicitly via _mm256_fmadd_ps.
+// MCOND_SIMD_AVX2_COMPILED then). Every FMA here is an explicit
+// _mm256_fmadd_ps; -ffp-contract=off keeps GCC from fusing the other
+// multiplies and adds, so each kernel's rounding is the one written.
 
 #if defined(MCOND_SIMD_AVX2_COMPILED)
 
@@ -247,73 +245,12 @@ void Avx2GemmTransACols(const float* a, const float* b, float* c, int64_t m,
   } while (i0 < m);
 }
 
-void Avx2SpmmRows(const int64_t* row_ptr, const int32_t* col_idx,
-                  const float* values, const float* x, float* y, int64_t d,
-                  int64_t r0, int64_t r1) {
-  // Bit-identity path: each output element accumulates v_k * x[col_k][j]
-  // in ascending-k order with an UNFUSED multiply-then-add, exactly like
-  // the scalar gather loop. Lanes are independent j's, so vector width and
-  // tile boundaries cannot change any element's rounding. The j-tiles keep
-  // the y accumulators in registers across the whole row.
-  for (int64_t r = r0; r < r1; ++r) {
-    const int64_t kb = row_ptr[r];
-    const int64_t ke = row_ptr[r + 1];
-    float* yrow = y + r * d;
-    int64_t j = 0;
-    for (; j + 32 <= d; j += 32) {
-      __m256 y0 = _mm256_setzero_ps(), y1 = _mm256_setzero_ps();
-      __m256 y2 = _mm256_setzero_ps(), y3 = _mm256_setzero_ps();
-      for (int64_t kk = kb; kk < ke; ++kk) {
-        const __m256 vv = _mm256_broadcast_ss(values + kk);
-        const float* xrow = x + static_cast<int64_t>(col_idx[kk]) * d + j;
-        y0 = _mm256_add_ps(y0, _mm256_mul_ps(vv, _mm256_loadu_ps(xrow)));
-        y1 = _mm256_add_ps(y1, _mm256_mul_ps(vv, _mm256_loadu_ps(xrow + 8)));
-        y2 = _mm256_add_ps(y2, _mm256_mul_ps(vv, _mm256_loadu_ps(xrow + 16)));
-        y3 = _mm256_add_ps(y3, _mm256_mul_ps(vv, _mm256_loadu_ps(xrow + 24)));
-      }
-      _mm256_storeu_ps(yrow + j, y0);
-      _mm256_storeu_ps(yrow + j + 8, y1);
-      _mm256_storeu_ps(yrow + j + 16, y2);
-      _mm256_storeu_ps(yrow + j + 24, y3);
-    }
-    for (; j + 8 <= d; j += 8) {
-      __m256 acc = _mm256_setzero_ps();
-      for (int64_t kk = kb; kk < ke; ++kk) {
-        const __m256 vv = _mm256_broadcast_ss(values + kk);
-        const float* xrow = x + static_cast<int64_t>(col_idx[kk]) * d + j;
-        acc = _mm256_add_ps(acc, _mm256_mul_ps(vv, _mm256_loadu_ps(xrow)));
-      }
-      _mm256_storeu_ps(yrow + j, acc);
-    }
-    for (; j < d; ++j) {
-      float acc = 0.0f;
-      for (int64_t kk = kb; kk < ke; ++kk) {
-        acc += values[kk] * x[static_cast<int64_t>(col_idx[kk]) * d + j];
-      }
-      yrow[j] = acc;
-    }
-  }
-}
-
 void Avx2SoftmaxRows(const float* src, float* dst, int64_t cols, int64_t i0,
                      int64_t i1) {
   const int64_t c8 = cols & ~int64_t{7};
   for (int64_t i = i0; i < i1; ++i) {
     const float* s = src + i * cols;
     float* d = dst + i * cols;
-    if (cols < 8) {
-      // Scalar sequence for narrow rows (identical to the scalar tier).
-      float mx = s[0];
-      for (int64_t j = 1; j < cols; ++j) mx = std::max(mx, s[j]);
-      float sum = 0.0f;
-      for (int64_t j = 0; j < cols; ++j) {
-        d[j] = std::exp(s[j] - mx);
-        sum += d[j];
-      }
-      const float inv = 1.0f / sum;
-      for (int64_t j = 0; j < cols; ++j) d[j] *= inv;
-      continue;
-    }
     // Max: exact at any lane order.
     __m256 vmax = _mm256_loadu_ps(s);
     int64_t j = 8;
@@ -348,30 +285,6 @@ void Avx2SoftmaxRows(const float* src, float* dst, int64_t cols, int64_t i0,
   }
 }
 
-void Avx2SymNormalizeRows(const int64_t* row_ptr, const int32_t* col_idx,
-                          const float* v, const float* dinv_row,
-                          const float* dinv_sqrt, float* out, int64_t r0,
-                          int64_t r1) {
-  for (int64_t r = r0; r < r1; ++r) {
-    const float dr = dinv_row[r];
-    const __m256 drv = _mm256_set1_ps(dr);
-    const int64_t kb = row_ptr[r];
-    const int64_t ke = row_ptr[r + 1];
-    int64_t kk = kb;
-    for (; kk + 8 <= ke; kk += 8) {
-      const __m256i idx = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(col_idx + kk));
-      const __m256 dc = _mm256_i32gather_ps(dinv_sqrt, idx, 4);
-      // (v * dr) * dinv[col]: same association as the scalar rescale.
-      const __m256 vdr = _mm256_mul_ps(_mm256_loadu_ps(v + kk), drv);
-      _mm256_storeu_ps(out + kk, _mm256_mul_ps(vdr, dc));
-    }
-    for (; kk < ke; ++kk) {
-      out[kk] = v[kk] * dr * dinv_sqrt[static_cast<size_t>(col_idx[kk])];
-    }
-  }
-}
-
 }  // namespace simd
 }  // namespace mcond
 
@@ -392,16 +305,7 @@ void Avx2GemmTransACols(const float*, const float*, float*, int64_t, int64_t,
                         int64_t, int64_t, int64_t) {
   std::abort();
 }
-void Avx2SpmmRows(const int64_t*, const int32_t*, const float*, const float*,
-                  float*, int64_t, int64_t, int64_t) {
-  std::abort();
-}
 void Avx2SoftmaxRows(const float*, float*, int64_t, int64_t, int64_t) {
-  std::abort();
-}
-void Avx2SymNormalizeRows(const int64_t*, const int32_t*, const float*,
-                          const float*, const float*, float*, int64_t,
-                          int64_t) {
   std::abort();
 }
 

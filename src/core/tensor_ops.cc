@@ -206,23 +206,10 @@ Tensor SoftmaxRows(const Tensor& a) {
 
 namespace {
 
-// One loop body per elementwise op. Where the build targets x86-64 with
-// AVX2 (MCOND_SIMD_AVX2_COMPILED), GCC compiles each body twice, for the
-// baseline ISA and for AVX2, and binds the op to one of them at load time
-// by CPU (an ifunc resolver). Lanes are independent elements and this file
-// is compiled with -ffp-contract=off, so both clones give the bits of the
+// One loop body per elementwise op, compiled for the baseline ISA and for
+// AVX2 (MCOND_VECTOR_CLONES, core/simd.h). Both clones give the bits of the
 // scalar loop; `x > 0 ? x : 0` vectorizes as compare-and-mask, so NaN and
-// -0 still give +0. -fvect-cost-model=dynamic (src/core/CMakeLists.txt)
-// lets GCC vectorize loops that need an epilogue or a runtime alias check,
-// which at -O2 it otherwise refuses. ThreadSanitizer builds compile only the
-// baseline loop: GCC instruments the resolver, which runs at load time
-// before the TSan runtime is up, so any clone crashes the process at start.
-#if defined(MCOND_SIMD_AVX2_COMPILED) && !defined(__SANITIZE_THREAD__)
-#define MCOND_VECTOR_CLONES __attribute__((target_clones("avx2", "default")))
-#else
-#define MCOND_VECTOR_CLONES
-#endif
-
+// -0 still give +0.
 MCOND_VECTOR_CLONES
 void AddLoop(const float* a, const float* b, float* dst, int64_t n) {
   for (int64_t i = 0; i < n; ++i) dst[i] = a[i] + b[i];
@@ -269,8 +256,6 @@ void AddRowLoop(const float* a, const float* r, float* dst, int64_t rows,
     }
   }
 }
-
-#undef MCOND_VECTOR_CLONES
 
 using UnaryLoop = void (*)(const float*, float*, int64_t);
 using BinaryLoop = void (*)(const float*, const float*, float*, int64_t);
@@ -471,7 +456,8 @@ Tensor SoftmaxRows(const Tensor& a) {
   ParallelFor(
       0, a.rows(), GrainFromCost(4 * cols),
       [&](int64_t i0, int64_t i1) {
-        if (use_avx2) {
+        // Rows narrower than one vector take the scalar body on both tiers.
+        if (use_avx2 && cols >= 8) {
           simd::Avx2SoftmaxRows(a.data(), out.data(), cols, i0, i1);
           return;
         }

@@ -16,8 +16,8 @@ namespace mcond {
 /// Kernels dispatch through the runtime SIMD tier (core/simd.h). On the
 /// scalar tier every parallel kernel is bit-identical to its serial::
 /// reference; on the AVX2 tier the GEMM family (FMA) and SoftmaxRows (FMA
-/// and a lane reduction) are tolerance-bounded instead, while all
-/// elementwise ops stay bit-identical. Within any one tier, results are
+/// and a lane reduction) are tolerance-bounded instead. The elementwise
+/// ops have no tier: one loop body each, the same bits on every CPU. Within any one tier, results are
 /// bit-identical at every thread count.
 ///
 /// The three GEMM products share one per-element order: on the scalar tier

@@ -4,8 +4,6 @@
 #include <unordered_map>
 
 #include "core/parallel.h"
-#include "core/simd.h"
-#include "core/simd_kernels.h"
 #include "core/tensor_ops.h"
 #include "obs/trace.h"
 
@@ -82,18 +80,10 @@ std::vector<float> InvSqrtDegrees(const std::vector<float>& deg) {
 
 void SymNormalizeValues(const CsrView& a, const float* dinv_sqrt, float* out) {
   const float* dinv_row = dinv_sqrt + a.row_begin;
-  const bool use_avx2 = simd::UseAvx2();
   ParallelFor(
       0, a.NumRows(),
       GrainFromCost(2 * (a.nnz / std::max<int64_t>(a.NumRows(), 1) + 1)),
       [&](int64_t r0, int64_t r1) {
-        if (use_avx2) {
-          // Bit-identical to the loop below: same (v·dr)·dinv[col]
-          // association, vector gather on the column factor.
-          simd::Avx2SymNormalizeRows(a.row_ptr, a.col_idx, a.values,
-                                     dinv_row, dinv_sqrt, out, r0, r1);
-          return;
-        }
         for (int64_t r = r0; r < r1; ++r) {
           const float dr = dinv_row[r];
           for (int64_t k = a.row_ptr[r]; k < a.row_ptr[r + 1]; ++k) {

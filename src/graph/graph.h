@@ -39,8 +39,8 @@ std::vector<float> InvSqrtDegrees(const std::vector<float>& deg);
 
 /// out[k] = values[k] · dinv_sqrt[r] · dinv_sqrt[col_idx[k]] for every
 /// stored entry k of the view's rows (`out` indexed like `a.values`, r the
-/// matrix row). The one SymNormalize rescale; row-parallel, and the AVX2
-/// kernel it dispatches to is bit-identical to the scalar loop.
+/// matrix row), as (values[k] · dinv_sqrt[r]) · dinv_sqrt[col_idx[k]]. The
+/// one SymNormalize rescale: one row-parallel loop, no SIMD tier.
 void SymNormalizeValues(const CsrView& a, const float* dinv_sqrt, float* out);
 
 /// Symmetric GCN normalization D^{-1/2} (A + I) D^{-1/2}, where D is the

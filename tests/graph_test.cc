@@ -1,9 +1,12 @@
 #include "graph/graph.h"
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/rng.h"
 #include "core/tensor_ops.h"
 
 namespace mcond {
@@ -35,6 +38,39 @@ TEST(GraphOpsTest, SymNormalizeValues) {
   EXPECT_NEAR(norm.ToDense().At(0, 0), 0.5f, 1e-5f);
   EXPECT_NEAR(norm.ToDense().At(0, 1), 1.0f / std::sqrt(6.0f), 1e-5f);
   EXPECT_NEAR(norm.ToDense().At(1, 1), 1.0f / 3.0f, 1e-5f);
+}
+
+// SymNormalizeValues is one plain loop on every CPU: each stored value
+// becomes exactly (v · dinv[r]) · dinv[col], also on a row-range view that
+// starts past row 0, and the entries of other rows are left alone.
+TEST(GraphOpsTest, SymNormalizeValuesMatchesPlainLoopBitForBit) {
+  Rng rng(41);
+  constexpr int64_t kN = 30;
+  std::vector<Triplet> t;
+  for (int64_t r = 0; r < kN; ++r) {
+    for (const int64_t c : rng.SampleWithoutReplacement(kN, 11)) {
+      t.push_back({r, c, rng.Normal()});
+    }
+  }
+  const CsrMatrix a = CsrMatrix::FromTriplets(kN, kN, std::move(t));
+  std::vector<float> dinv(kN);
+  for (float& f : dinv) f = rng.Uniform(0.05f, 2.0f);
+  std::vector<float> out(static_cast<size_t>(a.Nnz()), std::nanf(""));
+  SymNormalizeValues(a.View().Rows(7, 26), dinv.data(), out.data());
+  for (int64_t r = 0; r < kN; ++r) {
+    for (int64_t k = a.row_ptr()[r]; k < a.row_ptr()[r + 1]; ++k) {
+      const size_t kk = static_cast<size_t>(k);
+      if (r < 7 || r >= 26) {
+        EXPECT_TRUE(std::isnan(out[kk])) << "row " << r << " written";
+        continue;
+      }
+      const float v = a.values()[kk] * dinv[static_cast<size_t>(r)];
+      const float want = v * dinv[static_cast<size_t>(a.col_idx()[kk])];
+      EXPECT_EQ(0, std::memcmp(&out[kk], &want, sizeof(float)))
+          << "row " << r << " entry " << k << ": " << out[kk] << " vs "
+          << want;
+    }
+  }
 }
 
 TEST(GraphOpsTest, SymNormalizeIsSymmetric) {
